@@ -15,7 +15,12 @@ import math
 import numpy as np
 
 from . import hashing
-from .errors import DegenerateSketchError, IncompatibleSketchError, InsufficientDataError
+from .errors import (
+    DegenerateSketchError,
+    IncompatibleSketchError,
+    InsufficientDataError,
+    reject_deletions,
+)
 from .estimate import Estimate, normal_interval
 
 # Asymptotic relative efficiencies (ratio of c^2/m to the estimator's
@@ -63,8 +68,17 @@ class _BucketSketch:
         with np.errstate(over="ignore"):
             return hashing.mix64_array(dig + np.uint64(hashing._GAMMA))
 
-    def add(self, item) -> None:
-        self.add_batch([item])
+    def add(self, item, d: int = 1) -> None:
+        self.add_batch([item], [d])
+
+    def add_batch(self, items, d=None) -> None:
+        """Ingest many items at once; these sketches cannot delete, so
+        quantities, if given, must all be positive."""
+        reject_deletions(d, self)
+        self._absorb_words(self._words(items))
+
+    def _absorb_words(self, words: np.ndarray) -> None:
+        raise NotImplementedError
 
 
 class _RankSketch(_BucketSketch):
@@ -84,8 +98,7 @@ class _RankSketch(_BucketSketch):
         sk.registers = registers.copy()
         return sk
 
-    def add_batch(self, items) -> None:
-        words = self._words(items)
+    def _absorb_words(self, words: np.ndarray) -> None:
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
         rest = words << np.uint64(self.p)
         rank = np.minimum(_leading_zeros64(rest) + 1, self.max_rank).astype(np.uint8)
@@ -167,8 +180,7 @@ class MinCountSketch(_BucketSketch):
         sk.smallest = smallest.copy()
         return sk
 
-    def add_batch(self, items) -> None:
-        words = self._words(items)
+    def _absorb_words(self, words: np.ndarray) -> None:
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
         values = ((words << np.uint64(self.p)) >> np.uint64(11)).astype(np.float64)
         values = (values + 0.5) * 2.0**-53

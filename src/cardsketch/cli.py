@@ -138,12 +138,7 @@ def _read_sketch(path: str):
 def _cmd_sketch(args) -> int:
     sk = _make_sketch(args)
     items, ds = _read_elements(args.input)
-    if args.type == "projection":
-        sk.add_batch(items, ds)
-    elif args.type in ("loglog", "hll", "mincount"):
-        sk.add_batch(items)
-    else:
-        sk.add_batch(items, ds)
+    sk.add_batch(items, ds)
     _write_sketch(sk, args.out, args.binary)
     return EXIT_OK
 

@@ -1,5 +1,7 @@
 """Exception types raised by sketches and estimators."""
 
+import numpy as np
+
 
 class SketchError(Exception):
     """Base class for sketch and estimation errors."""
@@ -18,7 +20,22 @@ class IncompatibleSketchError(SketchError):
 
 
 class UnsupportedDeletionError(SketchError):
-    """Negative or zero quantity fed to a max sketch, which cannot delete."""
+    """Negative or zero quantity fed to an insert-only sketch (the max
+    family and the LogLog/HLL/MinCount baselines), which cannot delete."""
+
+
+def reject_deletions(d, sketch) -> None:
+    """Raise UnsupportedDeletionError unless every quantity in d (a scalar,
+    an array, or None for all ones) is positive."""
+    if d is None:
+        return
+    if isinstance(d, int):  # single-item calls skip the array round trip
+        bad = d <= 0
+    else:
+        bad = np.any(np.asarray(d) <= 0)
+    if bad:
+        raise UnsupportedDeletionError(
+            f"{type(sketch).__name__} cannot delete; got a quantity <= 0")
 
 
 class InsufficientDataError(SketchError):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -124,11 +123,18 @@ class ExperimentReport:
         for algo in sorted(self.replicates):
             cols = self.replicates[algo]
             for i in range(len(cols["c_hat"])):
+                covered = cols["covered"][i]
                 w.writerow([
                     algo, i, cols["c_hat"][i], cols["pct_error"][i],
-                    cols["ci_lo"][i], cols["ci_hi"][i], int(cols["covered"][i]),
+                    cols["ci_lo"][i], cols["ci_hi"][i],
+                    covered if covered is None else int(covered),
                 ])
         return buf.getvalue()
+
+
+def _plain(values, cast) -> list:
+    """JSON-ready column: each value cast, None kept as null."""
+    return [None if v is None else cast(v) for v in values]
 
 
 def _rep_rng(seed: int, rep: int):
@@ -142,9 +148,7 @@ def _algo_salt(seed: int, rep: int, algo: str) -> int:
 def _build_hash_sketch(algo: str, cfg: ExperimentConfig, salt: int, stream):
     if algo in ("projection", "median"):
         sk = ProjectionSketch(cfg.m, cfg.alpha, salt)
-        sk.add_batch(stream.keys, stream.d)
-        return sk
-    if algo in ("max-uniform", "max-exp"):
+    elif algo in ("max-uniform", "max-exp"):
         sk = ContinuousMaxSketch(cfg.m, salt,
                                  "uniform" if algo == "max-uniform" else "exponential")
     elif algo == "max-geom":
@@ -159,10 +163,7 @@ def _build_hash_sketch(algo: str, cfg: ExperimentConfig, salt: int, stream):
         sk = HyperLogLogSketch(cfg.m, salt)
     else:
         sk = MinCountSketch(cfg.m, salt)
-    if algo in ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli"):
-        sk.add_batch(stream.keys, stream.d)
-    else:
-        sk.add_batch(stream.keys)
+    sk.add_batch(stream.keys, stream.d)
     return sk
 
 
@@ -186,10 +187,10 @@ def _sample_sketch(algo: str, cfg: ExperimentConfig, c: int, rng):
 
 
 def _estimate(algo: str, sk, level: float):
+    """(c_hat, (ci_lo, ci_hi) or None, pivot or None) for one replicate."""
     if algo == "median":
-        c_hat = sk.median_estimate()
         # the median estimator carries no interval of its own
-        return c_hat, (0.0, math.inf), None
+        return sk.median_estimate(), None, None
     est = sk.estimate(level)
     pivot = None
     if algo in ("max-uniform", "max-exp", "projection"):
@@ -238,9 +239,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             state_bytes[algo] = sk.state_bytes()
             cols[algo]["c_hat"].append(c_hat)
             cols[algo]["pct_error"].append(100.0 * abs(c_hat - c_exact) / c_exact)
-            cols[algo]["ci_lo"].append(ci[0])
-            cols[algo]["ci_hi"].append(ci[1])
-            cols[algo]["covered"].append(ci[0] <= c_exact <= ci[1])
+            lo, hi = ci if ci is not None else (None, None)
+            cols[algo]["ci_lo"].append(lo)
+            cols[algo]["ci_hi"].append(hi)
+            cols[algo]["covered"].append(None if ci is None else lo <= c_exact <= hi)
             if pivot is not None:
                 cols[algo]["pivot"].append(pivot * c_exact)
 
@@ -248,6 +250,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     for algo in cfg.algos:
         ch = np.array(cols[algo]["c_hat"])
         pe = np.array(cols[algo]["pct_error"])
+        covered = [c for c in cols[algo]["covered"] if c is not None]
         entry = {
             "replicates": len(ch),
             "failed": cols[algo]["errors"],
@@ -255,7 +258,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "mean_pct_error": float(pe.mean()) if len(pe) else None,
             "sd_pct_error": float(pe.std(ddof=1)) if len(pe) > 1 else None,
             "empirical_var": float(ch.var(ddof=1)) if len(ch) > 1 else None,
-            "coverage": float(np.mean(cols[algo]["covered"])) if len(ch) else None,
+            "coverage": float(np.mean(covered)) if covered else None,
             "state_bytes": state_bytes[algo],
             "wall_s": round(wall[algo], 6),
         }
@@ -281,7 +284,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     )
     for algo in cfg.algos:
         report.replicates[algo] = {
-            k: list(map(float, v)) if k != "covered" else list(map(bool, v))
+            k: _plain(v, bool if k == "covered" else float)
             for k, v in cols[algo].items()
             if k in ("c_hat", "pct_error", "ci_lo", "ci_hi", "covered", "pivot")
         }

@@ -7,11 +7,20 @@ is the finalizer applied at counter j.  This is order-invariant, needs no
 per-item state, and is bit-identical across runs, platforms and the
 scalar/vectorized code paths.
 
+Bulk ingestion reads the raw 64-bit words through ``word_tiles``, which
+yields the word matrix of ``uniform_block`` a few hundred rows at a time in
+reused buffers, so no path materialises the whole (items x m) matrix.
+Every transform from a word to a variate (uniform, log, geometric,
+Bernoulli indicator) is monotone, so a sketch may reduce each column of a
+tile to its extreme word first and transform only m values: the result is
+bit-identical to transforming every element and then reducing.
+
 Do NOT use Python's built-in hash(): it is salted per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,12 +50,39 @@ def mix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 on uint64 arrays; wraps modulo 2**64 like the scalar path."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _U_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _U_MIX2
-        return z ^ (z >> np.uint64(31))
+_U_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
+
+# row tiles of word_tiles hold about this many words (256 KiB), so a tile
+# and its scratch buffer fit a typical per-core L2 cache
+_TILE_WORDS = 1 << 15
+
+
+def mix64_array(z: np.ndarray, out: np.ndarray | None = None,
+                scratch: np.ndarray | None = None) -> np.ndarray:
+    """Vectorized mix64 on uint64 arrays; wraps modulo 2**64 like the scalar path.
+
+    With ``out`` (which may be ``z`` itself) the result is written there and
+    ``scratch``, an array shaped like ``z`` that defaults to a fresh one,
+    holds the shifted temporaries; without it a new array is returned.
+    """
+    s30, s27, s31 = _U_SHIFTS
+    if out is None:
+        # operator form: fewer calls, so faster on the short arrays of
+        # single-item paths
+        z = (z ^ (z >> s30)) * _U_MIX1
+        z = (z ^ (z >> s27)) * _U_MIX2
+        return z ^ (z >> s31)
+    if scratch is None:
+        scratch = np.empty_like(out)
+    np.right_shift(z, s30, out=scratch)
+    np.bitwise_xor(z, scratch, out=out)
+    np.multiply(out, _U_MIX1, out=out)
+    np.right_shift(out, s27, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    np.multiply(out, _U_MIX2, out=out)
+    np.right_shift(out, s31, out=scratch)
+    np.bitwise_xor(out, scratch, out=out)
+    return out
 
 
 def fnv1a64(data: bytes) -> int:
@@ -111,6 +147,10 @@ def digest(key: int, salt: int) -> int:
 
 def digest_array(keys: np.ndarray, salt: int) -> np.ndarray:
     keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    if len(keys) == 1:
+        # a single item: the scalar path is bit-identical and skips the
+        # fixed cost of eight array operations
+        return np.array([digest(int(keys[0]), salt)], dtype=np.uint64)
     return mix64_array(keys ^ np.uint64(salt_base(salt)))
 
 
@@ -119,7 +159,8 @@ def _unit_scalar(word: int) -> float:
     return ((word >> 11) + 0.5) * 2.0**-53
 
 
-def _unit_array(words: np.ndarray) -> np.ndarray:
+def unit_array(words: np.ndarray) -> np.ndarray:
+    """Uniforms of raw hash words; monotone (non-decreasing) in the word."""
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
 
 
@@ -132,14 +173,46 @@ def uniform_at(key: int, counter: int, salt: int) -> float:
     return _unit_scalar(raw_word(key, counter, salt))
 
 
+@functools.lru_cache(maxsize=64)
+def _counter_steps(counter_lo: int, counter_hi: int) -> np.ndarray:
+    """Read-only (counter + 1) * GAMMA offsets for counters lo..hi-1."""
+    steps = np.arange(counter_lo + 1, counter_hi + 1, dtype=np.uint64) * _U_GAMMA
+    steps.flags.writeable = False
+    return steps
+
+
 def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int) -> np.ndarray:
     """(len(keys), counter_hi-counter_lo) matrix of uniforms, bit-identical
-    to the scalar path element by element."""
+    to the scalar path element by element.  The reference for the tiled
+    ingestion path."""
     dig = digest_array(keys, salt)
-    counters = np.arange(counter_lo + 1, counter_hi + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        words = mix64_array(dig[:, None] + counters[None, :] * _U_GAMMA)
-    return _unit_array(words)
+    steps = _counter_steps(counter_lo, counter_hi)
+    return unit_array(mix64_array(dig[:, None] + steps[None, :]))
+
+
+def word_tiles(keys: np.ndarray, salt: int, m: int):
+    """Yield the raw words behind ``uniform_block(keys, salt, 0, m)`` in row
+    tiles of about _TILE_WORDS words, top to bottom.
+
+    Each tile is a view of one buffer that the next tile overwrites, so a
+    consumer reduces a tile before asking for the next and keeps no
+    reference to it.  Yields nothing for an empty key array.
+    """
+    dig = digest_array(keys, salt)
+    steps = _counter_steps(0, m)
+    rows = max(1, _TILE_WORDS // m)
+    if len(dig) <= rows:
+        # one tile (a single item, say): no buffers to set up
+        if len(dig):
+            yield mix64_array(dig[:, None] + steps[None, :])
+        return
+    buf = np.empty((rows, m), dtype=np.uint64)
+    scratch = np.empty_like(buf)
+    for lo in range(0, len(dig), rows):
+        part = dig[lo:lo + rows]
+        words, tmp = buf[:len(part)], scratch[:len(part)]
+        np.add(part[:, None], steps[None, :], out=words)
+        yield mix64_array(words, out=words, scratch=tmp)
 
 
 def uniform_stream(item, j: int, cfg: HashConfig) -> float:
@@ -235,8 +308,8 @@ def stable_log_block(keys: np.ndarray, salt: int, m: int, alpha: float) -> np.nd
     even = np.arange(1, 2 * m + 1, 2, dtype=np.uint64)
     odd = np.arange(2, 2 * m + 2, 2, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        u = _unit_array(mix64_array(dig[:, None] + even[None, :] * _U_GAMMA))
-        w = -np.log1p(-_unit_array(mix64_array(dig[:, None] + odd[None, :] * _U_GAMMA)))
+        u = unit_array(mix64_array(dig[:, None] + even[None, :] * _U_GAMMA))
+        w = -np.log1p(-unit_array(mix64_array(dig[:, None] + odd[None, :] * _U_GAMMA)))
     return stable_log_variate(u, w, alpha)
 
 

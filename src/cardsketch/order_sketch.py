@@ -6,6 +6,15 @@ so ingestion is duplicate-insensitive and order-invariant, merge is the
 slot-wise maximum, and merge(sketch(A), sketch(B)) is bit-identical to a
 single pass over A union B.
 
+Ingestion streams the raw hash words in cache-sized row tiles
+(``hashing.word_tiles``) and reduces each tile column-wise before any
+transform: the maximum word for the continuous and geometric sketches, the
+minimum word for the Bernoulli sketch, the k largest words for the top-k
+sketch.  The word-to-uniform map ``((w >> 11) + 0.5) * 2**-53`` and every
+variate transform after it are monotone, so the transformed extreme equals
+the extreme of the transformed values bit for bit; only m values are ever
+transformed.
+
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
 concurrently once writers have stopped.
@@ -25,33 +34,18 @@ from .errors import (
     IncompatibleSketchError,
     InsufficientDataError,
     SaturatedSketchError,
-    UnsupportedDeletionError,
+    reject_deletions,
 )
 from .estimate import Estimate, gamma_estimate, normal_interval
 from .inference import psi_infinity
 
 _LOG_HALF = math.log(0.5)
 
-# Ingestion is chunked so the (rows x m) hash matrix stays small; the chunk
-# size is fixed so batch results are reproducible.
-_CHUNK_ELEMS = 1 << 22
-
-
-def _batch_rows(m: int) -> int:
-    return max(1, _CHUNK_ELEMS // m)
-
 
 def _keys_array(items) -> np.ndarray:
     if isinstance(items, np.ndarray) and items.dtype == np.uint64:
         return items
     return np.array([hashing.item_key(it) for it in items], dtype=np.uint64)
-
-
-def _check_quantity(d: int) -> None:
-    if d <= 0:
-        raise UnsupportedDeletionError(
-            f"max sketches cannot delete; got quantity d={d}"
-        )
 
 
 class _MaxSketchBase:
@@ -79,22 +73,28 @@ class _MaxSketchBase:
             )
 
     def add(self, item, d: int = 1) -> None:
-        _check_quantity(d)
+        reject_deletions(d, self)
         self._absorb_keys(np.array([hashing.item_key(item)], dtype=np.uint64))
 
     def add_batch(self, items, d=None) -> None:
         """Ingest many items at once; quantities, if given, must all be positive."""
-        if d is not None:
-            dd = np.asarray(d)
-            if np.any(dd <= 0):
-                raise UnsupportedDeletionError("max sketches cannot delete")
+        reject_deletions(d, self)
         keys = _keys_array(items)
-        rows = _batch_rows(self.m)
-        for lo in range(0, len(keys), rows):
-            self._absorb_keys(keys[lo:lo + rows])
+        if len(keys):
+            self._absorb_keys(keys)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
+        """Fold a non-empty key array into the state."""
         raise NotImplementedError
+
+    def _column_words(self, keys: np.ndarray, extreme) -> np.ndarray:
+        """The extreme raw hash word of each stream over the keys, where
+        extreme is np.maximum (largest word) or np.minimum (smallest)."""
+        acc = None
+        for words in hashing.word_tiles(keys, self.salt, self.m):
+            part = extreme.reduce(words, axis=0)
+            acc = part if acc is None else extreme(acc, part, out=acc)
+        return acc
 
 
 class ContinuousMaxSketch(_MaxSketchBase):
@@ -126,8 +126,8 @@ class ContinuousMaxSketch(_MaxSketchBase):
         return sk
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.uniform_block(keys, self.salt, 0, self.m)
-        np.maximum(self.slots, np.log(u).max(axis=0), out=self.slots)
+        u = hashing.unit_array(self._column_words(keys, np.maximum))
+        np.maximum(self.slots, np.log(u), out=self.slots)
 
     def max_values(self) -> np.ndarray:
         """Running maxima in the hash domain (uniform: M_j, exponential: -log(1-M_j))."""
@@ -187,9 +187,8 @@ class GeometricMaxSketch(_MaxSketchBase):
         return (self.q,)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.uniform_block(keys, self.salt, 0, self.m)
-        y = hashing.geometric_variate(u, self.q)
-        np.maximum(self.slots, y.max(axis=0), out=self.slots)
+        u = hashing.unit_array(self._column_words(keys, np.maximum))
+        np.maximum(self.slots, hashing.geometric_variate(u, self.q), out=self.slots)
 
     def merge(self, other: "GeometricMaxSketch") -> "GeometricMaxSketch":
         self._check_compatible(other)
@@ -342,9 +341,20 @@ class KthOrderSketch(_MaxSketchBase):
         return (self.k,)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.uniform_block(keys, self.salt, 0, self.m)
+        # distinct keys give distinct words in every column (the digest,
+        # the counter offset and mix64 are bijections), so the k largest
+        # words of a column carry its k largest distinct uniforms unless
+        # two of them map to the same uniform
+        keys = np.unique(keys)
+        top = top_words(hashing.word_tiles(keys, self.salt, self.m), self.k)
+        u = hashing.unit_array(top)
+        tied = tied_columns(u)
         for j in range(self.m):
-            self._insert_column(j, u[:, j])
+            if tied[j]:
+                col = hashing.uniform_block(keys, self.salt, j, j + 1)[:, 0]
+            else:
+                col = u[:, j]
+            self._insert_column(j, col)
 
     def _insert_column(self, j: int, values: np.ndarray) -> None:
         cur = self.topk[j]
@@ -385,6 +395,46 @@ class KthOrderSketch(_MaxSketchBase):
 
     def state_bytes(self) -> int:
         return self.topk.nbytes
+
+
+def top_words(tiles, k: int) -> np.ndarray:
+    """The min(k, rows) largest words of each column over a sequence of
+    (rows, m) word tiles, as a (min(k, rows), m) matrix in no set order.
+
+    After the first k rows only the few words above a column's running
+    k-th largest can enter, so each later tile costs one comparison per
+    word plus a small sort of the entrants.
+    """
+    top = None
+    for words in tiles:
+        if top is None or len(top) < k:
+            pool = words.copy() if top is None else np.concatenate([top, words])
+            if len(pool) > k:
+                pool = np.partition(pool, len(pool) - k, axis=0)[len(pool) - k:]
+            top = pool
+            continue
+        flat = np.flatnonzero(words > top.min(axis=0))
+        if len(flat) == 0:
+            continue
+        m = top.shape[1]
+        values = np.concatenate([top.ravel(), words.ravel()[flat]])
+        owner = np.concatenate([np.tile(np.arange(m), k), flat % m])
+        order = np.lexsort((values, owner))
+        ends = np.cumsum(np.bincount(owner, minlength=m))
+        top = values[order][ends[None, :] - k + np.arange(k)[:, None]]
+    return top
+
+
+def tied_columns(u: np.ndarray) -> np.ndarray:
+    """Columns of the uniforms of a top_words matrix that hold one value
+    twice; those columns need every word.
+
+    The word-to-uniform map is monotone but not injective: two words that
+    differ only in the 11 low bits it drops give one uniform, and so do
+    neighbouring 53-bit values above 1/2, where the + 0.5 offset rounds.
+    """
+    s = np.sort(u, axis=0)
+    return (s[1:] == s[:-1]).any(axis=0)
 
 
 def kth_closed_form(y: np.ndarray, k: int) -> float:
@@ -473,8 +523,8 @@ class BernoulliSketch(_MaxSketchBase):
         return (self.p,)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.uniform_block(keys, self.salt, 0, self.m)
-        np.maximum(self.bits, (u < self.p).any(axis=0).astype(np.uint8), out=self.bits)
+        hit = hashing.unit_array(self._column_words(keys, np.minimum)) < self.p
+        np.maximum(self.bits, hit.astype(np.uint8), out=self.bits)
 
     def merge(self, other: "BernoulliSketch") -> "BernoulliSketch":
         self._check_compatible(other)

@@ -217,6 +217,8 @@ class _Reader:
 
 
 def unpack(data: bytes):
+    """Decode a binary frame; any malformed frame or invalid state, and any
+    byte after the payload, raises SerializationError."""
     if len(data) < _HEADER.size:
         raise SerializationError("truncated binary sketch")
     magic, version, tag, m, salt = _HEADER.unpack_from(data)
@@ -229,6 +231,19 @@ def unpack(data: bytes):
         raise SerializationError(f"unknown type tag {tag}")
     r = _Reader(data)
     r.pos = _HEADER.size
+    try:
+        sk = _unpack_state(r, t, m, salt)
+    except SerializationError:
+        raise
+    except ValueError as exc:
+        raise SerializationError(f"invalid {t} state: {exc}") from exc
+    if r.pos != len(data):
+        raise SerializationError(
+            f"{len(data) - r.pos} trailing bytes after the {t} payload")
+    return sk
+
+
+def _unpack_state(r: _Reader, t: str, m: int, salt: int):
     if t in ("max-uniform", "max-exp"):
         slots = r.array("<f8", m)
         kind = "uniform" if t == "max-uniform" else "exponential"

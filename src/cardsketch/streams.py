@@ -56,7 +56,8 @@ def generate_stream(
     instead.  d_model "unit" sets all quantities to 1, "random" draws them
     uniformly from 1..10; deleted_extra adds that many additional items,
     each inserted once and deleted once, leaving the live set unchanged
-    (projection sketches only; max sketches reject the deletions).
+    (projection sketches only; the insert-only sketches reject the
+    deletions).
     """
     if c < 1:
         raise ValueError("c must be >= 1")

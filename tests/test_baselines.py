@@ -17,6 +17,7 @@ from cardsketch.errors import (
     DegenerateSketchError,
     IncompatibleSketchError,
     InsufficientDataError,
+    UnsupportedDeletionError,
 )
 from cardsketch.streams import distinct_keys
 
@@ -47,6 +48,23 @@ class TestPlumbing:
         a.add_batch(keys)
         b.add_batch(keys[rng.permutation(len(keys))])
         np.testing.assert_array_equal(a.smallest, b.smallest)
+
+    @pytest.mark.parametrize("cls", [LogLogSketch, HyperLogLogSketch, MinCountSketch])
+    def test_deletions_rejected(self, cls):
+        sk = cls(16, seed=2)
+        sk.add_batch(["a", "b"], [1, 3])
+        before = vars(sk).copy()
+        for bad in (-1, 0):
+            with pytest.raises(UnsupportedDeletionError):
+                sk.add("c", d=bad)
+            with pytest.raises(UnsupportedDeletionError):
+                sk.add_batch(["c", "d"], [1, bad])
+        for key, value in before.items():
+            np.testing.assert_array_equal(vars(sk)[key], value)
+        plain = cls(16, seed=2)
+        plain.add_batch(["a", "b"])
+        for key, value in vars(plain).items():
+            np.testing.assert_array_equal(vars(sk)[key], value)
 
     def test_single_item_touches_one_register(self):
         sk = LogLogSketch(32, seed=4)

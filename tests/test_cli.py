@@ -182,6 +182,17 @@ class TestEquivalence:
         assert runs["0.1"]["median_abs_residual"] < runs["0.2"]["median_abs_residual"]
 
 
+@pytest.mark.parametrize("kind", ["loglog", "hll", "mincount"])
+def test_insert_only_baselines_reject_deletions(kind, tmp_path):
+    # live set {a, b}; the negative quantities used to be dropped silently
+    src = tmp_path / "elements.txt"
+    src.write_text("a\nb\nc\t-1\nd\t-5\n")
+    out = tmp_path / "s.json"
+    argv = ["sketch", "--type", kind, "--m", "16", "--in", str(src), "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()
+
+
 def test_main_callable_in_process(capsys, tmp_path):
     # the console entry point returns exit codes rather than raising
     grid = tmp_path / "g.json"

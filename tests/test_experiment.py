@@ -95,6 +95,32 @@ def test_pivot_ks_reported_for_pivot_algos():
     assert "pivot_ks_pvalue" in rep.summary["projection"]
 
 
+def test_hash_mode_baselines_reject_deletions():
+    # every stream carries 200 insert/delete pairs the baselines cannot undo
+    cfg = ExperimentConfig(c=300, m=16, algos=("loglog", "hll", "mincount"),
+                           replicates=2, seed=3, method="hash", deleted_extra=200)
+    rep = run_experiment(cfg)
+    assert rep.exact_c == 300
+    for algo in cfg.algos:
+        assert rep.summary[algo]["failed"] == 2
+        assert rep.summary[algo]["replicates"] == 0
+
+
+def test_median_rows_carry_no_interval():
+    cfg = ExperimentConfig(c=2000, m=32, algos=("projection", "median"),
+                           replicates=3, seed=5, method="sampled")
+    rep = run_experiment(cfg)
+    doc = json.loads(rep.to_json())
+    median = doc["replicates"]["median"]
+    assert median["ci_lo"] == median["ci_hi"] == median["covered"] == [None] * 3
+    assert doc["summary"]["median"]["coverage"] is None
+    proj = doc["replicates"]["projection"]
+    assert all(lo < hi for lo, hi in zip(proj["ci_lo"], proj["ci_hi"]))
+    assert doc["summary"]["projection"]["coverage"] is not None
+    rows = [line.split(",") for line in rep.to_csv().strip().split("\n")[1:]]
+    assert [r[4:] for r in rows if r[0] == "median"] == [["", "", ""]] * 3
+
+
 def test_hash_with_repeats_and_random_d():
     cfg = ExperimentConfig(c=300, m=16, algos=("max-uniform", "mincount"),
                            replicates=2, seed=21, method="hash",

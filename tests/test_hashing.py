@@ -195,3 +195,26 @@ class TestConfig:
         assert isinstance(
             hashing.variate("x", 0, HashConfig(m=2, kind="stable", alpha=0.3)), float
         )
+
+
+class TestMix64Array:
+    def _words(self):
+        rng = np.random.default_rng(3)
+        return rng.integers(0, 2**64, size=(40, 5), dtype=np.uint64)
+
+    def test_matches_scalar(self):
+        z = self._words()
+        expected = [[hashing.mix64(int(v)) for v in row] for row in z]
+        assert hashing.mix64_array(z).tolist() == expected
+        out = np.empty_like(z)
+        assert hashing.mix64_array(z, out=out) is out
+        assert out.tolist() == expected
+        scratch = np.empty_like(z)
+        hashing.mix64_array(z, out=z, scratch=scratch)
+        assert z.tolist() == expected
+
+    def test_in_place_leaves_input_untouched_without_aliasing(self):
+        z = self._words()
+        before = z.copy()
+        hashing.mix64_array(z, out=np.empty_like(z))
+        np.testing.assert_array_equal(z, before)

@@ -139,6 +139,24 @@ def test_rejects_bad_binary():
         serialize.unpack(data[:10])
 
 
+@pytest.mark.parametrize("idx", range(9))
+def test_binary_rejects_trailing_bytes(idx):
+    data = serialize.pack(_build_all()[idx])
+    with pytest.raises(SerializationError, match="trailing"):
+        serialize.unpack(data + b"\x00")
+
+
+def test_binary_invalid_state_is_serialization_error():
+    data = bytearray(serialize.pack(ContinuousMaxSketch(4, seed=0)))
+    data[-8:] = np.array([0.5], dtype="<f8").tobytes()  # a log-CDF above 0
+    with pytest.raises(SerializationError):
+        serialize.unpack(bytes(data))
+    empty = serialize.pack(HyperLogLogSketch(16, seed=0))
+    m_zero = empty[:6] + (0).to_bytes(4, "little") + empty[10:18]
+    with pytest.raises(SerializationError):
+        serialize.unpack(m_zero)
+
+
 def test_merge_after_roundtrip():
     keys = distinct_keys(100, seed=9)
     a = ContinuousMaxSketch(8, seed=3)
