@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from . import hashing
+from . import hashing, state
 from .errors import (
     DegenerateSketchError,
     IncompatibleSketchError,
@@ -49,9 +49,8 @@ class _BucketSketch:
     def __init__(self, m: int, seed: int = 0):
         if m < 2 or m & (m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {m}")
-        self.m = int(m)
-        self.p = int(m).bit_length() - 1
-        self.salt = int(seed)
+        self.m, self.salt = state.header(m, seed)
+        self.p = self.m.bit_length() - 1
 
     def _check_compatible(self, other) -> None:
         if type(self) is not type(other):
@@ -62,9 +61,7 @@ class _BucketSketch:
             raise IncompatibleSketchError("sketch configurations differ")
 
     def _words(self, items) -> np.ndarray:
-        keys = items if isinstance(items, np.ndarray) and items.dtype == np.uint64 \
-            else np.array([hashing.item_key(it) for it in items], dtype=np.uint64)
-        dig = hashing.digest_array(keys, self.salt)
+        dig = hashing.digest_array(hashing.keys_array(items), self.salt)
         with np.errstate(over="ignore"):
             return hashing.mix64_array(dig + np.uint64(hashing._GAMMA))
 
@@ -81,21 +78,24 @@ class _BucketSketch:
         raise NotImplementedError
 
 
+def _max_rank(m: int) -> int:
+    """Largest first-1-bit rank of the 64 - log2(m) bits after the bucket."""
+    return 64 - (int(m).bit_length() - 1) + 1
+
+
 class _RankSketch(_BucketSketch):
     """Shared register machinery for LogLog and HyperLogLog."""
 
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
         self.registers = np.zeros(m, dtype=np.uint8)
-        self.max_rank = 64 - self.p + 1
+        self.max_rank = _max_rank(self.m)
 
     @classmethod
     def from_state(cls, m, seed, registers):
+        registers = state.uints(registers, m, _max_rank(m), np.uint8, "registers")
         sk = cls(m, seed)
-        registers = np.asarray(registers, dtype=np.uint8)
-        if registers.shape != (m,):
-            raise ValueError("register state must have length m")
-        sk.registers = registers.copy()
+        sk.registers = registers
         return sk
 
     def _absorb_words(self, words: np.ndarray) -> None:
@@ -173,11 +173,9 @@ class MinCountSketch(_BucketSketch):
 
     @classmethod
     def from_state(cls, m, seed, smallest):
+        smallest = state.rows(smallest, m, MINCOUNT_K, False, "mincount rows")
         sk = cls(m, seed)
-        smallest = np.asarray(smallest, dtype=np.float64)
-        if smallest.shape != (m, MINCOUNT_K):
-            raise ValueError(f"mincount state must be (m, {MINCOUNT_K})")
-        sk.smallest = smallest.copy()
+        sk.smallest = smallest
         return sk
 
     def _absorb_words(self, words: np.ndarray) -> None:

@@ -16,7 +16,6 @@ import sys
 import numpy as np
 
 from . import serialize
-from .baselines import HyperLogLogSketch, LogLogSketch, MinCountSketch
 from .errors import (
     DegenerateSketchError,
     EmptySketchError,
@@ -38,15 +37,10 @@ from .inference import (
     required_m,
     sketch_storage_bits,
 )
-from .order_sketch import (
-    BernoulliSketch,
-    ContinuousMaxSketch,
-    GeometricMaxSketch,
-    KthOrderSketch,
-    merge as merge_sketches,
-)
+from .order_sketch import merge as merge_sketches
 from .projection import ProjectionSketch, coupled_residuals
 from .serialize import json_dumps
+from .sketch_types import TYPES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -58,32 +52,15 @@ _DATA_ERRORS = (SerializationError, IncompatibleSketchError, StreamIntegrityErro
 _NUMERIC_ERRORS = (EmptySketchError, DegenerateSketchError, SaturatedSketchError,
                    InsufficientDataError, EstimationNumericError)
 
-SKETCH_TYPES = ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli",
-                "projection", "loglog", "hll", "mincount")
-
 
 def _make_sketch(args) -> object:
-    t = args.type
-    if t in ("max-uniform", "max-exp"):
-        return ContinuousMaxSketch(args.m, args.seed,
-                                   "uniform" if t == "max-uniform" else "exponential")
-    if t == "max-geom":
-        if args.q is None:
-            raise SerializationError("--q is required for max-geom")
-        return GeometricMaxSketch(args.m, args.q, args.seed)
-    if t == "kth":
-        return KthOrderSketch(args.m, args.k, args.seed)
-    if t == "bernoulli":
-        if args.p is None:
-            raise SerializationError("--p is required for bernoulli")
-        return BernoulliSketch(args.m, args.p, args.seed)
-    if t == "projection":
-        return ProjectionSketch(args.m, args.alpha, args.seed)
-    if t == "loglog":
-        return LogLogSketch(args.m, args.seed)
-    if t == "hll":
-        return HyperLogLogSketch(args.m, args.seed)
-    return MinCountSketch(args.m, args.seed)
+    t = TYPES[args.type]
+    params = {}
+    for name in t.param_names:
+        params[name] = getattr(args, name)
+        if params[name] is None:
+            raise SerializationError(f"--{name} is required for {t.name}")
+    return t.build(args.m, args.seed, params)
 
 
 def _read_elements(path: str):
@@ -255,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sk = sub.add_parser("sketch", help="build a sketch from a text stream")
-    sk.add_argument("--type", required=True, choices=SKETCH_TYPES)
+    sk.add_argument("--type", required=True, choices=tuple(TYPES))
     sk.add_argument("--m", type=int, required=True)
     sk.add_argument("--seed", type=int, default=0)
     sk.add_argument("--q", type=float, default=None)

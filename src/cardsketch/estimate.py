@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import stats
+from scipy.special import gammaincinv, ndtri
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,15 @@ def gamma_pivot_interval(pivot_sum: float, m: int, level: float) -> tuple[float,
     _check_level(level)
     if pivot_sum <= 0.0:
         raise ValueError("pivot sum must be positive")
-    g_lo = float(stats.gamma.ppf((1.0 - level) / 2.0, m))
-    g_hi = float(stats.gamma.ppf((1.0 + level) / 2.0, m))
+    g_lo = float(gammaincinv(m, (1.0 - level) / 2.0))
+    g_hi = float(gammaincinv(m, (1.0 + level) / 2.0))
     return (g_lo / pivot_sum, g_hi / pivot_sum)
 
 
 def normal_interval(c_hat: float, std_error: float, level: float) -> tuple[float, float]:
     """Large-sample normal interval, clipped at zero."""
     _check_level(level)
-    z = float(stats.norm.ppf((1.0 + level) / 2.0))
+    z = float(ndtri((1.0 + level) / 2.0))
     half = z * std_error
     return (max(0.0, c_hat - half), c_hat + half)
 

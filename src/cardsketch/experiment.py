@@ -18,25 +18,17 @@ import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy import stats
 
-from . import sampling
 from .errors import SketchError
 from .hashing import fnv1a64, mix64
 from .inference import optimal_lambda
-from .order_sketch import (
-    BernoulliSketch,
-    ContinuousMaxSketch,
-    GeometricMaxSketch,
-    KthOrderSketch,
-)
-from .baselines import HyperLogLogSketch, LogLogSketch, MinCountSketch
-from .projection import ProjectionSketch
 from .serialize import json_dumps
+from .sketch_types import TYPES
 from .streams import exact_count, generate_stream
 
-ALGOS = ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli",
-         "projection", "median", "loglog", "hll", "mincount")
+# every sketch type, plus "median": the projection sketch read through its
+# median estimator
+ALGOS = tuple(TYPES) + ("median",)
 
 # full hash ingestion is kept below ~2^25 hashed words per experiment
 _HASH_BUDGET = 1 << 25
@@ -145,45 +137,13 @@ def _algo_salt(seed: int, rep: int, algo: str) -> int:
     return mix64(mix64(seed ^ (rep * 0x9E3779B97F4A7C15)) ^ fnv1a64(algo.encode()))
 
 
-def _build_hash_sketch(algo: str, cfg: ExperimentConfig, salt: int, stream):
-    if algo in ("projection", "median"):
-        sk = ProjectionSketch(cfg.m, cfg.alpha, salt)
-    elif algo in ("max-uniform", "max-exp"):
-        sk = ContinuousMaxSketch(cfg.m, salt,
-                                 "uniform" if algo == "max-uniform" else "exponential")
-    elif algo == "max-geom":
-        sk = GeometricMaxSketch(cfg.m, cfg.q, salt)
-    elif algo == "kth":
-        sk = KthOrderSketch(cfg.m, cfg.k, salt)
-    elif algo == "bernoulli":
-        sk = BernoulliSketch(cfg.m, cfg.bernoulli_p(), salt)
-    elif algo == "loglog":
-        sk = LogLogSketch(cfg.m, salt)
-    elif algo == "hll":
-        sk = HyperLogLogSketch(cfg.m, salt)
-    else:
-        sk = MinCountSketch(cfg.m, salt)
-    sk.add_batch(stream.keys, stream.d)
-    return sk
+def _sketch_type(algo: str):
+    return TYPES["projection" if algo == "median" else algo]
 
 
-def _sample_sketch(algo: str, cfg: ExperimentConfig, c: int, rng):
-    if algo in ("max-uniform", "max-exp"):
-        return sampling.sample_continuous(
-            c, cfg.m, rng, "uniform" if algo == "max-uniform" else "exponential")
-    if algo == "max-geom":
-        return sampling.sample_geometric(c, cfg.m, cfg.q, rng)
-    if algo == "kth":
-        return sampling.sample_kth(c, cfg.k, cfg.m, rng)
-    if algo == "bernoulli":
-        return sampling.sample_bernoulli(c, cfg.m, cfg.bernoulli_p(), rng)
-    if algo in ("projection", "median"):
-        return sampling.sample_projection(c, cfg.m, cfg.alpha, rng)
-    if algo == "loglog":
-        return sampling.sample_loglog(c, cfg.m, rng)
-    if algo == "hll":
-        return sampling.sample_hll(c, cfg.m, rng)
-    return sampling.sample_mincount(c, cfg.m, rng)
+def _params(t, cfg: ExperimentConfig) -> dict:
+    return {n: cfg.bernoulli_p() if n == "p" else getattr(cfg, n)
+            for n in t.param_names}
 
 
 def _estimate(algo: str, sk, level: float):
@@ -192,9 +152,7 @@ def _estimate(algo: str, sk, level: float):
         # the median estimator carries no interval of its own
         return sk.median_estimate(), None, None
     est = sk.estimate(level)
-    pivot = None
-    if algo in ("max-uniform", "max-exp", "projection"):
-        pivot = sk.pivot_sum()
+    pivot = sk.pivot_sum() if hasattr(sk, "pivot_sum") else None
     return est.c_hat, est.ci, pivot
 
 
@@ -218,18 +176,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                 heavy_tail=cfg.heavy_tail, d_model=cfg.d_model,
                 deleted_extra=cfg.deleted_extra)
             c_exact = exact_count(stream)
-        shared_projection = None
+        built = {}  # type name -> this replicate's sketch, shared by its algorithms
         for algo in cfg.algos:
             t0 = time.perf_counter()
             try:
-                if algo in ("projection", "median") and shared_projection is not None:
-                    sk = shared_projection
-                elif method == "hash":
-                    sk = _build_hash_sketch(algo, cfg, _algo_salt(cfg.seed, rep, algo), stream)
-                else:
-                    sk = _sample_sketch(algo, cfg, cfg.c, rng)
-                if algo in ("projection", "median"):
-                    shared_projection = sk
+                t = _sketch_type(algo)
+                sk = built.get(t.name)
+                if sk is None:
+                    params = _params(t, cfg)
+                    if method == "hash":
+                        sk = t.build(cfg.m, _algo_salt(cfg.seed, rep, algo), params)
+                        sk.add_batch(stream.keys, stream.d)
+                    else:
+                        sk = t.sample(cfg.c, cfg.m, rng, params)
+                    built[t.name] = sk
                 c_hat, ci, pivot = _estimate(algo, sk, cfg.level)
             except SketchError:
                 cols[algo]["errors"] += 1
@@ -266,7 +226,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             entry["are_empirical"] = (c_exact**2 / cfg.m) / entry["empirical_var"]
         pivots = cols[algo]["pivot"]
         if len(pivots) > 7:
-            ks = stats.kstest(np.array(pivots), "gamma", args=(cfg.m,))
+            from scipy.stats import kstest  # costs most of a second to import
+            ks = kstest(np.array(pivots), "gamma", args=(cfg.m,))
             entry["pivot_ks_stat"] = float(ks.statistic)
             entry["pivot_ks_pvalue"] = float(ks.pvalue)
         summary[algo] = entry

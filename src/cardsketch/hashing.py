@@ -4,8 +4,12 @@ stream of pseudo-random variates with a chosen marginal distribution.
 The item's bytes are folded to a 64-bit key (FNV-1a), avalanched together
 with a global salt (splitmix64 finalizer), and the j-th variate of the item
 is the finalizer applied at counter j.  This is order-invariant, needs no
-per-item state, and is bit-identical across runs, platforms and the
-scalar/vectorized code paths.
+per-item state, and is reproducible across runs.  The raw words and the
+uniforms are bit-identical between the scalar helpers (``raw_word``,
+``uniform_at``) and the array ones; float transforms beyond the uniform
+are not, since numpy's vectorized log and sin may round differently from
+``math``.  So the stable variate has one path only: ``stable_log_at`` is a
+one-row call into ``stable_log_block``.
 
 Bulk ingestion reads the raw 64-bit words through ``word_tiles``, which
 yields the word matrix of ``uniform_block`` a few hundred rows at a time in
@@ -106,6 +110,13 @@ def item_key(item) -> int:
     if not isinstance(item, (bytes, bytearray)):
         raise TypeError(f"item must be int, str or bytes, got {type(item).__name__}")
     return fnv1a64(bytes(item))
+
+
+def keys_array(items) -> np.ndarray:
+    """uint64 keys of items: a uint64 array as is, else item_key of each."""
+    if isinstance(items, np.ndarray) and items.dtype == np.uint64:
+        return items
+    return np.array([item_key(it) for it in items], dtype=np.uint64)
 
 
 @dataclass(frozen=True)
@@ -272,17 +283,6 @@ def stable_log_variate(u, w, alpha):
     _check_unit(u)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0,1)")
-    # both paths keep the identical operation order so results are bit-equal
-    if np.isscalar(u) and np.isscalar(w):
-        if w <= 0.0:
-            raise ValueError("w must be positive")
-        pu = math.pi * u
-        return (
-            math.log(math.sin(alpha * pu))
-            - math.log(math.sin(pu)) / alpha
-            + (1.0 - alpha) / alpha
-            * (math.log(math.sin((1.0 - alpha) * pu)) - math.log(w))
-        )
     u = np.asarray(u, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if not np.all(w > 0.0):
@@ -296,10 +296,9 @@ def stable_log_variate(u, w, alpha):
 
 
 def stable_log_at(key: int, j: int, salt: int, alpha: float) -> float:
-    """log X for hash stream j; consumes the uniform pair at counters (2j, 2j+1)."""
-    u = uniform_at(key, 2 * j, salt)
-    w = -math.log1p(-uniform_at(key, 2 * j + 1, salt))
-    return stable_log_variate(u, w, alpha)
+    """log X for hash stream j: entry j of a one-row ``stable_log_block``."""
+    keys = np.array([key & _MASK64], dtype=np.uint64)
+    return float(stable_log_block(keys, salt, j + 1, alpha)[0, j])
 
 
 def stable_log_block(keys: np.ndarray, salt: int, m: int, alpha: float) -> np.ndarray:

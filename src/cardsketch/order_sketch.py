@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from . import hashing
+from . import hashing, state
 from .errors import (
     DegenerateSketchError,
     EmptySketchError,
@@ -42,22 +42,13 @@ from .inference import psi_infinity
 _LOG_HALF = math.log(0.5)
 
 
-def _keys_array(items) -> np.ndarray:
-    if isinstance(items, np.ndarray) and items.dtype == np.uint64:
-        return items
-    return np.array([hashing.item_key(it) for it in items], dtype=np.uint64)
-
-
 class _MaxSketchBase:
     """Shared sizing, compatibility and ingestion plumbing."""
 
     kind: str
 
     def __init__(self, m: int, seed: int = 0):
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
-        self.m = int(m)
-        self.salt = int(seed)
+        self.m, self.salt = state.header(m, seed)
 
     def _params(self) -> tuple:
         return ()
@@ -79,7 +70,7 @@ class _MaxSketchBase:
     def add_batch(self, items, d=None) -> None:
         """Ingest many items at once; quantities, if given, must all be positive."""
         reject_deletions(d, self)
-        keys = _keys_array(items)
+        keys = hashing.keys_array(items)
         if len(keys):
             self._absorb_keys(keys)
 
@@ -118,11 +109,9 @@ class ContinuousMaxSketch(_MaxSketchBase):
 
     @classmethod
     def from_state(cls, m, seed, slots, kind="uniform"):
+        slots = state.floats(slots, m, 0.0, "continuous log-CDF slots")
         sk = cls(m, seed, kind)
-        slots = np.asarray(slots, dtype=np.float64)
-        if slots.shape != (m,) or np.any(slots > 0.0):
-            raise ValueError("continuous slots must be m log-CDF values <= 0")
-        sk.slots = slots.copy()
+        sk.slots = slots
         return sk
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
@@ -176,11 +165,9 @@ class GeometricMaxSketch(_MaxSketchBase):
 
     @classmethod
     def from_state(cls, m, seed, slots, q):
+        slots = state.uints(slots, m, state.U32_MAX, np.uint32, "geometric slots")
         sk = cls(m, q, seed)
-        slots = np.asarray(slots, dtype=np.uint32)
-        if slots.shape != (m,):
-            raise ValueError("geometric slots must be m unsigned integers")
-        sk.slots = slots.copy()
+        sk.slots = slots
         return sk
 
     def _params(self) -> tuple:
@@ -323,18 +310,16 @@ class KthOrderSketch(_MaxSketchBase):
 
     def __init__(self, m: int, k: int, seed: int = 0):
         super().__init__(m, seed)
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        if not 1 <= k <= state.U16_MAX:
+            raise ValueError(f"k must lie in [1, 2**16), got {k}")
         self.k = int(k)
         self.topk = np.full((m, k), np.nan)
 
     @classmethod
     def from_state(cls, m, seed, topk, k):
+        topk = state.rows(topk, m, k, True, "top-k rows")
         sk = cls(m, k, seed)
-        topk = np.asarray(topk, dtype=np.float64)
-        if topk.shape != (m, k):
-            raise ValueError("top-k state must be an (m, k) matrix")
-        sk.topk = topk.copy()
+        sk.topk = topk
         return sk
 
     def _params(self) -> tuple:
@@ -512,11 +497,9 @@ class BernoulliSketch(_MaxSketchBase):
 
     @classmethod
     def from_state(cls, m, seed, bits, p):
+        bits = state.uints(bits, m, 1, np.uint8, "bernoulli bits")
         sk = cls(m, p, seed)
-        bits = np.asarray(bits, dtype=np.uint8)
-        if bits.shape != (m,) or np.any(bits > 1):
-            raise ValueError("bernoulli state must be m bits")
-        sk.bits = bits.copy()
+        sk.bits = bits
         return sk
 
     def _params(self) -> tuple:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hashing
+from . import hashing, state
 from .errors import DegenerateSketchError, IncompatibleSketchError, UnsupportedDeletionError
 from .estimate import Estimate, gamma_estimate
 
@@ -76,27 +76,18 @@ class ProjectionSketch:
     kind = "projection"
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
-        if m < 1:
-            raise ValueError(f"m must be >= 1, got {m}")
+        self.m, self.salt = state.header(m, seed)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0,1)")
-        self.m = int(m)
         self.alpha = float(alpha)
-        self.salt = int(seed)
-        self.signs = np.zeros(m, dtype=np.int8)
-        self.logmag = np.full(m, -np.inf)
+        self.signs = np.zeros(self.m, dtype=np.int8)
+        self.logmag = np.full(self.m, -np.inf)
 
     @classmethod
     def from_state(cls, m, seed, signs, logmag, alpha):
+        signs, logmag = state.signed_log(signs, logmag, m)
         sk = cls(m, alpha, seed)
-        signs = np.asarray(signs, dtype=np.int8)
-        logmag = np.asarray(logmag, dtype=np.float64)
-        if signs.shape != (m,) or logmag.shape != (m,):
-            raise ValueError("projection state must be m (sign, log-magnitude) pairs")
-        if np.any((signs < -1) | (signs > 1)):
-            raise ValueError("signs must lie in {-1, 0, +1}")
-        sk.signs = signs.copy()
-        sk.logmag = logmag.copy()
+        sk.signs, sk.logmag = signs, logmag
         return sk
 
     def _check_compatible(self, other) -> None:
@@ -109,18 +100,11 @@ class ProjectionSketch:
 
     def add(self, item, d: int = 1) -> None:
         """Accumulate d * h_j(item) into every stream; d may be negative."""
-        if d == 0:
-            return
-        key = hashing.item_key(item)
-        logx = np.empty(self.m)
-        for j in range(self.m):
-            logx[j] = hashing.stable_log_at(key, j, self.salt, self.alpha)
-        self._absorb_terms(1 if d > 0 else -1, logx + math.log(abs(d)))
+        self.add_batch([item], [d])
 
     def add_batch(self, items, d=None) -> None:
         """Ingest many elements; d defaults to all ones."""
-        keys = items if isinstance(items, np.ndarray) and items.dtype == np.uint64 \
-            else np.array([hashing.item_key(it) for it in items], dtype=np.uint64)
+        keys = hashing.keys_array(items)
         if d is None:
             dvals = np.ones(len(keys))
         else:
@@ -295,8 +279,7 @@ def coupled_residuals(items, m: int, alpha: float, seed: int = 0, d=None) -> Cou
     zero, while the ratio V**alpha / M always sits between 1 and
     (sum of quantities)**alpha; both facts are checked element by element.
     """
-    keys = items if isinstance(items, np.ndarray) and items.dtype == np.uint64 \
-        else np.array([hashing.item_key(it) for it in items], dtype=np.uint64)
+    keys = hashing.keys_array(items)
     if d is None:
         dvals = np.ones(len(keys))
     else:

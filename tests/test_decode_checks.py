@@ -1,0 +1,157 @@
+"""Invalid sketch state is refused when it is decoded, on both formats and
+through the CLI, as SerializationError (CLI exit 3) and never later as a
+silent wrong estimate, a bare ValueError or a crash."""
+
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from cardsketch import serialize
+from cardsketch.baselines import HyperLogLogSketch, MinCountSketch
+from cardsketch.cli import main
+from cardsketch.errors import SerializationError
+from cardsketch.order_sketch import (
+    ContinuousMaxSketch,
+    GeometricMaxSketch,
+    KthOrderSketch,
+)
+from cardsketch.projection import ProjectionSketch
+
+
+def _doc(sk, **changes) -> str:
+    obj = json.loads(serialize.dumps(sk))
+    obj.update(changes)
+    return json.dumps(obj)
+
+
+def _frame(tag: int, m: int, payload: bytes, salt: int = 0) -> bytes:
+    return struct.pack("<4sBBIQ", b"CSKB", 1, tag, m, salt) + payload
+
+
+def _f8(*values) -> bytes:
+    return np.array(values, dtype="<f8").tobytes()
+
+
+def _u2(*values) -> bytes:
+    return np.array(values, dtype="<u2").tobytes()
+
+
+def _kth():
+    sk = KthOrderSketch(4, k=2, seed=3)
+    sk.add_batch(range(40))
+    return sk
+
+
+def _max():
+    sk = ContinuousMaxSketch(4, seed=1)
+    sk.add_batch(range(50))
+    return sk
+
+
+JSON_CASES = {
+    "nan slot": _doc(_max(), state=["nan", "-0.5", "-0.25", "-1.0"]),
+    "positive slot": _doc(_max(), state=["0.5", "-0.5", "-0.25", "-1.0"]),
+    "short state": _doc(_max(), state=["-0.5"]),
+    "kth nan before value": _doc(_kth(), state=[["nan", "0.5"], ["0.9"], ["0.9"], ["0.9"]]),
+    "kth ascending row": _doc(_kth(), state=[["0.3", "0.5"], ["0.9"], ["0.9"], ["0.9"]]),
+    "kth value above 1": _doc(_kth(), state=[["1.5"], ["0.9"], ["0.9"], ["0.9"]]),
+    "kth row longer than k": _doc(_kth(), state=[["0.9", "0.8", "0.7"], [], [], []]),
+    "kth k beyond u16": _doc(_kth(), params={"k": 10**6}, state=[[], [], [], []]),
+    "kth declares m=10**7, k=1000": _doc(_kth(), m=10**7, params={"k": 1000}),
+    "mincount descending row": _doc(MinCountSketch(2, seed=0), state=[["0.5", "0.3"], []]),
+    "mincount inf before value": _doc(MinCountSketch(2, seed=0), state=[["inf", "0.3"], []]),
+    "mincount nan value": _doc(MinCountSketch(2, seed=0), state=[["nan"], []]),
+    "hll register above max_rank": _doc(HyperLogLogSketch(4, seed=0), state=[64, 0, 0, 0]),
+    "hll register 300": _doc(HyperLogLogSketch(4, seed=0), state=[300, 0, 0, 0]),
+    "negative max-geom slot": _doc(GeometricMaxSketch(2, q=0.5), state=[-1, 3]),
+    "fractional max-geom slot": _doc(GeometricMaxSketch(2, q=0.5), state=[1.5, 3]),
+    "negative salt": _doc(_max(), salt=-5),
+    "salt beyond u64": _doc(_max(), salt=2**64),
+    "projection (0, finite)": _doc(ProjectionSketch(2, alpha=0.5), state=[[0, "1.5"], [1, "2.0"]]),
+    "projection (1, -inf)": _doc(ProjectionSketch(2, alpha=0.5), state=[[1, "-inf"], [1, "2.0"]]),
+    "projection nan": _doc(ProjectionSketch(2, alpha=0.5), state=[[1, "nan"], [1, "2.0"]]),
+    "projection sign 2": _doc(ProjectionSketch(2, alpha=0.5), state=[[2, "1.0"], [1, "2.0"]]),
+}
+
+# type tags: 1 max-uniform, 3 max-geom, 4 kth, 5 bernoulli, 6 projection,
+# 8 hll, 9 mincount
+BINARY_CASES = {
+    "nan slot": _frame(1, 2, _f8(math.nan, -0.5)),
+    "kth nan before value": _frame(4, 1, _u2(2) + _u2(2) + _f8(math.nan, 0.5)),
+    "kth ascending row": _frame(4, 1, _u2(2) + _u2(2) + _f8(0.3, 0.5)),
+    "kth row longer than k": _frame(4, 1, _u2(1) + _u2(2) + _f8(0.5, 0.3)),
+    "kth declares m=10**7": _frame(4, 10**7, _u2(1000) + _u2(0, 0)),
+    "mincount descending row": _frame(9, 2, _u2(2, 0) + _f8(0.5, 0.3)),
+    "hll register above max_rank": _frame(8, 4, bytes([200, 0, 0, 0])),
+    "projection (0, finite)": _frame(6, 1, _f8(0.5) + bytes([0]) + _f8(1.5)),
+    "projection (1, -inf)": _frame(6, 1, _f8(0.5) + bytes([1]) + _f8(-math.inf)),
+    "bernoulli padding bit": _frame(5, 3, _f8(0.1) + bytes([0b11110000])),
+    "max-geom q nan": _frame(3, 1, _f8(math.nan) + bytes(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
+def test_json_rejects(case):
+    with pytest.raises(SerializationError):
+        serialize.loads(JSON_CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(BINARY_CASES))
+def test_binary_rejects(case):
+    with pytest.raises(SerializationError):
+        serialize.unpack(BINARY_CASES[case])
+
+
+@pytest.mark.parametrize("fmt,case", [("json", c) for c in sorted(JSON_CASES)]
+                         + [("bin", c) for c in sorted(BINARY_CASES)])
+def test_cli_exits_3_without_traceback(tmp_path, capsys, fmt, case):
+    path = tmp_path / "bad"
+    if fmt == "json":
+        path.write_text(JSON_CASES[case])
+    else:
+        path.write_bytes(BINARY_CASES[case])
+    out = str(tmp_path / "out")
+    assert main(["estimate", str(path)]) == 3
+    assert main(["merge", str(path), "--binary", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_unpackable_seed_is_refused_at_construction(capsys):
+    with pytest.raises(ValueError):
+        ContinuousMaxSketch(4, seed=-5)
+    assert main(["sketch", "--type", "hll", "--m", "16", "--seed", str(2**64),
+                 "--in", "/dev/null", "--binary"]) == 3
+    assert "seed" in capsys.readouterr().err
+
+
+def test_kth_beyond_u16_is_refused_at_construction():
+    with pytest.raises(ValueError):
+        KthOrderSketch(4, k=2**16)
+
+
+def test_from_state_checks_row_order_and_padding():
+    for rows in ([[np.nan, 0.5]], [[0.3, 0.5]]):
+        with pytest.raises(ValueError):
+            KthOrderSketch.from_state(1, 0, rows, 2)
+    for rows in ([[np.inf, 0.2, 0.3]] * 2, [[0.3, 0.2, np.inf]] * 2):
+        with pytest.raises(ValueError):
+            MinCountSketch.from_state(2, 0, rows)
+
+
+def test_from_state_checks_shape_before_building():
+    # a (10**7, 1000) matrix would take 74.5 GiB
+    with pytest.raises(ValueError, match="shape"):
+        KthOrderSketch.from_state(10**7, 0, np.full((2, 1000), np.nan), 1000)
+
+
+def test_sampler_rounding_at_large_c_loads():
+    # at c = 10**12, exp(log(u) / c) rounds to 1.0 for about one stream in
+    # 20000, and neighbouring order statistics can round to one double
+    rows = [[1.0, 1.0], [0.5, 0.5]]
+    sk = KthOrderSketch.from_state(2, 0, rows, 2)
+    assert serialize.unpack(serialize.pack(sk)).topk.tolist() == rows
+    assert serialize.loads(serialize.dumps(sk)).topk.tolist() == rows

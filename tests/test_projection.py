@@ -59,6 +59,16 @@ class TestUpdateLinearity:
         assert (sk.signs == 0).all()
         assert np.isneginf(sk.logmag).all()
 
+    def test_single_add_cancels_batch_delete(self):
+        # add() and add_batch() must hash to the same bits, or the pair
+        # leaves a residue such as (+1, -33.0) in some streams
+        for key in range(300):
+            sk = ProjectionSketch(16, alpha=0.05, seed=1)
+            sk.add(key, 1)
+            sk.add_batch([key], [-1])
+            assert (sk.signs == 0).all(), key
+            assert np.isneginf(sk.logmag).all(), key
+
     def test_double_insert_equals_weight_two(self):
         a = ProjectionSketch(8, alpha=0.1, seed=1)
         b = ProjectionSketch(8, alpha=0.1, seed=1)
