@@ -19,6 +19,7 @@ import numpy as np
 
 from . import hashing
 from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch
+from .errors import InsufficientDataError
 from .order_sketch import (
     BernoulliSketch,
     ContinuousMaxSketch,
@@ -54,7 +55,7 @@ def sample_kth(c: int, k: int, m: int, rng) -> KthOrderSketch:
     """Top-k order statistics of c uniforms per stream via the descending
     beta recursion U_(c-i) = U_(c-i+1) * B**(1/(c-i))."""
     if c < k:
-        raise ValueError("need c >= k")
+        raise InsufficientDataError(f"need c >= k, got c={c}, k={k}")
     log_u = np.log(rng.random((m, k)))
     denom = c - np.arange(k, dtype=np.float64)
     log_tops = np.cumsum(log_u / denom, axis=1)
@@ -115,9 +116,8 @@ def sample_mincount(c: int, m: int, rng) -> MinCountSketch:
     """Third minima of per-bucket uniforms: Beta(3, n-2) exactly."""
     n = _bucket_counts(c, m, rng)
     if np.any(n < MINCOUNT_K):
-        raise ValueError(
-            f"a bucket drew fewer than {MINCOUNT_K} items (c too small for m)"
-        )
+        raise InsufficientDataError(
+            f"a bucket drew fewer than {MINCOUNT_K} items (c too small for m)")
     third = rng.beta(MINCOUNT_K, n - MINCOUNT_K + 1)
     state = np.zeros((m, MINCOUNT_K))
     state[:, MINCOUNT_K - 1] = third

@@ -128,3 +128,16 @@ def test_hash_with_repeats_and_random_d():
     rep = run_experiment(cfg)
     assert rep.exact_c == 300
     assert rep.summary["max-uniform"]["mean_pct_error"] < 100.0
+
+
+@pytest.mark.parametrize("c, algos", [(40, ("mincount", "hll")), (2, ("kth",))])
+def test_too_few_items_fail_alike_in_both_modes(c, algos):
+    # an exact sampler that cannot draw the state counts the replicate as
+    # failed, as hash mode does, instead of aborting the run
+    failed = {}
+    for method in ("hash", "sampled"):
+        cfg = ExperimentConfig(c=c, m=16, algos=algos, replicates=3, seed=4, method=method)
+        rep = run_experiment(cfg)
+        failed[method] = {a: rep.summary[a]["failed"] for a in algos}
+    assert failed["sampled"] == failed["hash"]
+    assert failed["sampled"][algos[0]] == 3

@@ -1,12 +1,13 @@
 """Projection sketch: signed log-space accumulation, estimators, coupling."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from cardsketch import sampling
+from cardsketch import hashing, projection, sampling
 from cardsketch.errors import (
     DegenerateSketchError,
     IncompatibleSketchError,
@@ -15,40 +16,71 @@ from cardsketch.errors import (
 from cardsketch.projection import (
     ProjectionSketch,
     coupled_residuals,
-    log_add,
-    log_sub,
-    signed_log_add,
+    signed_add,
     stable_median_log,
 )
 from cardsketch.streams import distinct_keys, exact_count, generate_stream
 
 
+def _signed(*pairs):
+    """signed_add arguments and result as plain lists of (sign, log) pairs."""
+    s1, l1, s2, l2 = (np.array(v) for v in zip(*pairs))
+    s, l = signed_add(s1.astype(np.int8), l1, s2.astype(np.int8), l2)
+    assert s.dtype == np.int8
+    return list(zip(s.tolist(), l.tolist()))
+
+
 class TestSignedLogArithmetic:
     def test_zero_element(self):
-        assert signed_log_add(0, -math.inf, 1, 2.5) == (1, 2.5)
-        assert signed_log_add(-1, 0.3, 0, -math.inf) == (-1, 0.3)
+        assert _signed((0, -math.inf, 1, 2.5), (-1, 0.3, 0, -math.inf),
+                       (0, -math.inf, 0, -math.inf)) == [
+            (1, 2.5), (-1, 0.3), (0, -math.inf)]
 
     def test_exact_cancellation(self):
-        assert signed_log_add(1, 1.234, -1, 1.234) == (0, -math.inf)
+        assert _signed((1, 1.234, -1, 1.234), (-1, -700.5, 1, -700.5)) == [
+            (0, -math.inf), (0, -math.inf)]
 
     def test_same_sign_doubling_matches_scale(self):
         # x + x computed in log space equals log(2) + x bit for bit
-        x = -3.7519
-        assert log_add(x, x) == math.log(2.0) + x
+        xs = [-3.7519, 0.0, 412.25]
+        out = _signed(*[(s, x, s, x) for x in xs for s in (1, -1)])
+        assert out == [(s, math.log(2.0) + x) for x in xs for s in (1, -1)]
 
     def test_opposite_signs(self):
-        s, l = signed_log_add(1, math.log(5.0), -1, math.log(2.0))
+        (s, l), (t, _) = _signed((1, math.log(5.0), -1, math.log(2.0)),
+                                 (1, math.log(2.0), -1, math.log(5.0)))
         assert s == 1
         assert math.exp(l) == pytest.approx(3.0, rel=1e-12)
-        s, l = signed_log_add(1, math.log(2.0), -1, math.log(5.0))
-        assert s == -1
+        assert t == -1
 
     def test_log_sub_branches(self):
         # both the log1p and expm1 branches of log(e^a - e^b)
-        assert math.exp(log_sub(2.0, -5.0)) == pytest.approx(
-            math.exp(2.0) - math.exp(-5.0), rel=1e-12)
-        assert math.exp(log_sub(2.0, 1.9999)) == pytest.approx(
-            math.exp(2.0) - math.exp(1.9999), rel=1e-9)
+        (_, far), (_, near) = _signed((1, 2.0, -1, -5.0), (1, 2.0, -1, 1.9999))
+        assert math.exp(far) == pytest.approx(math.exp(2.0) - math.exp(-5.0), rel=1e-12)
+        assert math.exp(near) == pytest.approx(math.exp(2.0) - math.exp(1.9999), rel=1e-9)
+
+    def test_random_against_fsum(self):
+        # a + b in signed log space against the correctly rounded sum of the
+        # exponentials, over both signs, zeros and near-cancelling pairs
+        rng = np.random.default_rng(3)
+        n = 2000
+        s1 = rng.choice(np.array([-1, 0, 1], dtype=np.int8), n)
+        s2 = rng.choice(np.array([-1, 0, 1], dtype=np.int8), n)
+        l1 = rng.uniform(-30.0, 30.0, n)
+        l2 = np.where(rng.random(n) < 0.3, l1 + rng.uniform(-1e-6, 1e-6, n),
+                      rng.uniform(-30.0, 30.0, n))
+        l1[s1 == 0] = -np.inf
+        l2[s2 == 0] = -np.inf
+        s, l = signed_add(s1, l1, s2, l2)
+        for i in range(n):
+            a = int(s1[i]) * math.exp(l1[i]) if s1[i] else 0.0
+            b = int(s2[i]) * math.exp(l2[i]) if s2[i] else 0.0
+            want = math.fsum([a, b])
+            got = int(s[i]) * math.exp(l[i]) if s[i] else 0.0
+            assert np.sign(want) == s[i]
+            # log-magnitudes up to 30 carry a few ulp(30) ~ 4e-15 of absolute
+            # error, i.e. relative to the larger operand; cancellation keeps it
+            assert abs(got - want) <= 1e-13 * max(abs(a), abs(b))
 
 
 class TestUpdateLinearity:
@@ -230,8 +262,18 @@ class TestStableMedian:
     def test_half_alpha_closed_form(self):
         # median of 1/(2 N^2) is 1/(2 z^2), z the normal 75th percentile
         z = 0.6744897501960817
-        assert math.exp(stable_median_log(0.5)) == pytest.approx(
-            1.0 / (2.0 * z * z), abs=1e-3)
+        assert stable_median_log(0.5) == pytest.approx(
+            math.log(1.0 / (2.0 * z * z)), rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99])
+    def test_node_count_converged(self, alpha, monkeypatch):
+        # doubling the quadrature nodes moves log(median) by under 1e-10
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = stable_median_log.__wrapped__(alpha)
+            monkeypatch.setattr(projection, "_MEDIAN_NODES", 2 * projection._MEDIAN_NODES)
+            doubled = stable_median_log.__wrapped__(alpha)
+        assert doubled == pytest.approx(base, rel=1e-10)
 
     def test_small_alpha_limit(self):
         # alpha * log(median) -> -log(log 2) as alpha -> 0
@@ -269,6 +311,29 @@ class TestCoupledRun:
         with pytest.raises(UnsupportedDeletionError):
             coupled_residuals(["a", "b"], m=4, alpha=0.1, seed=0, d=[1, -1])
 
+    def test_quantities_must_match_items(self):
+        with pytest.raises(ValueError, match="d must match items in length"):
+            coupled_residuals(["a", "b", "c"], 4, 0.1, d=[1])
+
+    @pytest.mark.parametrize("keys", ["str", "uint64"])
+    @pytest.mark.parametrize("quantities", ["unit", "random"])
+    def test_block_run_matches_elementwise_reference(self, keys, quantities, monkeypatch):
+        # a 16-row chunk at m=16, so 700 elements span 44 chunks
+        monkeypatch.setattr(projection, "_CHUNK_ELEMS", 512)
+        rng = np.random.default_rng(8)
+        items = ([f"k{i}" for i in range(600)] if keys == "str"
+                 else distinct_keys(600, seed=8))
+        items = [items[i] for i in rng.integers(0, 600, size=700)]
+        if keys == "uint64":
+            items = np.array(items, dtype=np.uint64)
+        d = None if quantities == "unit" else rng.integers(1, 11, size=700)
+        got = coupled_residuals(items, 16, 0.05, seed=9, d=d)
+        want = _elementwise_coupled_run(items, 16, 0.05, seed=9, d=d)
+        assert (got.c, got.total_weight) == (want.c, want.total_weight)
+        assert (got.sandwich_low, got.sandwich_high) == (want.sandwich_low, want.sandwich_high)
+        np.testing.assert_array_equal(got.residuals, want.residuals)
+        np.testing.assert_array_equal(got.ratio_log, want.ratio_log)
+
     def test_residual_median_shrinks_with_alpha(self):
         keys = distinct_keys(2000, seed=5)
         meds = []
@@ -277,3 +342,29 @@ class TestCoupledRun:
             assert run.sandwich_ok
             meds.append(float(np.median(np.abs(run.residuals))))
         assert meds[0] > meds[1] > meds[2]
+
+
+def _elementwise_coupled_run(items, m, alpha, seed=0, d=None):
+    """Reference for coupled_residuals: one stable_log_block row per element."""
+    keys = hashing.keys_array(items)
+    dvals = np.ones(len(keys)) if d is None else np.asarray(d, dtype=np.float64)
+    log_v = np.full(m, -np.inf)
+    max_lx = np.full(m, -np.inf)
+    seen = set()
+    total = 0.0
+    worst_low = -math.inf
+    worst_high = -math.inf
+    for key, dv in zip(keys.tolist(), dvals.tolist()):
+        lx = hashing.stable_log_block(np.array([key], dtype=np.uint64), seed, m, alpha)[0]
+        np.logaddexp(log_v, lx + math.log(dv), out=log_v)
+        seen.add(key)
+        total += dv
+        np.maximum(max_lx, lx, out=max_lx)
+        gap = log_v - max_lx
+        worst_low = max(worst_low, float((-gap).max()))
+        worst_high = max(worst_high, float((gap - math.log(total)).max()))
+    return projection.CoupledRun(
+        alpha=alpha, m=m, c=len(seen), total_weight=total,
+        residuals=np.exp(-alpha * log_v) - np.exp(-alpha * max_lx),
+        ratio_log=alpha * (log_v - max_lx),
+        sandwich_low=worst_low * alpha, sandwich_high=worst_high * alpha)
