@@ -24,12 +24,10 @@ from .errors import (
 from .estimate import Estimate, gamma_pivot_interval
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
 from .hashing import (
-    HashConfig,
     exponential_variate,
     geometric_variate,
     item_key,
     stable_log_variate,
-    uniform_stream,
 )
 from .inference import (
     TailBound,
@@ -73,7 +71,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "GeometricMaxSketch",
-    "HashConfig",
     "HyperLogLogSketch",
     "IncompatibleSketchError",
     "InsufficientDataError",
@@ -112,6 +109,5 @@ __all__ = [
     "sketch_storage_bits",
     "stable_log_variate",
     "stable_median_log",
-    "uniform_stream",
     "unpack",
 ]

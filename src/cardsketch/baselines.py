@@ -180,8 +180,7 @@ class MinCountSketch(_BucketSketch):
 
     def _absorb_words(self, words: np.ndarray) -> None:
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
-        values = ((words << np.uint64(self.p)) >> np.uint64(11)).astype(np.float64)
-        values = (values + 0.5) * 2.0**-53
+        values = hashing.unit_array(words << np.uint64(self.p))
         order = np.lexsort((values, buckets))
         buckets, values = buckets[order], values[order]
         starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])

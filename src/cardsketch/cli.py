@@ -10,6 +10,7 @@ Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -64,8 +65,15 @@ def _make_sketch(args) -> object:
 
 
 def _read_elements(path: str):
-    """One element per line: <item_id>[<TAB><d>], missing d = 1, UTF-8."""
-    fh = sys.stdin if path == "-" else open(path, "r", encoding="utf-8")
+    """One element per line: <item_id>[<TAB><d>], missing d = 1; UTF-8 with
+    universal newlines, from a file or from stdin alike."""
+    if path == "-":
+        # detached, not closed, afterwards: main() may run again in-process
+        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        done = fh.detach
+    else:
+        fh = open(path, "r", encoding="utf-8")
+        done = fh.close
     items, ds = [], []
     try:
         for lineno, line in enumerate(fh, 1):
@@ -80,11 +88,13 @@ def _read_elements(path: str):
             except ValueError:
                 raise SerializationError(
                     f"line {lineno}: quantity {dtext!r} is not an integer")
+            if not -2**63 <= d < 2**63:
+                raise SerializationError(
+                    f"line {lineno}: quantity {dtext!r} is outside int64")
             items.append(item)
             ds.append(d)
     finally:
-        if fh is not sys.stdin:
-            fh.close()
+        done()
     return items, np.array(ds, dtype=np.int64)
 
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import SketchError
-from .hashing import fnv1a64, mix64
+from .hashing import item_key, mix64
 from .inference import optimal_lambda
 from .serialize import json_dumps
 from .sketch_types import TYPES
@@ -134,7 +134,7 @@ def _rep_rng(seed: int, rep: int):
 
 
 def _algo_salt(seed: int, rep: int, algo: str) -> int:
-    return mix64(mix64(seed ^ (rep * 0x9E3779B97F4A7C15)) ^ fnv1a64(algo.encode()))
+    return mix64(mix64(seed ^ (rep * 0x9E3779B97F4A7C15)) ^ item_key(algo))
 
 
 def _sketch_type(algo: str):

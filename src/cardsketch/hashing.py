@@ -4,12 +4,12 @@ stream of pseudo-random variates with a chosen marginal distribution.
 The item's bytes are folded to a 64-bit key (FNV-1a), avalanched together
 with a global salt (splitmix64 finalizer), and the j-th variate of the item
 is the finalizer applied at counter j.  This is order-invariant, needs no
-per-item state, and is reproducible across runs.  The raw words and the
-uniforms are bit-identical between the scalar helpers (``raw_word``,
-``uniform_at``) and the array ones; float transforms beyond the uniform
-are not, since numpy's vectorized log and sin may round differently from
-``math``.  So the stable variate has one path only: ``stable_log_at`` is a
-one-row call into ``stable_log_block``.
+per-item state, and is reproducible across runs.
+
+``item_key`` folds one item.  ``keys_array`` folds many at once and gives
+the same keys: it joins the bytes of all str/bytes items into one buffer,
+sorts the items by length, longest first, and folds byte column j into the
+prefix of items longer than j with one array xor and one multiply.
 
 Bulk ingestion reads the raw 64-bit words through ``word_tiles``, which
 yields the word matrix of ``uniform_block`` a few hundred rows at a time in
@@ -17,7 +17,8 @@ reused buffers, so no path materialises the whole (items x m) matrix.
 Every transform from a word to a variate (uniform, log, geometric,
 Bernoulli indicator) is monotone, so a sketch may reduce each column of a
 tile to its extreme word first and transform only m values: the result is
-bit-identical to transforming every element and then reducing.
+bit-identical to transforming every element and then reducing.  The
+variates of a single item are a one-row call into the same block functions.
 
 Do NOT use Python's built-in hash(): it is salted per process.
 """
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,8 @@ _FNV_PRIME = 0x100000001B3
 _U_GAMMA = np.uint64(_GAMMA)
 _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
-
-KINDS = ("uniform", "exponential", "geometric", "bernoulli", "stable")
+_U_FNV_PRIME = np.uint64(_FNV_PRIME)
+_UNIT_MAX = 1.0 - 2.0**-53  # the largest double below 1
 
 
 def mix64(z: int) -> int:
@@ -89,62 +89,66 @@ def mix64_array(z: np.ndarray, out: np.ndarray | None = None,
     return out
 
 
-def fnv1a64(data: bytes) -> int:
+def item_key(item) -> int:
+    """Canonical 64-bit key for an item identifier.
+
+    Integers in [0, 2**64) are taken as keys directly (synthetic streams);
+    str (as UTF-8) and bytes are FNV-1a folded.  Keys are avalanched with
+    the salt before use, so raw integer structure is harmless.
+    """
+    if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+        if 0 <= item <= _MASK64:
+            return int(item)
+        raise TypeError(f"integer item {item} is outside [0, 2**64)")
+    if isinstance(item, str):
+        item = item.encode("utf-8")
+    if not isinstance(item, (bytes, bytearray)):
+        raise TypeError("item must be an int in [0, 2**64), str or bytes, "
+                        f"got {type(item).__name__}")
     h = _FNV_OFFSET
-    for byte in data:
+    for byte in item:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
-def item_key(item) -> int:
-    """Canonical 64-bit key for an item identifier.
-
-    Integers are taken as keys directly (synthetic streams); str/bytes are
-    FNV-1a folded.  Keys are avalanched with the salt before use, so raw
-    integer structure is harmless.
-    """
-    if isinstance(item, (int, np.integer)):
-        return int(item) & _MASK64
-    if isinstance(item, str):
-        item = item.encode("utf-8")
-    if not isinstance(item, (bytes, bytearray)):
-        raise TypeError(f"item must be int, str or bytes, got {type(item).__name__}")
-    return fnv1a64(bytes(item))
+_TEXT = (str, bytes, bytearray)
 
 
 def keys_array(items) -> np.ndarray:
-    """uint64 keys of items: a uint64 array as is, else item_key of each."""
+    """uint64 keys of items, each equal to its ``item_key``: a uint64 array
+    as is, str/bytes items folded together, other items one by one."""
     if isinstance(items, np.ndarray) and items.dtype == np.uint64:
         return items
-    return np.array([item_key(it) for it in items], dtype=np.uint64)
+    items = list(items)
+    if len(items) == 1:
+        # one item: the scalar fold skips the fixed cost of the column loop
+        return np.array([item_key(items[0])], dtype=np.uint64)
+    text = [i for i, it in enumerate(items) if isinstance(it, _TEXT)]
+    if len(text) == len(items):
+        return _fold_text(items)
+    keys = np.array([0 if isinstance(it, _TEXT) else item_key(it) for it in items],
+                    dtype=np.uint64)
+    if text:
+        keys[text] = _fold_text([items[i] for i in text])
+    return keys
 
 
-@dataclass(frozen=True)
-class HashConfig:
-    """Number of hash streams, global salt and the marginal distribution.
-
-    kind is one of "uniform", "exponential", "geometric" (parameter q),
-    "bernoulli" (parameter p) or "stable" (parameter alpha).
-    """
-
-    m: int
-    salt: int = 0
-    kind: str = "uniform"
-    q: float | None = None
-    p: float | None = None
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "geometric" and not (self.q is not None and 0.0 < self.q < 1.0):
-            raise ValueError("geometric hashing needs q strictly inside (0,1)")
-        if self.kind == "bernoulli" and not (self.p is not None and 0.0 < self.p < 1.0):
-            raise ValueError("bernoulli hashing needs p strictly inside (0,1)")
-        if self.kind == "stable" and not (self.alpha is not None and 0.0 < self.alpha < 1.0):
-            raise ValueError("stable hashing needs alpha strictly inside (0,1)")
+def _fold_text(items) -> np.ndarray:
+    """FNV-1a keys of str/bytes items, one byte column at a time."""
+    data = [it.encode("utf-8") if isinstance(it, str) else it for it in items]
+    lens = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+    order = np.argsort(-lens, kind="stable")
+    starts = (np.cumsum(lens) - lens)[order]
+    # longer[j]: how many items have a byte j, a prefix of the sorted order
+    longer = len(lens) - np.cumsum(np.bincount(lens))
+    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    for j, k in enumerate(longer[:-1].tolist()):
+        h[:k] ^= buf[starts[:k] + j]
+        h[:k] *= _U_FNV_PRIME
+    keys = np.empty_like(h)
+    keys[order] = h
+    return keys
 
 
 def salt_base(salt: int) -> int:
@@ -165,23 +169,15 @@ def digest_array(keys: np.ndarray, salt: int) -> np.ndarray:
     return mix64_array(keys ^ np.uint64(salt_base(salt)))
 
 
-def _unit_scalar(word: int) -> float:
-    # 53-bit mantissa, offset by half a step: strictly inside (0,1)
-    return ((word >> 11) + 0.5) * 2.0**-53
-
-
 def unit_array(words: np.ndarray) -> np.ndarray:
-    """Uniforms of raw hash words; monotone (non-decreasing) in the word."""
-    return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Uniforms of raw hash words, strictly inside (0,1) and monotone
+    (non-decreasing) in the word.
 
-
-def raw_word(key: int, counter: int, salt: int) -> int:
-    return mix64((digest(key, salt) + (counter + 1) * _GAMMA) & _MASK64)
-
-
-def uniform_at(key: int, counter: int, salt: int) -> float:
-    """Uniform(0,1) variate at a counter position; never exactly 0 or 1."""
-    return _unit_scalar(raw_word(key, counter, salt))
+    The top 53 bits, offset by half a step; the largest of them rounds up
+    to 1.0, so it is clamped to the largest double below 1.
+    """
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, _UNIT_MAX, out=u)
 
 
 @functools.lru_cache(maxsize=64)
@@ -194,8 +190,8 @@ def _counter_steps(counter_lo: int, counter_hi: int) -> np.ndarray:
 
 def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int) -> np.ndarray:
     """(len(keys), counter_hi-counter_lo) matrix of uniforms, bit-identical
-    to the scalar path element by element.  The reference for the tiled
-    ingestion path."""
+    to ``word_tiles`` through ``unit_array`` element by element.  The
+    reference for the tiled ingestion path."""
     dig = digest_array(keys, salt)
     steps = _counter_steps(counter_lo, counter_hi)
     return unit_array(mix64_array(dig[:, None] + steps[None, :]))
@@ -226,13 +222,6 @@ def word_tiles(keys: np.ndarray, salt: int, m: int):
         yield mix64_array(words, out=words, scratch=tmp)
 
 
-def uniform_stream(item, j: int, cfg: HashConfig) -> float:
-    """j-th pseudo-uniform variate of an item under the given configuration."""
-    if not 0 <= j < cfg.m:
-        raise IndexError(f"stream index {j} out of range for m={cfg.m}")
-    return uniform_at(item_key(item), j, cfg.salt)
-
-
 # --- inverse-CDF transforms --------------------------------------------
 
 def _check_unit(u) -> None:
@@ -244,9 +233,7 @@ def _check_unit(u) -> None:
 def exponential_variate(u):
     """Exponential(mean 1) via -log(1-u)."""
     _check_unit(u)
-    if np.isscalar(u):
-        return -math.log1p(-u)
-    return -np.log1p(-u)
+    return -np.log1p(-np.asarray(u))
 
 
 def geometric_variate(u, q):
@@ -254,20 +241,8 @@ def geometric_variate(u, q):
     _check_unit(u)
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0,1)")
-    if np.isscalar(u):
-        return max(1, math.ceil(math.log1p(-u) / math.log(q)))
     x = np.ceil(np.log1p(-np.asarray(u)) / math.log(q))
     return np.maximum(x, 1.0).astype(np.uint32)
-
-
-def bernoulli_variate(u, p):
-    """Indicator of u < p."""
-    _check_unit(u)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0,1)")
-    if np.isscalar(u):
-        return int(u < p)
-    return (np.asarray(u) < p).astype(np.uint8)
 
 
 def stable_log_variate(u, w, alpha):
@@ -295,12 +270,6 @@ def stable_log_variate(u, w, alpha):
     )
 
 
-def stable_log_at(key: int, j: int, salt: int, alpha: float) -> float:
-    """log X for hash stream j: entry j of a one-row ``stable_log_block``."""
-    keys = np.array([key & _MASK64], dtype=np.uint64)
-    return float(stable_log_block(keys, salt, j + 1, alpha)[0, j])
-
-
 def stable_log_block(keys: np.ndarray, salt: int, m: int, alpha: float) -> np.ndarray:
     """(len(keys), m) matrix of log X variates; column j uses counters (2j, 2j+1)."""
     dig = digest_array(keys, salt)
@@ -310,17 +279,3 @@ def stable_log_block(keys: np.ndarray, salt: int, m: int, alpha: float) -> np.nd
         u = unit_array(mix64_array(dig[:, None] + even[None, :] * _U_GAMMA))
         w = -np.log1p(-unit_array(mix64_array(dig[:, None] + odd[None, :] * _U_GAMMA)))
     return stable_log_variate(u, w, alpha)
-
-
-def variate(item, j: int, cfg: HashConfig):
-    """Dispatch on cfg.kind; stable returns the log-space value."""
-    u = uniform_stream(item, j, cfg)
-    if cfg.kind == "uniform":
-        return u
-    if cfg.kind == "exponential":
-        return exponential_variate(u)
-    if cfg.kind == "geometric":
-        return geometric_variate(u, cfg.q)
-    if cfg.kind == "bernoulli":
-        return bernoulli_variate(u, cfg.p)
-    return stable_log_at(item_key(item), j, cfg.salt, cfg.alpha)

@@ -1,6 +1,8 @@
 """End-to-end CLI: build, merge, estimate, simulate, analyze, equivalence."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -68,6 +70,35 @@ class TestSketchEstimate:
         p = _run(["sketch", "--type", "max-uniform", "--m", "8"],
                  stdin_text="a\tx\n")
         assert p.returncode == 3
+
+    def test_quantity_outside_int64_is_data_error(self):
+        for q in ("99999999999999999999", str(2**63), str(-2**63 - 1)):
+            p = _run(["sketch", "--type", "hll", "--m", "16"],
+                     stdin_text=f"a\nb\t{q}\n")
+            assert p.returncode == 3
+            assert b"line 2" in p.stderr and b"Traceback" not in p.stderr
+
+    def test_stdin_reads_like_in(self, tmp_path):
+        # CRLF line ends and a non-UTF-8 locale encoding must not change
+        # what stdin yields against the same file given with --in
+        crlf = tmp_path / "crlf.txt"
+        crlf.write_bytes("é-1\r\nß\t2\r\n€\r\nplain\r\n".encode())
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(crlf.read_bytes().replace(b"\r\n", b"\n"))
+        args = ["sketch", "--type", "hll", "--m", "64"]
+        via_in = _run([*args, "--in", str(crlf)])
+        assert via_in.returncode == 0, via_in.stderr
+        assert via_in.stdout == _run([*args, "--in", str(lf)]).stdout
+        for encoding in (None, "latin-1"):
+            env = dict(os.environ)
+            env.pop("PYTHONIOENCODING", None)
+            if encoding:
+                env["PYTHONIOENCODING"] = encoding
+            via_stdin = subprocess.run(
+                [sys.executable, "-m", "cardsketch.cli", *args],
+                input=crlf.read_bytes(), capture_output=True, env=env)
+            assert via_stdin.returncode == 0, via_stdin.stderr
+            assert via_stdin.stdout == via_in.stdout
 
     def test_usage_error_is_2(self):
         p = _run(["sketch", "--type", "bogus", "--m", "8"], stdin_text="")
@@ -199,3 +230,17 @@ def test_main_callable_in_process(capsys, tmp_path):
     grid.write_text(json.dumps({"q": [0.5]}))
     assert main(["analyze", "--grid", str(grid)]) == 0
     assert main(["analyze", "--grid", str(tmp_path / "missing.json")]) == 3
+
+
+def test_stdin_stays_open_in_process(monkeypatch, tmp_path):
+    raw = io.BytesIO(b"a\r\nb\r\n")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(raw, encoding="latin-1"))
+    out = tmp_path / "s.json"
+    assert main(["sketch", "--type", "hll", "--m", "16", "--out", str(out)]) == 0
+    assert not raw.closed
+    lf = tmp_path / "lf.txt"
+    lf.write_text("a\nb\n", encoding="utf-8")
+    again = tmp_path / "t.json"
+    assert main(["sketch", "--type", "hll", "--m", "16", "--in", str(lf),
+                 "--out", str(again)]) == 0
+    assert out.read_text() == again.read_text()

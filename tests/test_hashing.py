@@ -8,63 +8,72 @@ from scipy.stats import kstest, ks_2samp
 
 from cardsketch import hashing
 from cardsketch.hashing import (
-    HashConfig,
     exponential_variate,
     geometric_variate,
     item_key,
     stable_log_variate,
-    uniform_stream,
 )
 
-CFG = HashConfig(m=8, salt=99)
+
+def raw_word_oracle(key: int, counter: int, salt: int) -> int:
+    """Scalar splitmix64 reference for the word at a counter position."""
+    step = (counter + 1) * 0x9E3779B97F4A7C15
+    return hashing.mix64(hashing.digest(key, salt) + step)
+
+
+def uniform_oracle(key: int, counter: int, salt: int) -> float:
+    """Scalar reference for ``unit_array`` of that word."""
+    return min(((raw_word_oracle(key, counter, salt) >> 11) + 0.5) * 2.0**-53,
+               1.0 - 2.0**-53)
+
+
+def _uniform(item, j: int, salt: int) -> float:
+    return float(hashing.uniform_block(hashing.keys_array([item]), salt, j, j + 1)[0, 0])
 
 
 class TestDeterminism:
     def test_repeat_query_identical(self):
-        a = uniform_stream("a", 0, CFG)
-        b = uniform_stream("a", 0, CFG)
-        assert a == b
+        keys = np.arange(100, dtype=np.uint64)
+        a = hashing.uniform_block(keys, 99, 0, 8)
+        b = hashing.uniform_block(keys, 99, 0, 8)
+        np.testing.assert_array_equal(a, b)
 
     def test_streams_differ(self):
-        assert uniform_stream("a", 0, CFG) != uniform_stream("a", 1, CFG)
+        assert _uniform("a", 0, 99) != _uniform("a", 1, 99)
 
     def test_salt_changes_everything(self):
-        other = HashConfig(m=8, salt=100)
-        assert uniform_stream("a", 0, CFG) != uniform_stream("a", 0, other)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexError):
-            uniform_stream("a", 8, CFG)
+        assert _uniform("a", 0, 99) != _uniform("a", 0, 100)
 
     def test_item_key_types(self):
-        assert item_key("abc") == item_key(b"abc")
+        assert item_key("abc") == item_key(b"abc") == item_key(bytearray(b"abc"))
         assert item_key(7) == 7
-        assert item_key(2**64 + 3) == 3
-        with pytest.raises(TypeError):
-            item_key(1.5)
+        assert item_key(np.uint64(2**64 - 1)) == 2**64 - 1
+        for bad in (1.5, True, np.bool_(False), -1, 2**64 + 3, np.int64(-1)):
+            with pytest.raises(TypeError):
+                item_key(bad)
 
     def test_scalar_matches_vector(self):
         keys = np.arange(200, dtype=np.uint64)
         block = hashing.uniform_block(keys, 99, 0, 4)
         for i in (0, 17, 199):
             for j in range(4):
-                assert block[i, j] == hashing.uniform_at(int(keys[i]), j, 99)
+                assert block[i, j] == uniform_oracle(int(keys[i]), j, 99)
 
     def test_stable_scalar_matches_vector(self):
         keys = np.arange(50, dtype=np.uint64)
         block = hashing.stable_log_block(keys, 5, 3, 0.3)
         for i in (0, 49):
-            for j in range(3):
-                assert block[i, j] == hashing.stable_log_at(int(keys[i]), j, 5, 0.3)
+            np.testing.assert_array_equal(
+                hashing.stable_log_block(keys[i:i + 1], 5, 3, 0.3)[0], block[i])
 
     def test_stable_scalar_matches_vector_small_alpha(self):
         # separate scalar math.* arithmetic differed here in 1860 of 32000
-        # entries, by up to 2e-13 relative
+        # entries, by up to 2e-13 relative; a one-row block must not
         keys = np.arange(2000, dtype=np.uint64)
         block = hashing.stable_log_block(keys, 7, 16, 0.05)
         for i in range(0, 2000, 7):
-            for j in range(16):
-                assert block[i, j] == hashing.stable_log_at(int(keys[i]), j, 7, 0.05)
+            np.testing.assert_array_equal(
+                hashing.stable_log_block(keys[i:i + 1], 7, 16, 0.05)[0], block[i])
 
     def test_keys_array(self):
         keys = np.array([3, 2**64 - 1], dtype=np.uint64)
@@ -72,6 +81,40 @@ class TestDeterminism:
         folded = hashing.keys_array(["a", b"a", 7])
         assert folded.dtype == np.uint64
         assert folded.tolist() == [item_key("a"), item_key("a"), 7]
+        assert hashing.keys_array([]).dtype == np.uint64
+        with pytest.raises(TypeError):
+            hashing.keys_array(np.array([5, -1]))
+
+    def test_text_fold_matches_item_key(self):
+        rng = np.random.default_rng(8)
+        alphabet = list("ab\x00\t é€😀") + ["\U0010ffff"]
+        items = ["".join(rng.choice(alphabet, size=n)) for n in range(301)]
+        items += ["", b"", b"\xff\xfe\x00", bytearray(b"ab"), 0, 2**64 - 1,
+                  np.uint64(12345), "a" * 300, b"a" * 300]
+        items = [items[i] for i in rng.permutation(len(items))]
+        keys = hashing.keys_array(items)
+        assert keys.tolist() == [item_key(it) for it in items]
+        assert hashing.keys_array(range(4)).tolist() == [0, 1, 2, 3]
+        assert hashing.keys_array(["é€😀"]).tolist() == [item_key("é€😀")]
+        assert hashing.keys_array(["", ""]).tolist() == [item_key(b"")] * 2
+        assert hashing.keys_array(iter(items)).tolist() == keys.tolist()
+
+
+class TestUnitArray:
+    TOP = np.array([2**64 - 1, 2**64 - 2048], dtype=np.uint64)
+
+    def test_top_words_stay_below_one(self):
+        u = hashing.unit_array(self.TOP)
+        assert (u == 1.0 - 2.0**-53).all()
+        below = hashing.unit_array(np.array([2**64 - 2049], dtype=np.uint64))
+        assert below[0] < u[0]
+
+    def test_transforms_accept_the_top_word(self):
+        u = hashing.unit_array(self.TOP)
+        w = exponential_variate(u)
+        assert np.isfinite(w).all() and (w > 0).all()
+        assert (geometric_variate(u, 0.5) >= 1).all()
+        assert np.isfinite(stable_log_variate(u, w, 0.3)).all()
 
 
 class TestUniform:
@@ -188,29 +231,6 @@ class TestStable:
             stable_log_variate(0.5, -1.0, 0.5)
         with pytest.raises(ValueError):
             stable_log_variate(1.0, 1.0, 0.5)
-
-
-class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            HashConfig(m=0)
-        with pytest.raises(ValueError):
-            HashConfig(m=4, kind="geometric")
-        with pytest.raises(ValueError):
-            HashConfig(m=4, kind="geometric", q=1.0)
-        with pytest.raises(ValueError):
-            HashConfig(m=4, kind="stable", alpha=0.0)
-        with pytest.raises(ValueError):
-            HashConfig(m=4, kind="nope")
-
-    def test_variate_dispatch(self):
-        assert 0 < hashing.variate("x", 0, HashConfig(m=2)) < 1
-        assert hashing.variate("x", 0, HashConfig(m=2, kind="exponential")) > 0
-        assert hashing.variate("x", 0, HashConfig(m=2, kind="geometric", q=0.5)) >= 1
-        assert hashing.variate("x", 0, HashConfig(m=2, kind="bernoulli", p=0.5)) in (0, 1)
-        assert isinstance(
-            hashing.variate("x", 0, HashConfig(m=2, kind="stable", alpha=0.3)), float
-        )
 
 
 class TestMix64Array:

@@ -60,11 +60,12 @@ class TestUpdateSemantics:
         np.testing.assert_array_equal(a.slots, b.slots)
 
     def test_single_stream_max_definition(self):
-        from cardsketch.hashing import item_key, uniform_at
+        from cardsketch.hashing import item_key
+        from test_hashing import uniform_oracle
         sk = ContinuousMaxSketch(1, seed=7)
         sk.add("a"); sk.add("b")
-        expected = max(uniform_at(item_key("a"), 0, 7),
-                       uniform_at(item_key("b"), 0, 7))
+        expected = max(uniform_oracle(item_key("a"), 0, 7),
+                       uniform_oracle(item_key("b"), 0, 7))
         assert sk.slots[0] == np.log(expected)
 
     def test_deletion_rejected(self):

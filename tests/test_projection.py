@@ -111,11 +111,10 @@ class TestUpdateLinearity:
         np.testing.assert_array_equal(a.logmag, b.logmag)
 
     def test_single_item_state_is_hash_value(self):
-        from cardsketch.hashing import item_key, stable_log_at
         sk = ProjectionSketch(4, alpha=0.2, seed=3)
         sk.add("a", 1)
-        for j in range(4):
-            assert sk.logmag[j] == stable_log_at(item_key("a"), j, 3, 0.2)
+        block = hashing.stable_log_block(hashing.keys_array(["a", "b"]), 3, 4, 0.2)
+        np.testing.assert_array_equal(sk.logmag, block[0])
         assert (sk.signs == 1).all()
 
     def test_permutation_invariance_tolerance(self):
