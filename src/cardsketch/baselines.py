@@ -2,8 +2,9 @@
 stochastic averaging (items split into m buckets by leading hash bits, one
 register per bucket).
 
-Each item consumes one 64-bit hash word: the top log2(m) bits pick the
-bucket, the remaining bits feed the register.  With 64-bit words the
+Each item consumes one 64-bit hash word, counter 0 of its stream, read
+through ``hashing.word_tiles``: the top log2(m) bits pick the bucket, the
+remaining bits feed the register.  With 64-bit words the
 classic 32-bit large-range saturation correction never applies at the
 scales this library supports, so it is omitted.
 """
@@ -31,18 +32,12 @@ MINCOUNT_K = 3
 
 
 def _leading_zeros64(w: np.ndarray) -> np.ndarray:
-    """Exact count of leading zero bits of uint64 values (64 for zero)."""
+    """Exact count of leading zero bits of uint64 values (64 for zero), from
+    the bit length of each 32-bit half: its frexp exponent."""
     w = np.asarray(w, dtype=np.uint64)
-    zero = w == 0
-    n = np.zeros(w.shape, dtype=np.int64)
-    shift = 32
-    while shift:
-        mask = w < (np.uint64(1) << np.uint64(64 - shift))
-        n[mask] += shift
-        w = np.where(mask, w << np.uint64(shift), w)
-        shift //= 2
-    n[zero] = 64
-    return n
+    hi = np.frexp((w >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((w & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, 32 - hi, 64 - lo).astype(np.int64)
 
 
 class _BucketSketch:
@@ -60,11 +55,6 @@ class _BucketSketch:
         if (self.m, self.salt) != (other.m, other.salt):
             raise IncompatibleSketchError("sketch configurations differ")
 
-    def _words(self, items) -> np.ndarray:
-        dig = hashing.digest_array(hashing.keys_array(items), self.salt)
-        with np.errstate(over="ignore"):
-            return hashing.mix64_array(dig + np.uint64(hashing._GAMMA))
-
     def add(self, item, d: int = 1) -> None:
         self.add_batch([item], [d])
 
@@ -72,9 +62,11 @@ class _BucketSketch:
         """Ingest many items at once; these sketches cannot delete, so
         quantities, if given, must all be positive."""
         reject_deletions(d, self)
-        self._absorb_words(self._words(items))
+        for words in hashing.word_tiles(hashing.keys_array(items), self.salt, 1):
+            self._absorb_words(words[:, 0])
 
     def _absorb_words(self, words: np.ndarray) -> None:
+        """Fold one tile of words into the state, keeping no reference to it."""
         raise NotImplementedError
 
 
@@ -161,9 +153,9 @@ class HyperLogLogSketch(_RankSketch):
 
 
 class MinCountSketch(_BucketSketch):
-    """Keeps the three smallest post-bucket uniforms per bucket; estimates
-    each bucket's load by the unbiased (k-1)/M rule on the third minimum
-    and sums the buckets."""
+    """Keeps the three smallest distinct post-bucket uniforms per bucket
+    (ascending, inf-padded); estimates each bucket's load by the unbiased
+    (k-1)/M rule on the third minimum and sums the buckets."""
 
     kind = "mincount"
 
@@ -179,27 +171,23 @@ class MinCountSketch(_BucketSketch):
         return sk
 
     def _absorb_words(self, words: np.ndarray) -> None:
+        # sorted words are sorted by (bucket, value); repeated values (of a
+        # repeated item, say) are dropped before the first k are taken
+        words = np.sort(words)
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
         values = hashing.unit_array(words << np.uint64(self.p))
-        order = np.lexsort((values, buckets))
-        buckets, values = buckets[order], values[order]
-        starts = np.flatnonzero(np.r_[True, buckets[1:] != buckets[:-1]])
-        ends = np.r_[starts[1:], len(buckets)]
-        for s, e in zip(starts, ends):
-            self._insert_bucket(buckets[s], values[s:min(e, s + MINCOUNT_K)])
-
-    def _insert_bucket(self, b: int, vals: np.ndarray) -> None:
-        pool = np.unique(np.concatenate([self.smallest[b], vals]))[:MINCOUNT_K]
-        self.smallest[b, :len(pool)] = pool
-        self.smallest[b, len(pool):] = np.inf
+        new = np.r_[True, (buckets[1:] != buckets[:-1]) | (values[1:] != values[:-1])]
+        buckets, values = buckets[new], values[new]
+        rank = np.arange(len(buckets)) - np.searchsorted(buckets, buckets)
+        first = rank < MINCOUNT_K
+        cand = np.full((self.m, MINCOUNT_K), np.inf)
+        cand[buckets[first], rank[first]] = values[first]
+        self.smallest = state.merge_rows(self.smallest, cand, descending=False)
 
     def merge(self, other: "MinCountSketch") -> "MinCountSketch":
         self._check_compatible(other)
         out = MinCountSketch(self.m, self.salt)
-        out.smallest = self.smallest.copy()
-        for b in range(self.m):
-            vals = other.smallest[b]
-            out._insert_bucket(b, vals[np.isfinite(vals)])
+        out.smallest = state.merge_rows(self.smallest, other.smallest, descending=False)
         return out
 
     def estimate(self, level: float = 0.95) -> Estimate:

@@ -69,7 +69,8 @@ class EstimationNumericError(SketchError):
 
 
 class StreamIntegrityError(ValueError):
-    """A stream left an item with negative cumulative quantity."""
+    """A stream left an item with negative cumulative quantity, or carried
+    a quantity that is not a finite number."""
 
 
 class SerializationError(ValueError):

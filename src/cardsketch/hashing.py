@@ -11,9 +11,14 @@ the same keys: it joins the bytes of all str/bytes items into one buffer,
 sorts the items by length, longest first, and folds byte column j into the
 prefix of items longer than j with one array xor and one multiply.
 
-Bulk ingestion reads the raw 64-bit words through ``word_tiles``, which
-yields the word matrix of ``uniform_block`` a few hundred rows at a time in
+``word_tiles`` produces the hash words of every ingestion path.  It yields
+the word matrix of ``uniform_block`` (the reference, which the top-k
+sketch also reads for a tied column) a few hundred rows at a time in
 reused buffers, so no path materialises the whole (items x m) matrix.
+Counter j of an item is word column j.  The max family reads columns
+0..m-1, one per stream; LogLog, HyperLogLog and MinCount read column 0;
+the projection sketch reads 2m columns, taking stream j's uniform u from
+column 2j and its exponential w from column 2j+1 (``stable_log_tiles``).
 Every transform from a word to a variate (uniform, log, geometric,
 Bernoulli indicator) is monotone, so a sketch may reduce each column of a
 tile to its extreme word first and transform only m values: the result is
@@ -115,10 +120,13 @@ _TEXT = (str, bytes, bytearray)
 
 
 def keys_array(items) -> np.ndarray:
-    """uint64 keys of items, each equal to its ``item_key``: a uint64 array
-    as is, str/bytes items folded together, other items one by one."""
-    if isinstance(items, np.ndarray) and items.dtype == np.uint64:
-        return items
+    """uint64 keys of items, each equal to its ``item_key``: a 1-d uint64
+    array as is, any other 1-d integer array converted in one step,
+    str/bytes items folded together, other items one by one."""
+    if isinstance(items, np.ndarray) and items.dtype.kind in "iu" and items.ndim == 1:
+        if items.dtype.kind == "i" and items.size and items.min() < 0:
+            raise TypeError(f"integer item {items.min()} is outside [0, 2**64)")
+        return items.astype(np.uint64, copy=False)
     items = list(items)
     if len(items) == 1:
         # one item: the scalar fold skips the fixed cost of the column loop
@@ -270,12 +278,13 @@ def stable_log_variate(u, w, alpha):
     )
 
 
-def stable_log_block(keys: np.ndarray, salt: int, m: int, alpha: float) -> np.ndarray:
-    """(len(keys), m) matrix of log X variates; column j uses counters (2j, 2j+1)."""
-    dig = digest_array(keys, salt)
-    even = np.arange(1, 2 * m + 1, 2, dtype=np.uint64)
-    odd = np.arange(2, 2 * m + 2, 2, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        u = unit_array(mix64_array(dig[:, None] + even[None, :] * _U_GAMMA))
-        w = -np.log1p(-unit_array(mix64_array(dig[:, None] + odd[None, :] * _U_GAMMA)))
-    return stable_log_variate(u, w, alpha)
+def stable_log_tiles(keys: np.ndarray, salt: int, m: int, alpha: float):
+    """Yield (row slice, log X variates) for each ``word_tiles`` tile of the
+    keys, top to bottom.  Stream j takes u from counter 2j and the
+    Exponential(1) w = -log(1 - u') from counter 2j+1."""
+    lo = 0
+    for words in word_tiles(keys, salt, 2 * m):
+        u = unit_array(words[:, 0::2])
+        w = -np.log1p(-unit_array(words[:, 1::2]))
+        yield slice(lo, lo + len(words)), stable_log_variate(u, w, alpha)
+        lo += len(words)

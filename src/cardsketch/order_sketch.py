@@ -15,6 +15,11 @@ variate transform after it are monotone, so the transformed extreme equals
 the extreme of the transformed values bit for bit; only m values are ever
 transformed.
 
+The top-k sketch joins its rows to the candidate uniforms of a batch, or to
+another sketch's rows, in one array operation (``state.merge_rows``): every
+row keeps its k largest distinct values.  Only a column whose candidates
+hold one uniform twice is redone, alone, from all its words.
+
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
 concurrently once writers have stopped.
@@ -333,28 +338,16 @@ class KthOrderSketch(_MaxSketchBase):
         keys = np.unique(keys)
         top = top_words(hashing.word_tiles(keys, self.salt, self.m), self.k)
         u = hashing.unit_array(top)
-        tied = tied_columns(u)
-        for j in range(self.m):
-            if tied[j]:
-                col = hashing.uniform_block(keys, self.salt, j, j + 1)[:, 0]
-            else:
-                col = u[:, j]
-            self._insert_column(j, col)
-
-    def _insert_column(self, j: int, values: np.ndarray) -> None:
-        cur = self.topk[j]
-        pool = np.concatenate([cur[~np.isnan(cur)], values])
-        best = np.unique(pool)[::-1][: self.k]
-        self.topk[j, : len(best)] = best
-        self.topk[j, len(best):] = np.nan
+        merged = state.merge_rows(self.topk, u.T, descending=True)
+        for j in np.flatnonzero(tied_columns(u)):
+            col = hashing.uniform_block(keys, self.salt, j, j + 1)
+            merged[j] = state.merge_rows(self.topk[j:j + 1], col.T, descending=True)[0]
+        self.topk = merged
 
     def merge(self, other: "KthOrderSketch") -> "KthOrderSketch":
         self._check_compatible(other)
         out = KthOrderSketch(self.m, self.k, self.salt)
-        out.topk = self.topk.copy()
-        for j in range(self.m):
-            row = other.topk[j]
-            out._insert_column(j, row[~np.isnan(row)])
+        out.topk = state.merge_rows(self.topk, other.topk, descending=True)
         return out
 
     def kth_values(self) -> np.ndarray:

@@ -7,10 +7,12 @@ far outside float64 range.  Linearity makes the sketch additive, so signed
 quantities are supported and deletions work: an item inserted then removed
 cancels exactly when the two contributions meet with equal magnitude.
 
-Each update of the m accumulators is one array operation: a chunk's terms
-are summed per stream in row order, and ``signed_add`` adds that sum (or
-another sketch) element-wise.  numpy's vectorized exp, log1p and expm1 may
-round the last bit differently from ``math``'s scalar ones.
+A batch is hashed in the row tiles of ``hashing.stable_log_tiles``.  Its
+insertion terms and its deletion terms are each summed per stream in row
+order, the running sum carried from tile to tile, and the state is updated
+once per batch: ``signed_add`` adds the insertion sum, then the deletion
+sum (or another sketch), element-wise.  numpy's vectorized exp, log1p and
+expm1 may round the last bit differently from ``math``'s scalar ones.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
@@ -32,10 +34,10 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import hashing, state
-from .errors import DegenerateSketchError, IncompatibleSketchError, UnsupportedDeletionError
+from .errors import (DegenerateSketchError, IncompatibleSketchError, StreamIntegrityError,
+                     UnsupportedDeletionError)
 from .estimate import Estimate, gamma_estimate
 
-_CHUNK_ELEMS = 1 << 22
 _LOG2 = math.log(2.0)
 
 
@@ -96,21 +98,21 @@ class ProjectionSketch:
     def add_batch(self, items, d=None) -> None:
         """Ingest many elements; d defaults to all ones."""
         keys, dvals = _keys_and_quantities(items, d)
-        for rows in _row_chunks(len(keys), self.m):
-            self._absorb_chunk(keys[rows], dvals[rows])
-
-    def _absorb_chunk(self, keys: np.ndarray, dvals: np.ndarray) -> None:
         live = dvals != 0
         keys, dvals = keys[live], dvals[live]
-        logx = hashing.stable_log_block(keys, self.salt, self.m, self.alpha)
-        terms = logx + np.log(np.abs(dvals))[:, None]
-        pos = dvals > 0
-        # per-stream sums in row order, insertions before deletions; a side
-        # with no rows sums to -inf, which adds nothing
-        ins = np.logaddexp.reduce(terms[pos], axis=0, initial=-np.inf)
-        dels = np.logaddexp.reduce(terms[~pos], axis=0, initial=-np.inf)
-        self.signs, self.logmag = signed_add(self.signs, self.logmag, 1, ins)
-        self.signs, self.logmag = signed_add(self.signs, self.logmag, -1, dels)
+        # per-stream sums in row order, each tile folded onto the running
+        # sum; a side with no rows sums to -inf, which adds nothing, so its
+        # update is skipped
+        ins = dels = np.full(self.m, -np.inf)
+        for rows, logx in hashing.stable_log_tiles(keys, self.salt, self.m, self.alpha):
+            terms = logx + np.log(np.abs(dvals[rows]))[:, None]
+            pos = dvals[rows] > 0
+            ins = np.logaddexp.reduce(np.vstack([ins, terms[pos]]), axis=0)
+            dels = np.logaddexp.reduce(np.vstack([dels, terms[~pos]]), axis=0)
+        if (dvals > 0).any():
+            self.signs, self.logmag = signed_add(self.signs, self.logmag, 1, ins)
+        if (dvals < 0).any():
+            self.signs, self.logmag = signed_add(self.signs, self.logmag, -1, dels)
 
     def merge(self, other: "ProjectionSketch") -> "ProjectionSketch":
         """Stream-wise signed addition; equals a single pass over the
@@ -160,20 +162,16 @@ class ProjectionSketch:
 
 
 def _keys_and_quantities(items, d) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 keys and float64 quantities (default all ones) of a stream."""
+    """uint64 keys and finite float64 quantities (default all ones) of a stream."""
     keys = hashing.keys_array(items)
     if d is None:
         return keys, np.ones(len(keys))
     dvals = np.asarray(d, dtype=np.float64)
     if dvals.shape != keys.shape:
         raise ValueError("d must match items in length")
+    if not np.isfinite(dvals).all():
+        raise StreamIntegrityError("quantities must be finite numbers")
     return keys, dvals
-
-
-def _row_chunks(n: int, m: int):
-    """Row slices that keep each block to _CHUNK_ELEMS hash words (two per variate)."""
-    rows = max(1, _CHUNK_ELEMS // (2 * m))
-    return (slice(lo, lo + rows) for lo in range(0, n, rows))
 
 
 # -- the stable law's median --------------------------------------------
@@ -258,12 +256,11 @@ def coupled_residuals(items, m: int, alpha: float, seed: int = 0, d=None) -> Cou
         raise UnsupportedDeletionError("coupled run requires a cash-register stream")
 
     # running log V_j and max log X_j (log M_j = alpha * max_lx) after every
-    # element; a chunk starts from the previous chunk's last row
+    # element; a tile starts from the previous tile's last row
     log_v = max_lx = np.full((1, m), -np.inf)
     totals = np.cumsum(dvals)
     worst_low = worst_high = -math.inf
-    for rows in _row_chunks(len(keys), m):
-        lx = hashing.stable_log_block(keys[rows], seed, m, alpha)
+    for rows, lx in hashing.stable_log_tiles(keys, seed, m, alpha):
         terms = lx + np.log(dvals[rows])[:, None]
         log_v = np.logaddexp.accumulate(np.vstack([log_v[-1:], terms]), axis=0)[1:]
         max_lx = np.maximum.accumulate(np.vstack([max_lx[-1:], lx]), axis=0)[1:]

@@ -39,10 +39,6 @@ VERSION = 1
 MAGIC = b"CSKB"
 
 
-def sketch_type(sk) -> str:
-    return type_of(sk).name
-
-
 def _arrays(t, sk) -> list:
     return [getattr(sk, name) for name in t.arrays]
 

@@ -1,5 +1,5 @@
-"""Sketch state: the checks every ``from_state`` runs on its arrays, and the
-layouts (with their JSON and binary encodings) the arrays are stored in.
+"""Sketch state: the checks every ``from_state`` runs on its arrays, the merge
+of sorted rows, and the layouts (and encodings) the arrays are stored in.
 
 The checks are the gate between outside data and a sketch: both decoders
 build every sketch through ``from_state``.  The decoders check sizes
@@ -75,6 +75,21 @@ def rows(x, m: int, k: int, descending: bool, what: str) -> np.ndarray:
         order = "descending" if descending else "ascending"
         raise ValueError(f"{what} must be sorted {order}")
     return a
+
+
+def merge_rows(a: np.ndarray, b: np.ndarray, descending: bool) -> np.ndarray:
+    """The k = a.shape[1] largest distinct values of each row of the rows
+    a (as ``rows`` lays them out) joined to the candidate rows b (any
+    order, repeats and padding allowed), or the k smallest.  Descending
+    rows are sorted negated, and their padding is a fresh positive NaN."""
+    pool = np.concatenate([a, b], axis=1)
+    if descending:
+        pool = np.where(np.isnan(pool), np.inf, -pool)
+    pool.sort(axis=1)
+    pool[:, 1:][pool[:, 1:] == pool[:, :-1]] = np.inf  # repeats become padding
+    pool.sort(axis=1)
+    best = pool[:, :a.shape[1]]
+    return np.where(best == np.inf, np.nan, -best) if descending else best.copy()
 
 
 def signed_log(signs, logmag, m: int) -> tuple[np.ndarray, np.ndarray]:

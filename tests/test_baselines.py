@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from cardsketch import sampling
+from cardsketch import hashing, sampling
 from cardsketch.baselines import (
+    MINCOUNT_K,
     HyperLogLogSketch,
     LogLogSketch,
     MinCountSketch,
@@ -19,6 +20,7 @@ from cardsketch.errors import (
     InsufficientDataError,
     UnsupportedDeletionError,
 )
+from cardsketch.experiment import ExperimentConfig, run_experiment
 from cardsketch.streams import distinct_keys
 
 
@@ -66,6 +68,16 @@ class TestPlumbing:
         for key, value in vars(plain).items():
             np.testing.assert_array_equal(vars(sk)[key], value)
 
+    @pytest.mark.parametrize("cls", [LogLogSketch, HyperLogLogSketch, MinCountSketch])
+    def test_empty_batch_leaves_state_alone(self, cls):
+        sk = cls(16, seed=2)
+        sk.add_batch(["a", "b"])
+        before = {k: np.copy(v) for k, v in vars(sk).items()}
+        sk.add_batch([])
+        sk.add_batch(np.array([], dtype=np.uint64))
+        for key, value in before.items():
+            np.testing.assert_array_equal(vars(sk)[key], value)
+
     def test_single_item_touches_one_register(self):
         sk = LogLogSketch(32, seed=4)
         sk.add("solo")
@@ -90,6 +102,68 @@ class TestPlumbing:
             LogLogSketch(32, seed=1).merge(LogLogSketch(32, seed=2))
         with pytest.raises(IncompatibleSketchError):
             LogLogSketch(32, seed=1).merge(HyperLogLogSketch(32, seed=1))
+
+
+def _mincount_oracle(keys, m, salt):
+    """MinCount rows from the counter-0 word of each key: per bucket, the
+    MINCOUNT_K smallest distinct values by np.unique, inf-padded."""
+    words = hashing.mix64_array(hashing.digest_array(keys, salt)
+                                + np.uint64(0x9E3779B97F4A7C15))
+    p = m.bit_length() - 1
+    buckets = words >> np.uint64(64 - p)
+    values = hashing.unit_array(words << np.uint64(p))
+    rows = np.full((m, MINCOUNT_K), np.inf)
+    for b in range(m):
+        best = np.unique(values[buckets == b])[:MINCOUNT_K]
+        rows[b, :len(best)] = best
+    return rows
+
+
+class TestMinCountRows:
+    def test_matches_per_bucket_oracle(self):
+        keys = distinct_keys(700, seed=3)
+        sk = MinCountSketch(16, seed=5)
+        sk.add_batch(keys)
+        assert sk.smallest.tobytes() == _mincount_oracle(keys, 16, 5).tobytes()
+
+    def test_repeated_batch_equals_distinct_batch(self):
+        keys = distinct_keys(3000, seed=7)
+        a, b = MinCountSketch(64, seed=1), MinCountSketch(64, seed=1)
+        a.add_batch(np.repeat(keys, 2))
+        b.add_batch(keys)
+        assert a.smallest.tobytes() == b.smallest.tobytes()
+
+    def test_batch_repeating_its_items_loses_nothing(self):
+        # a middle batch that repeats its items used to crowd distinct
+        # values out of the buckets and shift the estimate with no error
+        keys = distinct_keys(400, seed=8)
+        split = MinCountSketch(4, seed=2)
+        split.add_batch(keys[:100])
+        split.add_batch(np.repeat(keys[100:300], 3))
+        split.add_batch(keys[300:])
+        whole = MinCountSketch(4, seed=2)
+        whole.add_batch(keys)
+        assert split.smallest.tobytes() == whole.smallest.tobytes()
+        assert split.estimate().c_hat == whole.estimate().c_hat
+
+    def test_hash_mode_with_repeats_has_no_failed_replicate(self):
+        cfg = ExperimentConfig(c=3000, m=64, algos=("mincount", "hll"), replicates=5,
+                               repeats=2, method="hash", seed=1)
+        summary = run_experiment(cfg).summary
+        assert summary["mincount"]["failed"] == summary["hll"]["failed"] == 0
+
+    @pytest.mark.parametrize("parts", [2, 3, 7])
+    def test_merge_of_overlapping_parts_equals_one_pass(self, parts):
+        rng = np.random.default_rng(parts)
+        keys = distinct_keys(900, seed=parts)
+        whole = MinCountSketch(32, seed=4)
+        whole.add_batch(keys)
+        merged = MinCountSketch(32, seed=4)
+        for part in np.array_split(keys[rng.permutation(len(keys))], parts):
+            sk = MinCountSketch(32, seed=4)
+            sk.add_batch(np.concatenate([part, part[:10], keys[:5]]))
+            merged = merged.merge(sk)
+        assert merged.smallest.tobytes() == whole.smallest.tobytes()
 
 
 class TestEstimators:

@@ -27,6 +27,25 @@ def uniform_oracle(key: int, counter: int, salt: int) -> float:
                1.0 - 2.0**-53)
 
 
+def stable_log_oracle(keys, salt: int, m: int, alpha: float) -> np.ndarray:
+    """log X variates from the even (u) and odd (w) counter columns of
+    ``uniform_block``."""
+    u = hashing.uniform_block(keys, salt, 0, 2 * m)
+    return stable_log_variate(u[:, 0::2], -np.log1p(-u[:, 1::2]), alpha)
+
+
+def stable_log_tiles(keys, salt: int, m: int, alpha: float) -> np.ndarray:
+    """Every tile of ``stable_log_tiles`` stacked, its row slices checked to
+    cover the keys in order."""
+    tiles = list(hashing.stable_log_tiles(keys, salt, m, alpha))
+    lo = 0
+    for rows, lx in tiles:
+        assert (rows.start, rows.stop) == (lo, lo + len(lx))
+        lo += len(lx)
+    assert lo == len(keys)
+    return np.vstack([lx for _, lx in tiles])
+
+
 def _uniform(item, j: int, salt: int) -> float:
     return float(hashing.uniform_block(hashing.keys_array([item]), salt, j, j + 1)[0, 0])
 
@@ -61,19 +80,22 @@ class TestDeterminism:
 
     def test_stable_scalar_matches_vector(self):
         keys = np.arange(50, dtype=np.uint64)
-        block = hashing.stable_log_block(keys, 5, 3, 0.3)
+        block = stable_log_tiles(keys, 5, 3, 0.3)
+        np.testing.assert_array_equal(block, stable_log_oracle(keys, 5, 3, 0.3))
         for i in (0, 49):
             np.testing.assert_array_equal(
-                hashing.stable_log_block(keys[i:i + 1], 5, 3, 0.3)[0], block[i])
+                stable_log_tiles(keys[i:i + 1], 5, 3, 0.3)[0], block[i])
 
     def test_stable_scalar_matches_vector_small_alpha(self):
         # separate scalar math.* arithmetic differed here in 1860 of 32000
-        # entries, by up to 2e-13 relative; a one-row block must not
+        # entries, by up to 2e-13 relative; a one-row tile must not.  At
+        # m=16 the 2000 keys span two word tiles.
         keys = np.arange(2000, dtype=np.uint64)
-        block = hashing.stable_log_block(keys, 7, 16, 0.05)
+        block = stable_log_tiles(keys, 7, 16, 0.05)
+        np.testing.assert_array_equal(block, stable_log_oracle(keys, 7, 16, 0.05))
         for i in range(0, 2000, 7):
             np.testing.assert_array_equal(
-                hashing.stable_log_block(keys[i:i + 1], 7, 16, 0.05)[0], block[i])
+                stable_log_tiles(keys[i:i + 1], 7, 16, 0.05)[0], block[i])
 
     def test_keys_array(self):
         keys = np.array([3, 2**64 - 1], dtype=np.uint64)
@@ -84,6 +106,28 @@ class TestDeterminism:
         assert hashing.keys_array([]).dtype == np.uint64
         with pytest.raises(TypeError):
             hashing.keys_array(np.array([5, -1]))
+        with pytest.raises(TypeError):
+            hashing.keys_array(np.array([True, False]))
+        with pytest.raises(TypeError):
+            hashing.keys_array(np.zeros((2, 2), dtype=np.uint64))
+
+    @pytest.mark.parametrize("dtype", ["int8", "int16", "int32", "int64",
+                                       "uint8", "uint16", "uint32"])
+    def test_integer_arrays_convert_in_one_step(self, dtype, monkeypatch):
+        info = np.iinfo(dtype)
+        values = np.array([0, 1, 7, info.max, max(info.min, 0)], dtype=dtype)
+        want = [item_key(v) for v in values]
+
+        def per_element(item):
+            raise AssertionError("an integer array went through item_key")
+
+        monkeypatch.setattr(hashing, "item_key", per_element)
+        keys = hashing.keys_array(values)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == want
+        if info.min < 0:
+            with pytest.raises(TypeError, match="outside"):
+                hashing.keys_array(np.array([3, info.min], dtype=dtype))
 
     def test_text_fold_matches_item_key(self):
         rng = np.random.default_rng(8)

@@ -11,6 +11,7 @@ from cardsketch import hashing, projection, sampling
 from cardsketch.errors import (
     DegenerateSketchError,
     IncompatibleSketchError,
+    StreamIntegrityError,
     UnsupportedDeletionError,
 )
 from cardsketch.projection import (
@@ -20,6 +21,13 @@ from cardsketch.projection import (
     stable_median_log,
 )
 from cardsketch.streams import distinct_keys, exact_count, generate_stream
+
+
+def _stable_log(keys, salt, m, alpha):
+    """log X variates from the even (u) and odd (w) counter columns of
+    ``uniform_block``: the reference for the tiled transform."""
+    u = hashing.uniform_block(keys, salt, 0, 2 * m)
+    return hashing.stable_log_variate(u[:, 0::2], -np.log1p(-u[:, 1::2]), alpha)
 
 
 def _signed(*pairs):
@@ -113,7 +121,7 @@ class TestUpdateLinearity:
     def test_single_item_state_is_hash_value(self):
         sk = ProjectionSketch(4, alpha=0.2, seed=3)
         sk.add("a", 1)
-        block = hashing.stable_log_block(hashing.keys_array(["a", "b"]), 3, 4, 0.2)
+        block = _stable_log(hashing.keys_array(["a", "b"]), 3, 4, 0.2)
         np.testing.assert_array_equal(sk.logmag, block[0])
         assert (sk.signs == 1).all()
 
@@ -134,6 +142,46 @@ class TestUpdateLinearity:
         for k in keys:
             b.add(int(k))
         np.testing.assert_allclose(a.logmag, b.logmag, rtol=1e-12)
+
+    def test_batch_across_tiles_matches_row_fold(self, monkeypatch):
+        # an 8-row tile at m=16, so 300 rows span 38 tiles; the batch is
+        # folded row by row, insertions then deletions, onto a nonzero state
+        monkeypatch.setattr(hashing, "_TILE_WORDS", 256)
+        rng = np.random.default_rng(11)
+        keys = distinct_keys(300, seed=11)
+        d = rng.integers(-5, 6, size=300)
+        sk = ProjectionSketch(16, alpha=0.05, seed=3)
+        sk.add_batch(["x", "y"], [2, 1])
+        signs, logmag = sk.signs.copy(), sk.logmag.copy()
+        sk.add_batch(keys, d)
+        with np.errstate(divide="ignore"):  # d = 0 rows are skipped below
+            logd = np.log(np.abs(d).astype(np.float64))
+        terms = _stable_log(keys, 3, 16, 0.05) + logd[:, None]
+        ins = np.full(16, -np.inf)
+        dels = np.full(16, -np.inf)
+        for row, dv in zip(terms, d.tolist()):
+            if dv > 0:
+                ins = np.logaddexp(ins, row)
+            elif dv < 0:
+                dels = np.logaddexp(dels, row)
+        signs, logmag = signed_add(signs, logmag, 1, ins)
+        signs, logmag = signed_add(signs, logmag, -1, dels)
+        np.testing.assert_array_equal(sk.signs, signs)
+        np.testing.assert_array_equal(sk.logmag, logmag)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_quantity_rejected(self, bad):
+        sk = ProjectionSketch(8, alpha=0.05, seed=1)
+        sk.add_batch(["a", "b"], [1, 2])
+        signs, logmag = sk.signs.copy(), sk.logmag.copy()
+        with pytest.raises(StreamIntegrityError):
+            sk.add("c", bad)
+        with pytest.raises(StreamIntegrityError):
+            sk.add_batch(["c", "d"], [1.0, bad])
+        with pytest.raises(StreamIntegrityError):
+            coupled_residuals(["c", "d"], 8, 0.05, seed=1, d=[1.0, bad])
+        np.testing.assert_array_equal(sk.signs, signs)
+        np.testing.assert_array_equal(sk.logmag, logmag)
 
 
 class TestMerge:
@@ -317,8 +365,8 @@ class TestCoupledRun:
     @pytest.mark.parametrize("keys", ["str", "uint64"])
     @pytest.mark.parametrize("quantities", ["unit", "random"])
     def test_block_run_matches_elementwise_reference(self, keys, quantities, monkeypatch):
-        # a 16-row chunk at m=16, so 700 elements span 44 chunks
-        monkeypatch.setattr(projection, "_CHUNK_ELEMS", 512)
+        # a 16-row tile at m=16, so 700 elements span 44 tiles
+        monkeypatch.setattr(hashing, "_TILE_WORDS", 512)
         rng = np.random.default_rng(8)
         items = ([f"k{i}" for i in range(600)] if keys == "str"
                  else distinct_keys(600, seed=8))
@@ -344,7 +392,7 @@ class TestCoupledRun:
 
 
 def _elementwise_coupled_run(items, m, alpha, seed=0, d=None):
-    """Reference for coupled_residuals: one stable_log_block row per element."""
+    """Reference for coupled_residuals: one uniform_block row per element."""
     keys = hashing.keys_array(items)
     dvals = np.ones(len(keys)) if d is None else np.asarray(d, dtype=np.float64)
     log_v = np.full(m, -np.inf)
@@ -354,7 +402,7 @@ def _elementwise_coupled_run(items, m, alpha, seed=0, d=None):
     worst_low = -math.inf
     worst_high = -math.inf
     for key, dv in zip(keys.tolist(), dvals.tolist()):
-        lx = hashing.stable_log_block(np.array([key], dtype=np.uint64), seed, m, alpha)[0]
+        lx = _stable_log(np.array([key], dtype=np.uint64), seed, m, alpha)[0]
         np.logaddexp(log_v, lx + math.log(dv), out=log_v)
         seen.add(key)
         total += dv

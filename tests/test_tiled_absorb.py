@@ -4,7 +4,7 @@ to the reference path: uniform_block, elementwise transform, then reduce."""
 import numpy as np
 import pytest
 
-from cardsketch import hashing, order_sketch
+from cardsketch import hashing, order_sketch, state
 from cardsketch.order_sketch import (
     BernoulliSketch,
     ContinuousMaxSketch,
@@ -192,3 +192,51 @@ def test_word_tiles_cover_uniform_block():
     _assert_same(hashing.unit_array(np.concatenate(tiles)),
                  hashing.uniform_block(keys, SALT, 0, 128))
     assert list(hashing.word_tiles(keys[:0], SALT, 128)) == []
+
+
+def _merge_rows_oracle(a, b, descending):
+    """Per-row np.unique rule: the k extreme distinct values of a row of a
+    joined to the same row of b, padded as the sketch pads."""
+    k = a.shape[1]
+    out = np.full(a.shape, np.nan if descending else np.inf)
+    for i in range(len(a)):
+        pool = np.concatenate([a[i], b[i]])
+        vals = np.unique(pool[np.isfinite(pool)])
+        best = vals[::-1][:k] if descending else vals[:k]
+        out[i, :len(best)] = best
+    return out
+
+
+def _random_rows(rng, m, k, descending, sorted_rows):
+    """(m, k) rows drawn from a few values (so ties are common, as in
+    sampled rows), each with a random number of values and the sketch's
+    padding; sorted as state rows are, or in no order as candidates are."""
+    pad = np.nan if descending else np.inf
+    rows = np.full((m, k), pad)
+    for i in range(m):
+        n = int(rng.integers(0, k + 1))
+        vals = rng.integers(1, 9, size=n) / 8.0
+        if sorted_rows:
+            rows[i, :n] = np.sort(vals)[::-1] if descending else np.sort(vals)
+        else:
+            rows[i, rng.permutation(k)[:n]] = vals
+    return rows
+
+
+@pytest.mark.parametrize("descending", [True, False])
+@pytest.mark.parametrize("k,r", [(1, 1), (1, 5), (3, 3), (3, 8), (5, 2)])
+def test_merge_rows_matches_per_row_unique(descending, k, r):
+    rng = np.random.default_rng(10 * k + r + descending)
+    for _ in range(20):
+        a = _random_rows(rng, 12, k, descending, True)
+        b = _random_rows(rng, 12, r, descending, False)
+        _assert_same(state.merge_rows(a, b, descending),
+                     _merge_rows_oracle(a, b, descending))
+
+
+def test_merge_rows_writes_positive_nan_padding():
+    a = np.full((2, 3), np.nan)
+    b = np.array([[0.5, -np.nan, 0.25], [-np.nan, -np.nan, -np.nan]])
+    got = state.merge_rows(a, b, descending=True)
+    _assert_same(got, np.array([[0.5, 0.25, np.nan], [np.nan] * 3]))
+    assert not np.signbit(got[np.isnan(got)]).any()
