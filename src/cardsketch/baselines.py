@@ -16,13 +16,8 @@ import math
 import numpy as np
 
 from . import hashing, state
-from .errors import (
-    DegenerateSketchError,
-    IncompatibleSketchError,
-    InsufficientDataError,
-    reject_deletions,
-)
-from .estimate import Estimate, normal_interval
+from .errors import DegenerateSketchError, InsufficientDataError, reject_deletions
+from .estimate import Estimate, normal_estimate
 
 # Asymptotic relative efficiencies (ratio of c^2/m to the estimator's
 # asymptotic variance), used for reported standard errors.
@@ -40,23 +35,12 @@ def _leading_zeros64(w: np.ndarray) -> np.ndarray:
     return np.where(hi > 0, 32 - hi, 64 - lo).astype(np.int64)
 
 
-class _BucketSketch:
+class _BucketSketch(state.Sketch):
     def __init__(self, m: int, seed: int = 0):
         if m < 2 or m & (m - 1):
             raise ValueError(f"m must be a power of two >= 2, got {m}")
-        self.m, self.salt = state.header(m, seed)
+        super().__init__(m, seed)
         self.p = self.m.bit_length() - 1
-
-    def _check_compatible(self, other) -> None:
-        if type(self) is not type(other):
-            raise IncompatibleSketchError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        if (self.m, self.salt) != (other.m, other.salt):
-            raise IncompatibleSketchError("sketch configurations differ")
-
-    def add(self, item, d: int = 1) -> None:
-        self.add_batch([item], [d])
 
     def add_batch(self, items, d=None) -> None:
         """Ingest many items at once; these sketches cannot delete, so
@@ -70,7 +54,7 @@ class _BucketSketch:
         raise NotImplementedError
 
 
-def _max_rank(m: int) -> int:
+def max_rank(m: int) -> int:
     """Largest first-1-bit rank of the 64 - log2(m) bits after the bucket."""
     return 64 - (int(m).bit_length() - 1) + 1
 
@@ -78,32 +62,22 @@ def _max_rank(m: int) -> int:
 class _RankSketch(_BucketSketch):
     """Shared register machinery for LogLog and HyperLogLog."""
 
+    arrays = ("registers",)
+
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
         self.registers = np.zeros(m, dtype=np.uint8)
-        self.max_rank = _max_rank(self.m)
+        self.max_rank = max_rank(self.m)
 
-    @classmethod
-    def from_state(cls, m, seed, registers):
-        registers = state.uints(registers, m, _max_rank(m), np.uint8, "registers")
-        sk = cls(m, seed)
-        sk.registers = registers
-        return sk
+    @staticmethod
+    def _checked(m, registers):
+        return (state.uints(registers, m, max_rank(m), np.uint8, "registers"),)
 
     def _absorb_words(self, words: np.ndarray) -> None:
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
         rest = words << np.uint64(self.p)
         rank = np.minimum(_leading_zeros64(rest) + 1, self.max_rank).astype(np.uint8)
         np.maximum.at(self.registers, buckets, rank)
-
-    def merge(self, other):
-        self._check_compatible(other)
-        out = type(self)(self.m, self.salt)
-        out.registers = np.maximum(self.registers, other.registers)
-        return out
-
-    def state_bytes(self) -> int:
-        return self.registers.nbytes
 
 
 def _loglog_alpha(m: int) -> float:
@@ -113,15 +87,12 @@ def _loglog_alpha(m: int) -> float:
 class LogLogSketch(_RankSketch):
     """m first-1-bit-rank maxima; estimate from their arithmetic mean."""
 
-    kind = "loglog"
-
     def estimate(self, level: float = 0.95) -> Estimate:
         if not self.registers.any():
             raise DegenerateSketchError("all registers empty")
         c_hat = _loglog_alpha(self.m) * self.m * 2.0 ** float(self.registers.mean())
         se = c_hat / math.sqrt(BASELINE_ARE["loglog"] * self.m)
-        return Estimate(c_hat, se, normal_interval(c_hat, se, level),
-                        level, "loglog", self.m)
+        return normal_estimate(c_hat, se, level, "loglog", self.m)
 
 
 def _hll_alpha(m: int) -> float:
@@ -138,8 +109,6 @@ class HyperLogLogSketch(_RankSketch):
     """Harmonic-mean estimator over the rank maxima, with the published
     bias constant and small-range (linear counting) correction."""
 
-    kind = "hll"
-
     def estimate(self, level: float = 0.95) -> Estimate:
         if not self.registers.any():
             raise DegenerateSketchError("all registers empty")
@@ -148,8 +117,7 @@ class HyperLogLogSketch(_RankSketch):
         zeros = int((self.registers == 0).sum())
         c_hat = m * math.log(m / zeros) if raw <= 2.5 * m and zeros else raw
         se = c_hat / math.sqrt(BASELINE_ARE["hll"] * m)
-        return Estimate(c_hat, se, normal_interval(c_hat, se, level),
-                        level, "hll", m)
+        return normal_estimate(c_hat, se, level, "hll", m)
 
 
 class MinCountSketch(_BucketSketch):
@@ -157,18 +125,18 @@ class MinCountSketch(_BucketSketch):
     (ascending, inf-padded); estimates each bucket's load by the unbiased
     (k-1)/M rule on the third minimum and sums the buckets."""
 
-    kind = "mincount"
+    arrays = ("smallest",)
 
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
         self.smallest = np.full((m, MINCOUNT_K), np.inf)
 
-    @classmethod
-    def from_state(cls, m, seed, smallest):
-        smallest = state.rows(smallest, m, MINCOUNT_K, False, "mincount rows")
-        sk = cls(m, seed)
-        sk.smallest = smallest
-        return sk
+    @staticmethod
+    def _checked(m, smallest):
+        return (state.rows(smallest, m, MINCOUNT_K, False, "mincount rows"),)
+
+    def _joined(self, other) -> tuple:
+        return (state.merge_rows(self.smallest, other.smallest, descending=False),)
 
     def _absorb_words(self, words: np.ndarray) -> None:
         # sorted words are sorted by (bucket, value); repeated values (of a
@@ -184,12 +152,6 @@ class MinCountSketch(_BucketSketch):
         cand[buckets[first], rank[first]] = values[first]
         self.smallest = state.merge_rows(self.smallest, cand, descending=False)
 
-    def merge(self, other: "MinCountSketch") -> "MinCountSketch":
-        self._check_compatible(other)
-        out = MinCountSketch(self.m, self.salt)
-        out.smallest = state.merge_rows(self.smallest, other.smallest, descending=False)
-        return out
-
     def estimate(self, level: float = 0.95) -> Estimate:
         third = self.smallest[:, MINCOUNT_K - 1]
         if not np.all(np.isfinite(third)):
@@ -197,10 +159,10 @@ class MinCountSketch(_BucketSketch):
                 f"every bucket needs at least {MINCOUNT_K} items for the "
                 f"{MINCOUNT_K}rd-order-statistic estimator"
             )
-        c_hat = float(((MINCOUNT_K - 1) / third).sum())
+        with np.errstate(over="ignore"):  # Estimate refuses an infinite c_hat
+            c_hat = float(((MINCOUNT_K - 1) / third).sum())
         se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * self.m)
-        return Estimate(c_hat, se, normal_interval(c_hat, se, level),
-                        level, "mincount", self.m)
+        return normal_estimate(c_hat, se, level, "mincount", self.m)
 
     def state_bytes(self) -> int:
         # the stored sketch is one float (the third minimum) per bucket

@@ -7,13 +7,17 @@ from dataclasses import dataclass
 
 from scipy.special import gammaincinv, ndtri
 
+from .errors import EstimationNumericError
+
 
 @dataclass(frozen=True)
 class Estimate:
     """A cardinality estimate with its uncertainty.
 
     ci is (lower, upper) at the given confidence level; estimator names the
-    procedure that produced it; m is the sketch size used.
+    procedure that produced it; m is the sketch size used.  An estimate, a
+    standard error or a bound that is not finite, or an interval that does
+    not bracket the estimate, raises EstimationNumericError.
     """
 
     c_hat: float
@@ -25,8 +29,13 @@ class Estimate:
 
     def __post_init__(self):
         lo, hi = self.ci
+        if not all(map(math.isfinite, (self.c_hat, self.std_error, lo, hi))):
+            raise EstimationNumericError(
+                f"{self.estimator} estimate {self.c_hat} (se {self.std_error}, "
+                f"interval ({lo}, {hi})) is outside double range")
         if not (lo <= self.c_hat <= hi):
-            raise ValueError(f"interval ({lo}, {hi}) does not bracket {self.c_hat}")
+            raise EstimationNumericError(
+                f"interval ({lo}, {hi}) does not bracket {self.c_hat}")
 
     def covers(self, c: float) -> bool:
         return self.ci[0] <= c <= self.ci[1]
@@ -70,8 +79,19 @@ def normal_interval(c_hat: float, std_error: float, level: float) -> tuple[float
     return (max(0.0, c_hat - half), c_hat + half)
 
 
+def normal_estimate(c_hat: float, se: float, level: float, estimator: str,
+                    m: int) -> Estimate:
+    """c_hat with standard error se and the clipped normal interval."""
+    return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, estimator, m)
+
+
 def gamma_estimate(pivot_sum: float, m: int, level: float, estimator: str) -> Estimate:
-    """MLE m/S with exact Gamma-pivot interval and std error c_hat/sqrt(m)."""
+    """MLE m/S with exact Gamma-pivot interval and std error c_hat/sqrt(m).
+
+    A pivot sum that underflowed to 0 or overflowed to inf raises
+    EstimationNumericError."""
+    if not 0.0 < pivot_sum < math.inf:
+        raise EstimationNumericError(f"pivot sum {pivot_sum} is outside double range")
     c_hat = m / pivot_sum
     return Estimate(
         c_hat=c_hat,

@@ -24,7 +24,7 @@ from .hashing import item_key, mix64
 from .inference import optimal_lambda
 from .serialize import json_dumps
 from .sketch_types import TYPES
-from .streams import exact_count, generate_stream
+from .streams import exact_count, generate_stream, item_quantities
 
 # every sketch type, plus "median": the projection sketch read through its
 # median estimator
@@ -133,6 +133,19 @@ def _rep_rng(seed: int, rep: int):
     return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, 0xC0DE, rep))
 
 
+def _projection_c(cfg: ExperimentConfig, rep: int) -> float:
+    """sum_i D_i**alpha over the c live items of a replicate's stream, D_i an
+    item's total quantity: what the projection sketch estimates, and the c
+    its sampler takes.  Drawn from a generator of its own, so the other
+    algorithms' draws do not move."""
+    if not cfg.heavy_tail and cfg.d_model == "unit":
+        return cfg.c * cfg.repeats ** cfg.alpha
+    rng = np.random.default_rng((int(cfg.seed) & 0xFFFFFFFFFFFFFFFF, 0xD0, rep))
+    reps, d = item_quantities(cfg.c, rng, cfg.repeats, cfg.heavy_tail, cfg.d_model)
+    totals = np.add.reduceat(d, np.cumsum(reps) - reps)
+    return float((totals ** cfg.alpha).sum())
+
+
 def _algo_salt(seed: int, rep: int, algo: str) -> int:
     return mix64(mix64(seed ^ (rep * 0x9E3779B97F4A7C15)) ^ item_key(algo))
 
@@ -188,7 +201,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
                         sk = t.build(cfg.m, _algo_salt(cfg.seed, rep, algo), params)
                         sk.add_batch(stream.keys, stream.d)
                     else:
-                        sk = t.sample(cfg.c, cfg.m, rng, params)
+                        c = _projection_c(cfg, rep) if t.name == "projection" else cfg.c
+                        sk = t.sample(c, cfg.m, rng, params)
                     built[t.name] = sk
                 c_hat, ci, pivot = _estimate(algo, sk, cfg.level)
             except SketchError:

@@ -36,41 +36,18 @@ from .errors import (
     DegenerateSketchError,
     EmptySketchError,
     EstimationNumericError,
-    IncompatibleSketchError,
     InsufficientDataError,
     SaturatedSketchError,
     reject_deletions,
 )
-from .estimate import Estimate, gamma_estimate, normal_interval
+from .estimate import Estimate, gamma_estimate, normal_estimate
 from .inference import psi_infinity
 
 _LOG_HALF = math.log(0.5)
 
 
-class _MaxSketchBase:
-    """Shared sizing, compatibility and ingestion plumbing."""
-
-    kind: str
-
-    def __init__(self, m: int, seed: int = 0):
-        self.m, self.salt = state.header(m, seed)
-
-    def _params(self) -> tuple:
-        return ()
-
-    def _check_compatible(self, other) -> None:
-        if type(self) is not type(other) or self.kind != other.kind:
-            raise IncompatibleSketchError(
-                f"cannot merge {type(self).__name__} with {type(other).__name__}"
-            )
-        if (self.m, self.salt, self._params()) != (other.m, other.salt, other._params()):
-            raise IncompatibleSketchError(
-                "sketch configurations differ (m, salt or distribution parameters)"
-            )
-
-    def add(self, item, d: int = 1) -> None:
-        reject_deletions(d, self)
-        self._absorb_keys(np.array([hashing.item_key(item)], dtype=np.uint64))
+class _MaxSketchBase(state.Sketch):
+    """Shared ingestion plumbing."""
 
     def add_batch(self, items, d=None) -> None:
         """Ingest many items at once; quantities, if given, must all be positive."""
@@ -105,6 +82,9 @@ class ContinuousMaxSketch(_MaxSketchBase):
     merge-consistent sufficient statistic.
     """
 
+    params = ("kind",)
+    arrays = ("slots",)
+
     def __init__(self, m: int, seed: int = 0, kind: str = "uniform"):
         super().__init__(m, seed)
         if kind not in ("uniform", "exponential"):
@@ -112,12 +92,9 @@ class ContinuousMaxSketch(_MaxSketchBase):
         self.kind = kind
         self.slots = np.full(m, -np.inf)
 
-    @classmethod
-    def from_state(cls, m, seed, slots, kind="uniform"):
-        slots = state.floats(slots, m, 0.0, "continuous log-CDF slots")
-        sk = cls(m, seed, kind)
-        sk.slots = slots
-        return sk
+    @staticmethod
+    def _checked(m, slots, **_):
+        return (state.floats(slots, m, 0.0, "continuous log-CDF slots"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         u = hashing.unit_array(self._column_words(keys, np.maximum))
@@ -129,17 +106,12 @@ class ContinuousMaxSketch(_MaxSketchBase):
             return np.exp(self.slots)
         return -np.log1p(-np.exp(self.slots))
 
-    def merge(self, other: "ContinuousMaxSketch") -> "ContinuousMaxSketch":
-        self._check_compatible(other)
-        out = ContinuousMaxSketch(self.m, self.salt, self.kind)
-        out.slots = np.maximum(self.slots, other.slots)
-        return out
-
     def pivot_sum(self) -> float:
         """S = -sum_j log F(M_j); c*S is a Gamma(m,1) pivot."""
         if np.any(np.isneginf(self.slots)):
             raise EmptySketchError("some hash streams saw no items")
-        return float(-self.slots.sum())
+        with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
+            return float(-self.slots.sum())
 
     def estimate(self, level: float = 0.95) -> Estimate:
         """MLE m/S with the exact Gamma-pivot confidence interval."""
@@ -147,9 +119,6 @@ class ContinuousMaxSketch(_MaxSketchBase):
         if s <= 0.0:
             raise DegenerateSketchError("all slots at the distribution supremum")
         return gamma_estimate(s, self.m, level, f"max-{self.kind}")
-
-    def state_bytes(self) -> int:
-        return self.slots.nbytes
 
 
 class GeometricMaxSketch(_MaxSketchBase):
@@ -159,7 +128,8 @@ class GeometricMaxSketch(_MaxSketchBase):
     log(c), so 32 bits cover any feasible cardinality); 0 marks empty.
     """
 
-    kind = "geometric"
+    params = ("q",)
+    arrays = ("slots",)
 
     def __init__(self, m: int, q: float, seed: int = 0):
         super().__init__(m, seed)
@@ -168,25 +138,13 @@ class GeometricMaxSketch(_MaxSketchBase):
         self.q = float(q)
         self.slots = np.zeros(m, dtype=np.uint32)
 
-    @classmethod
-    def from_state(cls, m, seed, slots, q):
-        slots = state.uints(slots, m, state.U32_MAX, np.uint32, "geometric slots")
-        sk = cls(m, q, seed)
-        sk.slots = slots
-        return sk
-
-    def _params(self) -> tuple:
-        return (self.q,)
+    @staticmethod
+    def _checked(m, slots, **_):
+        return (state.uints(slots, m, state.U32_MAX, np.uint32, "geometric slots"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         u = hashing.unit_array(self._column_words(keys, np.maximum))
         np.maximum(self.slots, hashing.geometric_variate(u, self.q), out=self.slots)
-
-    def merge(self, other: "GeometricMaxSketch") -> "GeometricMaxSketch":
-        self._check_compatible(other)
-        out = GeometricMaxSketch(self.m, self.q, self.salt)
-        out.slots = np.maximum(self.slots, other.slots)
-        return out
 
     def estimate(self, level: float = 0.95) -> Estimate:
         """Maximum-likelihood estimate via the score equation of the
@@ -195,14 +153,7 @@ class GeometricMaxSketch(_MaxSketchBase):
             raise EmptySketchError("some hash streams saw no items")
         c_hat, c0 = solve_geometric_mle(self.slots, self.q)
         se = c_hat / math.sqrt(self.m * psi_infinity(self.q))
-        return Estimate(
-            c_hat=c_hat,
-            std_error=se,
-            ci=normal_interval(c_hat, se, level),
-            level=level,
-            estimator="max-geometric",
-            m=self.m,
-        )
+        return normal_estimate(c_hat, se, level, "max-geometric", self.m)
 
     def recursive_estimate(self, continuity_correction: bool = False) -> float:
         """Exponential-approximation estimator -m / log prod(1 - q**Y_j).
@@ -220,16 +171,21 @@ class GeometricMaxSketch(_MaxSketchBase):
         y = self.slots.astype(np.float64)
         if continuity_correction:
             y = y - 0.5
-        log_s = _log1m_qpow(y, self.q).sum()
-        return float(-self.m / log_s)
-
-    def state_bytes(self) -> int:
-        return self.slots.nbytes
+        return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
 
 
 def _log1m_qpow(y: np.ndarray, q: float) -> np.ndarray:
     """log(1 - q**y) evaluated stably for large y."""
     return np.log1p(-np.exp(y * math.log(q)))
+
+
+def _exponential_approximation(m: int, log_s: float) -> float:
+    """-m / log_s, log_s the sum of log(1 - q**y) over the m slots; slots so
+    large that the quotient overflows raise EstimationNumericError."""
+    c = -m / log_s if log_s else math.inf
+    if c == math.inf:
+        raise EstimationNumericError("every q**y underflows: the estimate exceeds double range")
+    return c
 
 
 def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
@@ -274,7 +230,7 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
     n = math.floor(_LOG_HALF / math.log(q))
     r = float(counts[y <= n].sum())
     if r in (0.0, float(m)):
-        c0 = -m / float((_log1m_qpow(y, q) * counts).sum())
+        c0 = _exponential_approximation(m, float((_log1m_qpow(y, q) * counts).sum()))
     else:
         c0 = math.log(r / m) / math.log1p(-(q ** n))
     c0 = max(c0, 1e-12)
@@ -311,7 +267,8 @@ class KthOrderSketch(_MaxSketchBase):
     the state.
     """
 
-    kind = "kth"
+    params = ("k",)
+    arrays = ("topk",)
 
     def __init__(self, m: int, k: int, seed: int = 0):
         super().__init__(m, seed)
@@ -320,15 +277,12 @@ class KthOrderSketch(_MaxSketchBase):
         self.k = int(k)
         self.topk = np.full((m, k), np.nan)
 
-    @classmethod
-    def from_state(cls, m, seed, topk, k):
-        topk = state.rows(topk, m, k, True, "top-k rows")
-        sk = cls(m, k, seed)
-        sk.topk = topk
-        return sk
+    @staticmethod
+    def _checked(m, topk, k):
+        return (state.rows(topk, m, k, True, "top-k rows"),)
 
-    def _params(self) -> tuple:
-        return (self.k,)
+    def _joined(self, other) -> tuple:
+        return (state.merge_rows(self.topk, other.topk, descending=True),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         # distinct keys give distinct words in every column (the digest,
@@ -344,12 +298,6 @@ class KthOrderSketch(_MaxSketchBase):
             merged[j] = state.merge_rows(self.topk[j:j + 1], col.T, descending=True)[0]
         self.topk = merged
 
-    def merge(self, other: "KthOrderSketch") -> "KthOrderSketch":
-        self._check_compatible(other)
-        out = KthOrderSketch(self.m, self.k, self.salt)
-        out.topk = state.merge_rows(self.topk, other.topk, descending=True)
-        return out
-
     def kth_values(self) -> np.ndarray:
         """The k-th largest value per stream; errors if any stream has fewer."""
         y = self.topk[:, self.k - 1]
@@ -362,17 +310,7 @@ class KthOrderSketch(_MaxSketchBase):
     def estimate(self, level: float = 0.95) -> Estimate:
         c_hat = kth_root_estimate(self.kth_values(), self.k)
         se = c_hat / math.sqrt(self.k * self.m)
-        return Estimate(
-            c_hat=c_hat,
-            std_error=se,
-            ci=normal_interval(c_hat, se, level),
-            level=level,
-            estimator="max-kth",
-            m=self.m,
-        )
-
-    def state_bytes(self) -> int:
-        return self.topk.nbytes
+        return normal_estimate(c_hat, se, level, "max-kth", self.m)
 
 
 def top_words(tiles, k: int) -> np.ndarray:
@@ -416,9 +354,13 @@ def tied_columns(u: np.ndarray) -> np.ndarray:
 
 
 def kth_closed_form(y: np.ndarray, k: int) -> float:
-    """Large-c starting point k / (1 - prod(y_j)**(1/m))."""
+    """Large-c starting point k / (1 - prod(y_j)**(1/m)).  Every y_j at 1,
+    the uniforms' supremum, raises DegenerateSketchError."""
     log_prod = float(np.log(y).sum())
-    return k / -math.expm1(log_prod / len(y))
+    t = -math.expm1(log_prod / len(y))
+    if t == 0.0:
+        raise DegenerateSketchError("every k-th value at the supremum 1")
+    return k / t
 
 
 def kth_root_estimate(y: np.ndarray, k: int, tol: float = 1e-12,
@@ -479,7 +421,8 @@ class BernoulliSketch(_MaxSketchBase):
     for true c anywhere in (0.3*c0, 4.3*c0).
     """
 
-    kind = "bernoulli"
+    params = ("p",)
+    arrays = ("bits",)
 
     def __init__(self, m: int, p: float, seed: int = 0):
         super().__init__(m, seed)
@@ -488,25 +431,13 @@ class BernoulliSketch(_MaxSketchBase):
         self.p = float(p)
         self.bits = np.zeros(m, dtype=np.uint8)
 
-    @classmethod
-    def from_state(cls, m, seed, bits, p):
-        bits = state.uints(bits, m, 1, np.uint8, "bernoulli bits")
-        sk = cls(m, p, seed)
-        sk.bits = bits
-        return sk
-
-    def _params(self) -> tuple:
-        return (self.p,)
+    @staticmethod
+    def _checked(m, bits, **_):
+        return (state.uints(bits, m, 1, np.uint8, "bernoulli bits"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         hit = hashing.unit_array(self._column_words(keys, np.minimum)) < self.p
         np.maximum(self.bits, hit.astype(np.uint8), out=self.bits)
-
-    def merge(self, other: "BernoulliSketch") -> "BernoulliSketch":
-        self._check_compatible(other)
-        out = BernoulliSketch(self.m, self.p, self.salt)
-        out.bits = np.maximum(self.bits, other.bits)
-        return out
 
     def ones(self) -> int:
         return int(self.bits.sum())
@@ -549,8 +480,11 @@ def bernoulli_estimate(ones: int, m: int, p: float, level: float = 0.95) -> Esti
         upper = math.log1p(-level) / (m * logq)
         return Estimate(0.0, 0.0, (0.0, upper), level, "bernoulli", m)
     c_hat = math.log1p(-ones / m) / logq
-    se = 1.0 / math.sqrt(bernoulli_fisher_info(c_hat, m, p))
-    return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, "bernoulli", m)
+    info = bernoulli_fisher_info(c_hat, m, p)
+    if not info > 0.0:
+        raise EstimationNumericError(f"Fisher information underflows at p={p}")
+    se = 1.0 / math.sqrt(info)
+    return normal_estimate(c_hat, se, level, "bernoulli", m)
 
 
 def merge(*sketches):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -34,11 +35,12 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from . import hashing, state
-from .errors import (DegenerateSketchError, IncompatibleSketchError, StreamIntegrityError,
+from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
                      UnsupportedDeletionError)
 from .estimate import Estimate, gamma_estimate
 
 _LOG2 = math.log(2.0)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def signed_add(s1, l1, s2, l2):
@@ -58,42 +60,35 @@ def signed_add(s1, l1, s2, l2):
     return np.where(mag == -np.inf, 0, sign).astype(np.int8), mag
 
 
-class ProjectionSketch:
+class ProjectionSketch(state.Sketch):
     """m signed log-space accumulators under stable hashing of index alpha.
 
     Under cash-register input every accumulator is positive once any
-    element arrives; with signed input the estimate is valid whenever all
-    cumulative item quantities are nonnegative at query time.
+    element arrives; with signed input (a negative d deletes) the estimate
+    holds while every cumulative item quantity is nonnegative at query time.
     """
 
-    kind = "projection"
+    params = ("alpha",)
+    arrays = ("signs", "logmag")
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
-        self.m, self.salt = state.header(m, seed)
+        super().__init__(m, seed)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0,1)")
         self.alpha = float(alpha)
         self.signs = np.zeros(self.m, dtype=np.int8)
         self.logmag = np.full(self.m, -np.inf)
 
-    @classmethod
-    def from_state(cls, m, seed, signs, logmag, alpha):
-        signs, logmag = state.signed_log(signs, logmag, m)
-        sk = cls(m, alpha, seed)
-        sk.signs, sk.logmag = signs, logmag
-        return sk
+    @staticmethod
+    def _checked(m, signs, logmag, **_):
+        return state.signed_log(signs, logmag, m)
 
-    def _check_compatible(self, other) -> None:
-        if not isinstance(other, ProjectionSketch):
-            raise IncompatibleSketchError("can only merge projection sketches together")
-        if (self.m, self.salt, self.alpha) != (other.m, other.salt, other.alpha):
-            raise IncompatibleSketchError("sketch configurations differ")
+    def _joined(self, other) -> tuple:
+        """Stream-wise signed addition; equals a single pass over the
+        concatenated streams up to float associativity."""
+        return signed_add(self.signs, self.logmag, other.signs, other.logmag)
 
     # -- ingestion --------------------------------------------------------
-
-    def add(self, item, d: int = 1) -> None:
-        """Accumulate d * h_j(item) into every stream; d may be negative."""
-        self.add_batch([item], [d])
 
     def add_batch(self, items, d=None) -> None:
         """Ingest many elements; d defaults to all ones."""
@@ -114,14 +109,6 @@ class ProjectionSketch:
         if (dvals < 0).any():
             self.signs, self.logmag = signed_add(self.signs, self.logmag, -1, dels)
 
-    def merge(self, other: "ProjectionSketch") -> "ProjectionSketch":
-        """Stream-wise signed addition; equals a single pass over the
-        concatenated streams up to float associativity."""
-        self._check_compatible(other)
-        out = ProjectionSketch(self.m, self.alpha, self.salt)
-        out.signs, out.logmag = signed_add(self.signs, self.logmag, other.signs, other.logmag)
-        return out
-
     # -- estimation -------------------------------------------------------
 
     def _require_positive(self) -> None:
@@ -135,7 +122,8 @@ class ProjectionSketch:
         """S = sum_j V_j**(-alpha); c*S is an approximate Gamma(m,1) pivot
         for small alpha."""
         self._require_positive()
-        return float(np.exp(-self.alpha * self.logmag).sum())
+        with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
+            return float(np.exp(-self.alpha * self.logmag).sum())
 
     def estimate(self, level: float = 0.95) -> Estimate:
         """m / sum V_j**(-alpha), with the approximate Gamma-pivot interval."""
@@ -151,14 +139,16 @@ class ProjectionSketch:
         """(sample median of V / median of the stable law)**alpha.
 
         Acts on log V, where the median commutes with exp; m odd avoids
-        interpolating between two stream values.
+        interpolating between two stream values.  An estimate outside
+        double range raises EstimationNumericError.
         """
         self._require_positive()
         med_log_v = float(np.median(self.logmag))
-        return math.exp(self.alpha * (med_log_v - stable_median_log(self.alpha)))
-
-    def state_bytes(self) -> int:
-        return self.signs.nbytes + self.logmag.nbytes
+        log_c = self.alpha * (med_log_v - stable_median_log(self.alpha))
+        if not -_LOG_MAX < log_c < _LOG_MAX:
+            raise EstimationNumericError(
+                f"median estimate exp({log_c}) is outside double range")
+        return math.exp(log_c)
 
 
 def _keys_and_quantities(items, d) -> tuple[np.ndarray, np.ndarray]:

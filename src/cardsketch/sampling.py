@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import hashing
-from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch
+from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch, max_rank
 from .errors import InsufficientDataError
 from .order_sketch import (
     BernoulliSketch,
@@ -70,15 +70,20 @@ def sample_bernoulli(c: int, m: int, p: float, rng) -> BernoulliSketch:
     return BernoulliSketch.from_state(m, 0, bits, p)
 
 
-def projection_logmag(c: int, m: int, alpha: float, rng) -> np.ndarray:
-    """log V_j for a unit-quantity stream of c distinct items: stability
-    collapses the sum to c**(1/alpha) times one stable draw."""
+def projection_logmag(c: float, m: int, alpha: float, rng) -> np.ndarray:
+    """log V_j for a stream with sum_i D_i**alpha = c, D_i the total
+    quantity of item i: stability collapses the sum to c**(1/alpha) times
+    one stable draw."""
     u = rng.random(m)
     w = rng.exponential(size=m)
     return math.log(c) / alpha + hashing.stable_log_variate(u, w, alpha)
 
 
-def sample_projection(c: int, m: int, alpha: float, rng) -> ProjectionSketch:
+def sample_projection(c: float, m: int, alpha: float, rng) -> ProjectionSketch:
+    """The projection state of a stream whose live items have total
+    quantities D_i with sum_i D_i**alpha = c: c distinct items of unit
+    quantity give c, and R repeats of each give c * R**alpha.  An item
+    inserted and deleted again has D_i = 0 and adds nothing."""
     logmag = projection_logmag(c, m, alpha, rng)
     return ProjectionSketch.from_state(m, 0, np.ones(m, dtype=np.int8), logmag, alpha)
 
@@ -87,29 +92,26 @@ def _bucket_counts(c: int, m: int, rng) -> np.ndarray:
     return rng.multinomial(c, np.full(m, 1.0 / m))
 
 
-def rank_registers(c: int, m: int, rng, max_rank: int) -> np.ndarray:
+def rank_registers(c: int, m: int, rng) -> np.ndarray:
     """Per-bucket maxima of first-1-bit ranks: bucket loads are multinomial
     and the max of n geometric(1/2) ranks inverts (1 - 2**-r)**n."""
+    top = max_rank(m)
     n = _bucket_counts(c, m, rng)
     u = rng.random(m)
     out = np.zeros(m, dtype=np.uint8)
     live = n > 0
     t = -np.expm1(np.log(u[live]) / n[live])  # smallest 2**-r below this
-    r = np.ceil(-np.log2(np.maximum(t, 2.0 ** -(max_rank + 1))))
-    out[live] = np.clip(r, 1, max_rank).astype(np.uint8)
+    r = np.ceil(-np.log2(np.maximum(t, 2.0 ** -(top + 1))))
+    out[live] = np.clip(r, 1, top).astype(np.uint8)
     return out
 
 
 def sample_loglog(c: int, m: int, rng) -> LogLogSketch:
-    sk = LogLogSketch(m, 0)
-    sk.registers = rank_registers(c, m, rng, sk.max_rank)
-    return sk
+    return LogLogSketch.from_state(m, 0, rank_registers(c, m, rng))
 
 
 def sample_hll(c: int, m: int, rng) -> HyperLogLogSketch:
-    sk = HyperLogLogSketch(m, 0)
-    sk.registers = rank_registers(c, m, rng, sk.max_rank)
-    return sk
+    return HyperLogLogSketch.from_state(m, 0, rank_registers(c, m, rng))
 
 
 def sample_mincount(c: int, m: int, rng) -> MinCountSketch:

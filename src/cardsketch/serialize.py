@@ -40,7 +40,7 @@ MAGIC = b"CSKB"
 
 
 def _arrays(t, sk) -> list:
-    return [getattr(sk, name) for name in t.arrays]
+    return [getattr(sk, name) for name in t.cls.arrays]
 
 
 @contextlib.contextmanager

@@ -2,10 +2,11 @@
 the nine types the CLI, the experiment runner and the codecs accept.
 
 An entry gives a type's name and binary tag, its class with any fixed
-constructor argument, its parameters, its state arrays with their layout
-(see the state module) and its exact sampler.  The CLI's ``--type``
-choices and constructor, the experiment runner's algorithms, hash-mode
-build and sampled-mode draw, and both codecs are derived from it.
+constructor argument, its parameters, the layout (see the state module)
+of the state arrays its class declares, and its exact sampler.  The
+CLI's ``--type`` choices and constructor, the experiment runner's
+algorithms, hash-mode build and sampled-mode draw, and both codecs are
+derived from it.
 Samplers are looked up on the sampling module at call time, so a wrapper
 installed there is honoured.
 """
@@ -30,8 +31,7 @@ from .projection import ProjectionSketch
 class SketchType:
     name: str
     tag: int                  # binary frame type tag
-    cls: type
-    arrays: tuple             # state attributes, in from_state order
+    cls: type                 # a state.Sketch; its arrays are cls.arrays
     layout: object            # their encoding, from the state module
     sampler: str              # sampling module function drawing the exact state
     params: tuple = ()        # (name, state.REAL or state.U16) pairs
@@ -59,22 +59,22 @@ class SketchType:
 
 
 TYPES = {t.name: t for t in (
-    SketchType("max-uniform", 1, ContinuousMaxSketch, ("slots",), state.F64,
+    SketchType("max-uniform", 1, ContinuousMaxSketch, state.F64,
                "sample_continuous", fixed={"kind": "uniform"}),
-    SketchType("max-exp", 2, ContinuousMaxSketch, ("slots",), state.F64,
+    SketchType("max-exp", 2, ContinuousMaxSketch, state.F64,
                "sample_continuous", fixed={"kind": "exponential"}),
-    SketchType("max-geom", 3, GeometricMaxSketch, ("slots",), state.U32,
+    SketchType("max-geom", 3, GeometricMaxSketch, state.U32,
                "sample_geometric", params=(("q", state.REAL),)),
-    SketchType("kth", 4, KthOrderSketch, ("topk",), state.Rows(float("nan"), "k"),
+    SketchType("kth", 4, KthOrderSketch, state.Rows(float("nan"), "k"),
                "sample_kth", params=(("k", state.U16),)),
-    SketchType("bernoulli", 5, BernoulliSketch, ("bits",), state.BITS,
+    SketchType("bernoulli", 5, BernoulliSketch, state.BITS,
                "sample_bernoulli", params=(("p", state.REAL),)),
-    SketchType("projection", 6, ProjectionSketch, ("signs", "logmag"), state.SIGNED_LOG,
+    SketchType("projection", 6, ProjectionSketch, state.SIGNED_LOG,
                "sample_projection", params=(("alpha", state.REAL),)),
-    SketchType("loglog", 7, LogLogSketch, ("registers",), state.U8, "sample_loglog"),
-    SketchType("hll", 8, HyperLogLogSketch, ("registers",), state.U8, "sample_hll"),
-    SketchType("mincount", 9, MinCountSketch, ("smallest",),
-               state.Rows(float("inf"), MINCOUNT_K), "sample_mincount"),
+    SketchType("loglog", 7, LogLogSketch, state.U8, "sample_loglog"),
+    SketchType("hll", 8, HyperLogLogSketch, state.U8, "sample_hll"),
+    SketchType("mincount", 9, MinCountSketch, state.Rows(float("inf"), MINCOUNT_K),
+               "sample_mincount"),
 )}
 BY_TAG = {t.tag: t for t in TYPES.values()}
 

@@ -1,5 +1,6 @@
-"""Sketch state: the checks every ``from_state`` runs on its arrays, the merge
-of sorted rows, and the layouts (and encodings) the arrays are stored in.
+"""Sketch state: the base every sketch class derives from, the checks every
+``from_state`` runs on its arrays, the merge of sorted rows, and the
+layouts (and encodings) the arrays are stored in.
 
 The checks are the gate between outside data and a sketch: both decoders
 build every sketch through ``from_state``.  The decoders check sizes
@@ -9,16 +10,84 @@ has shown it holds that many entries.
 
 from __future__ import annotations
 
+import copy
 import struct
 import sys
 
 import numpy as np
 
-from .errors import SerializationError
+from .errors import IncompatibleSketchError, SerializationError
 
 U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
+
+
+# --- the sketch base ----------------------------------------------------
+
+class Sketch:
+    """A mergeable summary: m hash streams under one salt, named parameters,
+    state arrays and one associative combine rule.
+
+    A subclass declares ``params`` and ``arrays``, its parameter and state
+    attribute names in ``from_state`` order, and writes ``add_batch`` and
+    two hooks:
+
+    - ``_checked(m, *arrays, **params)``, static: the arrays, checked
+      against m and the parameters, as a tuple;
+    - ``_joined(other)``: the merged arrays, as a tuple of new arrays that
+      writes into neither input.  The default, the slot-wise maximum, is
+      the combine rule of every maximal-term state.
+    """
+
+    params: tuple = ()
+    arrays: tuple = ()
+
+    def __init__(self, m: int, seed: int = 0):
+        self.m, self.salt = header(m, seed)
+
+    @classmethod
+    def from_state(cls, m, seed, *args, **params):
+        """The sketch holding the given state arrays, then parameters by
+        position or by name.  The arrays are checked before the sketch is
+        built, so nothing is sized from an unchecked declaration."""
+        n = len(cls.arrays)
+        named = dict(zip(cls.params, args[n:]))
+        if not n <= len(args) <= n + len(cls.params) or named.keys() & params.keys():
+            raise TypeError(f"{cls.__name__}.from_state takes m, seed, the arrays "
+                            f"{cls.arrays} and the parameters {cls.params}")
+        params.update(named)
+        m, salt = header(m, seed)
+        arrays = cls._checked(m, *args[:n], **params)
+        sk = cls(m, seed=salt, **params)
+        for name, a in zip(cls.arrays, arrays):
+            setattr(sk, name, a)
+        return sk
+
+    def add(self, item, d: int = 1) -> None:
+        """Ingest one item with quantity d: a one-row ``add_batch``."""
+        self.add_batch([item], [d])
+
+    def merge(self, other):
+        """The sketch of both inputs' streams, as a new object.  Raises
+        IncompatibleSketchError unless other has this type, m, salt and
+        parameters."""
+        if type(other) is not type(self):
+            raise IncompatibleSketchError(
+                f"cannot merge {type(self).__name__} with {type(other).__name__}")
+        if any(getattr(self, n) != getattr(other, n) for n in ("m", "salt", *self.params)):
+            raise IncompatibleSketchError(
+                "sketch configurations differ (m, salt or parameters)")
+        out = copy.copy(self)
+        for name, a in zip(self.arrays, self._joined(other)):
+            setattr(out, name, a)
+        return out
+
+    def _joined(self, other) -> tuple:
+        return tuple(np.maximum(getattr(self, n), getattr(other, n)) for n in self.arrays)
+
+    def state_bytes(self) -> int:
+        return sum(getattr(self, n).nbytes for n in self.arrays)
 
 
 # --- checks -------------------------------------------------------------

@@ -41,6 +41,24 @@ def distinct_keys(c: int, seed: int, offset: int = 0) -> np.ndarray:
         return hashing.mix64_array(np.uint64(base) + counters * np.uint64(hashing._GAMMA))
 
 
+def item_quantities(c: int, rng, repeats: int = 1, heavy_tail: bool = False,
+                    d_model: str = "unit") -> tuple[np.ndarray, np.ndarray]:
+    """The law of ``generate_stream``'s quantities, drawn from rng in its
+    order: each of c items' repetition count, and the quantity of each
+    repetition, item by item."""
+    if heavy_tail:
+        reps = 1 + np.floor(rng.pareto(1.5, size=c)).astype(np.int64)
+        reps = np.minimum(reps, 50)
+    else:
+        reps = np.full(c, repeats, dtype=np.int64)
+    n = int(reps.sum())
+    if d_model == "unit":
+        return reps, np.ones(n, dtype=np.int64)
+    if d_model == "random":
+        return reps, rng.integers(1, 11, size=n, dtype=np.int64)
+    raise ValueError(f"unknown d model {d_model!r}")
+
+
 def generate_stream(
     c: int,
     seed: int = 0,
@@ -63,20 +81,9 @@ def generate_stream(
         raise ValueError("c must be >= 1")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    if d_model not in ("unit", "random"):
-        raise ValueError(f"unknown d model {d_model!r}")
     rng = np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, 0x5EED))
-    base = distinct_keys(c, seed)
-    if heavy_tail:
-        reps = 1 + np.floor(rng.pareto(1.5, size=c)).astype(np.int64)
-        reps = np.minimum(reps, 50)
-    else:
-        reps = np.full(c, repeats, dtype=np.int64)
-    keys = np.repeat(base, reps)
-    if d_model == "unit":
-        d = np.ones(len(keys), dtype=np.int64)
-    else:
-        d = rng.integers(1, 11, size=len(keys), dtype=np.int64)
+    reps, d = item_quantities(c, rng, repeats, heavy_tail, d_model)
+    keys = np.repeat(distinct_keys(c, seed), reps)
     if deleted_extra:
         extra = distinct_keys(deleted_extra, seed, offset=c)
         keys = np.concatenate([keys, extra, extra])

@@ -16,7 +16,6 @@ from cardsketch.baselines import (
 )
 from cardsketch.errors import (
     DegenerateSketchError,
-    IncompatibleSketchError,
     InsufficientDataError,
     UnsupportedDeletionError,
 )
@@ -96,12 +95,6 @@ class TestPlumbing:
                 np.testing.assert_array_equal(merged.smallest, whole.smallest)
             else:
                 np.testing.assert_array_equal(merged.registers, whole.registers)
-
-    def test_incompatible_merge(self):
-        with pytest.raises(IncompatibleSketchError):
-            LogLogSketch(32, seed=1).merge(LogLogSketch(32, seed=2))
-        with pytest.raises(IncompatibleSketchError):
-            LogLogSketch(32, seed=1).merge(HyperLogLogSketch(32, seed=1))
 
 
 def _mincount_oracle(keys, m, salt):

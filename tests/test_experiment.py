@@ -1,6 +1,7 @@
 """Experiment harness: determinism, report structure, both build methods."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,3 +142,38 @@ def test_too_few_items_fail_alike_in_both_modes(c, algos):
         failed[method] = {a: rep.summary[a]["failed"] for a in algos}
     assert failed["sampled"] == failed["hash"]
     assert failed["sampled"][algos[0]] == 3
+
+
+def test_sampled_projection_draws_the_repeated_items_target():
+    # an item repeated R times has total quantity R, so the projection sketch
+    # estimates c * R**alpha; the other sketches ignore repeats
+    cfg = dict(c=2000, m=64, algos=ALGOS, replicates=5, seed=3, method="sampled")
+    unit = run_experiment(ExperimentConfig(**cfg)).replicates
+    twice = run_experiment(ExperimentConfig(**cfg, repeats=2)).replicates
+    for algo in ALGOS:
+        if algo in ("projection", "median"):
+            np.testing.assert_allclose(twice[algo]["c_hat"],
+                                       np.array(unit[algo]["c_hat"]) * 2 ** 0.05, rtol=1e-12)
+        else:
+            assert twice[algo] == unit[algo], algo
+
+
+def test_sampled_projection_draws_the_random_quantities_target():
+    # d_model "random" gives each item a quantity uniform on 1..10, so the
+    # projection sketch estimates c E[D**alpha]; the state draws are shared
+    # with the unit run, so each replicate's ratio to it is its own
+    # (1/c) sum D_i**alpha
+    cfg = dict(c=200, m=16, algos=("projection",), replicates=2000, seed=11,
+               method="sampled")
+    unit = run_experiment(ExperimentConfig(**cfg)).replicates["projection"]["c_hat"]
+    rand = run_experiment(ExperimentConfig(**cfg, d_model="random")).replicates
+    ratio = np.array(rand["projection"]["c_hat"]) / np.array(unit)
+    se = ratio.std(ddof=1) / math.sqrt(len(ratio))
+    assert abs(ratio.mean() - np.mean(np.arange(1, 11) ** 0.05)) < 3 * se
+
+
+def test_unknown_d_model_fails_in_both_modes():
+    for method in ("hash", "sampled"):
+        with pytest.raises(ValueError, match="unknown d model"):
+            run_experiment(ExperimentConfig(c=100, m=8, algos=("projection",),
+                                            method=method, d_model="nope"))

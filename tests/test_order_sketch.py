@@ -10,7 +10,6 @@ from cardsketch import sampling
 from cardsketch.errors import (
     DegenerateSketchError,
     EmptySketchError,
-    IncompatibleSketchError,
     InsufficientDataError,
     SaturatedSketchError,
     UnsupportedDeletionError,
@@ -106,17 +105,6 @@ class TestMerge:
         left.add_batch(keys[:200])
         right.add_batch(keys[150:])  # overlapping shards
         np.testing.assert_array_equal(left.merge(right).slots, whole.slots)
-
-    def test_incompatible(self):
-        a = ContinuousMaxSketch(8, seed=1)
-        for bad in (ContinuousMaxSketch(16, seed=1), ContinuousMaxSketch(8, seed=2),
-                    GeometricMaxSketch(8, q=0.5, seed=1)):
-            with pytest.raises(IncompatibleSketchError):
-                a.merge(bad)
-        g1 = GeometricMaxSketch(8, q=0.5, seed=1)
-        g2 = GeometricMaxSketch(8, q=0.6, seed=1)
-        with pytest.raises(IncompatibleSketchError):
-            g1.merge(g2)
 
     def test_varargs_merge(self):
         parts = []

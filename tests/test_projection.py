@@ -10,7 +10,6 @@ from scipy.stats import kstest
 from cardsketch import hashing, projection, sampling
 from cardsketch.errors import (
     DegenerateSketchError,
-    IncompatibleSketchError,
     StreamIntegrityError,
     UnsupportedDeletionError,
 )
@@ -210,11 +209,6 @@ class TestMerge:
         b.add("a", -1)
         merged = a.merge(b)
         assert (merged.signs == 0).all()
-
-    def test_incompatible(self):
-        a = ProjectionSketch(8, alpha=0.1, seed=1)
-        with pytest.raises(IncompatibleSketchError):
-            a.merge(ProjectionSketch(8, alpha=0.2, seed=1))
 
 
 class TestEstimator:
