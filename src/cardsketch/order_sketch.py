@@ -196,7 +196,9 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
         a = log A, b = log B,
     which is evaluated as (a - b*e**d) / (-expm1(d)) with d = c*(b-a) <= 0,
     so terms where A**c or B**c underflow stay finite.  y = 1 contributes
-    the constant log(1-q).
+    the constant log(1-q).  A slot so large that its term leaves double
+    range (d and em1 round to 0, so 0/0) gives a NaN score or derivative,
+    on which ``solve_geometric_mle`` raises.
     """
     logq = math.log(q)
     a = np.log1p(-np.exp(y * logq))
@@ -208,8 +210,9 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
         d = c * (b - a[mask])
         ed = np.exp(d)
         em1 = np.expm1(d)
-        score[mask] = (a[mask] - b * ed) / -em1
-        dscore[mask] = -((a[mask] - b) ** 2) * ed / (em1 * em1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            score[mask] = (a[mask] - b * ed) / -em1
+            dscore[mask] = -((a[mask] - b) ** 2) * ed / (em1 * em1)
     return float((score * counts).sum()), float((dscore * counts).sum())
 
 
@@ -244,6 +247,10 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
     c = c0
     for _ in range(max_iter):
         s, ds = geometric_score(y, counts, q, c)
+        if not (math.isfinite(s) and math.isfinite(ds)):
+            raise EstimationNumericError(
+                f"geometric score is not finite at c={c}: the likelihood term "
+                f"of slot {y.max():.0f} leaves double range", initial=c0)
         if ds == 0.0:
             break
         step = s / ds

@@ -8,11 +8,12 @@ quantities are supported and deletions work: an item inserted then removed
 cancels exactly when the two contributions meet with equal magnitude.
 
 A batch is hashed in the row tiles of ``hashing.stable_log_tiles``.  Its
-insertion terms and its deletion terms are each summed per stream in row
-order, the running sum carried from tile to tile, and the state is updated
+insertion terms and its deletion terms are each summed per stream, the
+running sum carried from tile to tile: a tile's terms and the running sum
+are shifted by their largest value, so each term costs one exp and the new
+sum is that maximum plus the log of the shifted sum.  The state is updated
 once per batch: ``signed_add`` adds the insertion sum, then the deletion
-sum (or another sketch), element-wise.  numpy's vectorized exp, log1p and
-expm1 may round the last bit differently from ``math``'s scalar ones.
+sum (or another sketch), element-wise.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
@@ -60,6 +61,19 @@ def signed_add(s1, l1, s2, l2):
     return np.where(mag == -np.inf, 0, sign).astype(np.int8), mag
 
 
+def _log_sum_rows(total, terms):
+    """log(exp(total) + sum of exp(terms) down each column), per stream.
+
+    Each stream is shifted by its maximum, so every term costs one exp and
+    the largest shifted value is exactly 1.  ``terms`` is overwritten.
+    """
+    if not len(terms):
+        return total
+    top = np.maximum(total, terms.max(axis=0))
+    terms -= top
+    return top + np.log(np.exp(terms, out=terms).sum(axis=0) + np.exp(total - top))
+
+
 class ProjectionSketch(state.Sketch):
     """m signed log-space accumulators under stable hashing of index alpha.
 
@@ -95,18 +109,20 @@ class ProjectionSketch(state.Sketch):
         keys, dvals = _keys_and_quantities(items, d)
         live = dvals != 0
         keys, dvals = keys[live], dvals[live]
-        # per-stream sums in row order, each tile folded onto the running
-        # sum; a side with no rows sums to -inf, which adds nothing, so its
-        # update is skipped
+        logd = np.log(np.abs(dvals))
+        pos = dvals > 0
+        # per-stream sums of the insertion and the deletion terms, each tile
+        # folded onto the running sum; a side with no rows sums to -inf,
+        # which adds nothing, so its update is skipped
         ins = dels = np.full(self.m, -np.inf)
-        for rows, logx in hashing.stable_log_tiles(keys, self.salt, self.m, self.alpha):
-            terms = logx + np.log(np.abs(dvals[rows]))[:, None]
-            pos = dvals[rows] > 0
-            ins = np.logaddexp.reduce(np.vstack([ins, terms[pos]]), axis=0)
-            dels = np.logaddexp.reduce(np.vstack([dels, terms[~pos]]), axis=0)
-        if (dvals > 0).any():
+        for rows, terms in hashing.stable_log_tiles(keys, self.salt, self.m, self.alpha):
+            terms += logd[rows, None]
+            p = pos[rows]
+            ins = _log_sum_rows(ins, terms[p])
+            dels = _log_sum_rows(dels, terms[~p])
+        if pos.any():
             self.signs, self.logmag = signed_add(self.signs, self.logmag, 1, ins)
-        if (dvals < 0).any():
+        if not pos.all():
             self.signs, self.logmag = signed_add(self.signs, self.logmag, -1, dels)
 
     # -- estimation -------------------------------------------------------
@@ -186,10 +202,10 @@ def stable_median_log(alpha: float) -> float:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0,1)")
     nodes, weights = roots_legendre(_MEDIAN_NODES)
-    u = 0.5 * np.pi * (nodes + 1.0)
+    # log sin(u), log sin(alpha u) and log sin((1-alpha) u) at u = pi x
+    log_s, log_sa, log_sb = np.log(hashing.kanter_sines(0.5 * (nodes + 1.0), alpha))
     r = alpha / (1.0 - alpha)
-    log_a = (r * np.log(np.sin(alpha * u)) + np.log(np.sin((1.0 - alpha) * u))
-             - np.log(np.sin(u)) / (1.0 - alpha))
+    log_a = r * log_sa + log_sb - log_s / (1.0 - alpha)
     # 2 F = sum(weights * exp(-exp(log_a - s))) at s = r log x; every term
     # is below exp(-e) < 1/2 at lo and above exp(-1/e) > 1/2 at hi
     lo, hi = log_a.min() - 1.0, log_a.max() + 1.0

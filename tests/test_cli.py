@@ -6,9 +6,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cardsketch.cli import main
+from cardsketch.order_sketch import GeometricMaxSketch
+from cardsketch.serialize import dumps
 
 
 def _run(args, stdin_text=None):
@@ -111,6 +114,16 @@ class TestSketchEstimate:
         assert p.returncode == 0
         p = _run(["estimate", str(f)])
         assert p.returncode == 4
+
+    def test_estimate_out_of_range_geometric_is_numeric_error(self, tmp_path):
+        # a slot whose q**y underflows: exit 4 with no RuntimeWarning
+        f = tmp_path / "g.json"
+        sk = GeometricMaxSketch.from_state(
+            8, 0, np.array([1] * 7 + [2000], dtype=np.uint32), 0.5)
+        f.write_text(dumps(sk))
+        p = _run(["estimate", str(f)])
+        assert p.returncode == 4
+        assert b"Warning" not in p.stderr, p.stderr
 
 
 class TestMergePipeline:

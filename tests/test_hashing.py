@@ -223,6 +223,15 @@ class TestGeometric:
             geometric_variate(0.0, 0.5)
 
 
+def _reflected_stable_log(u: float, w: float, alpha: float) -> float:
+    """Kanter's log X in scalar math, each sin(pi*x) taken as
+    math.sin(math.pi * r) on the exactly reflected r = min(x, 1 - x)."""
+    def sin_pi(x):
+        return math.sin(math.pi * min(x, 1.0 - x))
+    return (math.log(sin_pi(alpha * u)) - math.log(sin_pi(u)) / alpha
+            + (1.0 - alpha) / alpha * (math.log(sin_pi((1.0 - alpha) * u)) - math.log(w)))
+
+
 class TestStable:
     def test_half_stable_matches_levy_oracle(self):
         # X with Laplace transform e^(-sqrt(lambda)) equals 1/(2 N^2) in law
@@ -267,6 +276,16 @@ class TestStable:
         lx = stable_log_variate(rng.random(n), rng.exponential(size=n), 0.3)
         emp = np.exp(-0.15 * lx).mean()
         assert emp == pytest.approx(math.gamma(1.5) / math.gamma(1.15), rel=2e-3)
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.9])
+    def test_matches_reflected_reference_near_one(self, alpha):
+        # the largest variates sit at u -> 1, where sin(pi*u) of the rounded
+        # product pi*u keeps few digits; the reference reflects u first
+        rng = np.random.default_rng(19)
+        u = np.concatenate([1.0 - 2.0 ** -np.array([53.0, 45.0, 40.0]), rng.random(2000)])
+        w = rng.exponential(size=len(u))
+        want = [_reflected_stable_log(a, b, alpha) for a, b in zip(u.tolist(), w.tolist())]
+        np.testing.assert_allclose(stable_log_variate(u, w, alpha), want, rtol=0.0, atol=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Maximal-term sketch state semantics, estimators and their pivots."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from cardsketch import sampling
 from cardsketch.errors import (
     DegenerateSketchError,
     EmptySketchError,
+    EstimationNumericError,
     InsufficientDataError,
     SaturatedSketchError,
     UnsupportedDeletionError,
@@ -369,6 +371,15 @@ class TestGeometricEstimator:
         lam = -math.log(10 / 11)
         assert abs(raw - mle) / mle == pytest.approx(lam / 2, abs=0.02)
         assert abs(corrected - mle) / mle < 0.01
+
+    def test_slot_beyond_double_range_raises_without_warning(self):
+        # q**y underflows at y = 2000, so the slot's score term is 0/0
+        slots = np.array([1] * 7 + [2000], dtype=np.uint32)
+        sk = GeometricMaxSketch.from_state(8, 0, slots, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationNumericError, match="not finite"):
+                sk.estimate()
 
     def test_fallback_initializer_when_r_degenerate(self):
         # all slots tiny (r = m) still converges

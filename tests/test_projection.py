@@ -168,6 +168,28 @@ class TestUpdateLinearity:
         np.testing.assert_array_equal(sk.signs, signs)
         np.testing.assert_array_equal(sk.logmag, logmag)
 
+    @pytest.mark.parametrize("alpha", [0.9, 0.05])
+    def test_batch_sum_matches_fsum(self, alpha, monkeypatch):
+        # 300 rows of mixed signs over 38 tiles of 8 rows; each stream's
+        # signed total against the correctly rounded sum of exp(t - max).
+        # alpha = 0.9 keeps the terms close together, so rounding shows
+        monkeypatch.setattr(hashing, "_TILE_WORDS", 256)
+        rng = np.random.default_rng(23)
+        keys = distinct_keys(300, seed=23)
+        d = rng.choice([-3.0, -1.0, 1.0, 2.0, 5.0], size=300)
+        sk = ProjectionSketch(16, alpha=alpha, seed=4)
+        sk.add_batch(keys, d)
+        terms = _stable_log(keys, 4, 16, alpha) + np.log(np.abs(d))[:, None]
+        for j in range(16):
+            top = float(terms[:, j].max())
+            scaled = np.exp(terms[:, j] - top)
+            total = math.fsum((np.sign(d) * scaled).tolist())
+            mass = math.fsum(scaled.tolist())
+            got = int(sk.signs[j]) * math.exp(sk.logmag[j] - top)
+            # a float sum of n rows errs by up to ~n eps of the mass, and a
+            # stored log-magnitude L by eps |L|
+            assert abs(got - total) <= 2.0**-52 * (len(d) + abs(top)) * mass, j
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_quantity_rejected(self, bad):
         sk = ProjectionSketch(8, alpha=0.05, seed=1)
