@@ -62,16 +62,12 @@ def max_rank(m: int) -> int:
 class _RankSketch(_BucketSketch):
     """Shared register machinery for LogLog and HyperLogLog."""
 
-    arrays = ("registers",)
+    layout = state.Vector("registers", "<u1", max_rank, "registers")
 
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
         self.registers = np.zeros(m, dtype=np.uint8)
         self.max_rank = max_rank(self.m)
-
-    @staticmethod
-    def _checked(m, registers):
-        return (state.uints(registers, m, max_rank(m), np.uint8, "registers"),)
 
     def _absorb_words(self, words: np.ndarray) -> None:
         buckets = (words >> np.uint64(64 - self.p)).astype(np.int64)
@@ -125,18 +121,11 @@ class MinCountSketch(_BucketSketch):
     (ascending, inf-padded); estimates each bucket's load by the unbiased
     (k-1)/M rule on the third minimum and sums the buckets."""
 
-    arrays = ("smallest",)
+    layout = state.Rows("smallest", np.inf, MINCOUNT_K, "mincount rows")
 
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
         self.smallest = np.full((m, MINCOUNT_K), np.inf)
-
-    @staticmethod
-    def _checked(m, smallest):
-        return (state.rows(smallest, m, MINCOUNT_K, False, "mincount rows"),)
-
-    def _joined(self, other) -> tuple:
-        return (state.merge_rows(self.smallest, other.smallest, descending=False),)
 
     def _absorb_words(self, words: np.ndarray) -> None:
         # sorted words are sorted by (bucket, value); repeated values (of a

@@ -189,13 +189,9 @@ def _cmd_analyze(args) -> int:
             out["psi_infinity"] = {repr(q): psi_infinity(q) for q in grid["q"]}
         if "epsilon" in grid:
             m = grid.get("m", [256])
-            out["chernoff"] = {
-                repr(e): {"c1": chernoff_bounds(e, m[0]).c1,
-                          "c2": chernoff_bounds(e, m[0]).c2,
-                          "upper": chernoff_bounds(e, m[0]).upper,
-                          "lower": chernoff_bounds(e, m[0]).lower}
-                for e in grid["epsilon"]
-            }
+            bounds = {repr(e): chernoff_bounds(e, m[0]) for e in grid["epsilon"]}
+            out["chernoff"] = {e: {"c1": b.c1, "c2": b.c2, "upper": b.upper, "lower": b.lower}
+                               for e, b in bounds.items()}
             if "delta" in grid:
                 out["required_m"] = {
                     f"({e},{d})": required_m(e, d)

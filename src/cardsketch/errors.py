@@ -27,13 +27,7 @@ class UnsupportedDeletionError(SketchError):
 def reject_deletions(d, sketch) -> None:
     """Raise UnsupportedDeletionError unless every quantity in d (a scalar,
     an array, or None for all ones) is positive."""
-    if d is None:
-        return
-    if isinstance(d, int):  # single-item calls skip the array round trip
-        bad = d <= 0
-    else:
-        bad = np.any(np.asarray(d) <= 0)
-    if bad:
+    if d is not None and np.any(np.asarray(d) <= 0):
         raise UnsupportedDeletionError(
             f"{type(sketch).__name__} cannot delete; got a quantity <= 0")
 

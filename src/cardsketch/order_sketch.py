@@ -83,7 +83,7 @@ class ContinuousMaxSketch(_MaxSketchBase):
     """
 
     params = ("kind",)
-    arrays = ("slots",)
+    layout = state.Vector("slots", "<f8", 0.0, "continuous log-CDF slots")
 
     def __init__(self, m: int, seed: int = 0, kind: str = "uniform"):
         super().__init__(m, seed)
@@ -91,10 +91,6 @@ class ContinuousMaxSketch(_MaxSketchBase):
             raise ValueError(f"continuous kind must be uniform or exponential, got {kind!r}")
         self.kind = kind
         self.slots = np.full(m, -np.inf)
-
-    @staticmethod
-    def _checked(m, slots, **_):
-        return (state.floats(slots, m, 0.0, "continuous log-CDF slots"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         u = hashing.unit_array(self._column_words(keys, np.maximum))
@@ -129,7 +125,7 @@ class GeometricMaxSketch(_MaxSketchBase):
     """
 
     params = ("q",)
-    arrays = ("slots",)
+    layout = state.Vector("slots", "<u4", state.U32_MAX, "geometric slots")
 
     def __init__(self, m: int, q: float, seed: int = 0):
         super().__init__(m, seed)
@@ -137,10 +133,6 @@ class GeometricMaxSketch(_MaxSketchBase):
             raise ValueError("q must lie strictly inside (0,1)")
         self.q = float(q)
         self.slots = np.zeros(m, dtype=np.uint32)
-
-    @staticmethod
-    def _checked(m, slots, **_):
-        return (state.uints(slots, m, state.U32_MAX, np.uint32, "geometric slots"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         u = hashing.unit_array(self._column_words(keys, np.maximum))
@@ -195,7 +187,9 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
         (a*A**c - b*B**c) / (A**c - B**c),  A = 1-q**y, B = 1-q**(y-1),
         a = log A, b = log B,
     which is evaluated as (a - b*e**d) / (-expm1(d)) with d = c*(b-a) <= 0,
-    so terms where A**c or B**c underflow stay finite.  y = 1 contributes
+    so terms where A**c or B**c underflow stay finite.  Its derivative in c
+    is -((a-b) / expm1(d))**2 * e**d: the ratio is squared, not (a-b) and
+    expm1(d) apart, which underflow once q**y < ~1e-154.  y = 1 contributes
     the constant log(1-q).  A slot so large that its term leaves double
     range (d and em1 round to 0, so 0/0) gives a NaN score or derivative,
     on which ``solve_geometric_mle`` raises.
@@ -212,7 +206,7 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
         em1 = np.expm1(d)
         with np.errstate(divide="ignore", invalid="ignore"):
             score[mask] = (a[mask] - b * ed) / -em1
-            dscore[mask] = -((a[mask] - b) ** 2) * ed / (em1 * em1)
+            dscore[mask] = -((a[mask] - b) / em1) ** 2 * ed
     return float((score * counts).sum()), float((dscore * counts).sum())
 
 
@@ -275,7 +269,7 @@ class KthOrderSketch(_MaxSketchBase):
     """
 
     params = ("k",)
-    arrays = ("topk",)
+    layout = state.Rows("topk", np.nan, "k", "top-k rows")
 
     def __init__(self, m: int, k: int, seed: int = 0):
         super().__init__(m, seed)
@@ -283,13 +277,6 @@ class KthOrderSketch(_MaxSketchBase):
             raise ValueError(f"k must lie in [1, 2**16), got {k}")
         self.k = int(k)
         self.topk = np.full((m, k), np.nan)
-
-    @staticmethod
-    def _checked(m, topk, k):
-        return (state.rows(topk, m, k, True, "top-k rows"),)
-
-    def _joined(self, other) -> tuple:
-        return (state.merge_rows(self.topk, other.topk, descending=True),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         # distinct keys give distinct words in every column (the digest,
@@ -429,7 +416,7 @@ class BernoulliSketch(_MaxSketchBase):
     """
 
     params = ("p",)
-    arrays = ("bits",)
+    layout = state.Bits("bits", "<u1", 1, "bernoulli bits")
 
     def __init__(self, m: int, p: float, seed: int = 0):
         super().__init__(m, seed)
@@ -437,10 +424,6 @@ class BernoulliSketch(_MaxSketchBase):
             raise ValueError("p must lie strictly inside (0,1)")
         self.p = float(p)
         self.bits = np.zeros(m, dtype=np.uint8)
-
-    @staticmethod
-    def _checked(m, bits, **_):
-        return (state.uints(bits, m, 1, np.uint8, "bernoulli bits"),)
 
     def _absorb_keys(self, keys: np.ndarray) -> None:
         hit = hashing.unit_array(self._column_words(keys, np.minimum)) < self.p

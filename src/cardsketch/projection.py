@@ -12,8 +12,9 @@ insertion terms and its deletion terms are each summed per stream, the
 running sum carried from tile to tile: a tile's terms and the running sum
 are shifted by their largest value, so each term costs one exp and the new
 sum is that maximum plus the log of the shifted sum.  The state is updated
-once per batch: ``signed_add`` adds the insertion sum, then the deletion
-sum (or another sketch), element-wise.
+once per batch: ``state.signed_add``, the combine rule of the sketch's
+layout, adds the insertion sum, then the deletion sum (or another sketch),
+element-wise.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
@@ -39,27 +40,9 @@ from . import hashing, state
 from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
                      UnsupportedDeletionError)
 from .estimate import Estimate, gamma_estimate
+from .state import signed_add
 
-_LOG2 = math.log(2.0)
 _LOG_MAX = math.log(sys.float_info.max)
-
-
-def signed_add(s1, l1, s2, l2):
-    """Element-wise sum of signed log-space numbers (sign, log|x|).
-
-    (0, -inf) is the zero element, equal magnitudes of opposite sign give
-    exactly (0, -inf), and x + x gives log(2) + log|x| bit for bit.
-    Returns (int8 signs, log-magnitudes).
-    """
-    hi = np.maximum(l1, l2)
-    with np.errstate(divide="ignore", invalid="ignore"):  # -inf - -inf; log(0) on cancelling
-        d = np.minimum(l1, l2) - hi
-        # log(e**hi - e**lo), on the branch that keeps its digits
-        diff = hi + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
-    mag = np.where(np.multiply(s1, s2) < 0, diff, np.logaddexp(l1, l2))
-    sign = np.where(l1 > l2, s1, s2)
-    return np.where(mag == -np.inf, 0, sign).astype(np.int8), mag
-
 
 def _log_sum_rows(total, terms):
     """log(exp(total) + sum of exp(terms) down each column), per stream.
@@ -83,7 +66,7 @@ class ProjectionSketch(state.Sketch):
     """
 
     params = ("alpha",)
-    arrays = ("signs", "logmag")
+    layout = state.SignedLog()
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
         super().__init__(m, seed)
@@ -92,15 +75,6 @@ class ProjectionSketch(state.Sketch):
         self.alpha = float(alpha)
         self.signs = np.zeros(self.m, dtype=np.int8)
         self.logmag = np.full(self.m, -np.inf)
-
-    @staticmethod
-    def _checked(m, signs, logmag, **_):
-        return state.signed_log(signs, logmag, m)
-
-    def _joined(self, other) -> tuple:
-        """Stream-wise signed addition; equals a single pass over the
-        concatenated streams up to float associativity."""
-        return signed_add(self.signs, self.logmag, other.signs, other.logmag)
 
     # -- ingestion --------------------------------------------------------
 

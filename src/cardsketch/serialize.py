@@ -1,19 +1,17 @@
 """Sketch serialization: a versioned JSON envelope and a compact binary
 frame for the CLI merge pipeline.
 
-The sketch-type table (sketch_types.TYPES) is the single description of
-both formats.  A sketch is a (header, params, arrays) triple:
+The sketch-type table (sketch_types.TYPES) and the state layout each
+class declares (state module) are the single description of both
+formats.  A sketch is a (header, params, arrays) triple:
 
 - header: type, m and salt.  JSON: {"format", "version", "type", "m",
   "salt", "params", "state"}.  Binary: magic "CSKB", u8 version, u8 type
   tag, u32 m, u64 salt, all little-endian.
 - params, in table order: floats (q, p, alpha) as repr strings in JSON and
   f8 in binary; k as a JSON integer and u2 in binary.
-- arrays, in the type's layout (state module): f64 slots (max-uniform,
-  max-exp), u32 slots (max-geom), rows descending with NaN padding (kth),
-  bits (bernoulli), signed-log pairs (projection), u8 registers (loglog,
-  hll), rows ascending with inf padding (mincount).  JSON carries them as
-  "state", binary right after the params.
+- arrays, in the layout the type's class declares, which also checks
+  them.  JSON carries them as "state", binary right after the params.
 
 JSON stores reals as their shortest round-trip repr, so decoding
 reproduces the state bit for bit, including the -inf empty sentinels.
@@ -39,10 +37,6 @@ VERSION = 1
 MAGIC = b"CSKB"
 
 
-def _arrays(t, sk) -> list:
-    return [getattr(sk, name) for name in t.cls.arrays]
-
-
 @contextlib.contextmanager
 def _decoding(t):
     """Re-raise any failure to decode or check a state as SerializationError."""
@@ -60,7 +54,7 @@ def to_json_obj(sk) -> dict:
     return {"format": FORMAT, "version": VERSION, "type": t.name,
             "m": sk.m, "salt": sk.salt,
             "params": {n: codec.to_json(getattr(sk, n)) for n, codec in t.params},
-            "state": t.layout.to_json(*_arrays(t, sk))}
+            "state": t.cls.layout.to_json(*sk.state_arrays())}
 
 
 def from_json_obj(obj: dict):
@@ -76,7 +70,7 @@ def from_json_obj(obj: dict):
         m, salt = state.json_int(obj["m"]), state.json_int(obj["salt"])
         raw = obj.get("params", {})
         params = {n: codec.from_json(raw[n]) for n, codec in t.params}
-        arrays = t.layout.from_json(obj["state"], m, params)
+        arrays = t.cls.layout.from_json(obj["state"], m, params)
         return t.from_state(m, salt, arrays, params)
 
 
@@ -101,7 +95,7 @@ def pack(sk) -> bytes:
     t = type_of(sk)
     out = [_HEADER.pack(MAGIC, VERSION, t.tag, sk.m, sk.salt)]
     out += [codec.pack(getattr(sk, n)) for n, codec in t.params]
-    out.append(t.layout.pack(*_arrays(t, sk)))
+    out.append(t.cls.layout.pack(*sk.state_arrays()))
     return b"".join(out)
 
 
@@ -121,7 +115,7 @@ def unpack(data: bytes):
     r = state.Reader(data, _HEADER.size)
     with _decoding(t):
         params = {n: codec.unpack(r) for n, codec in t.params}
-        arrays = t.layout.unpack(r, m, params)
+        arrays = t.cls.layout.unpack(r, m, params)
         if r.pos != len(data):
             raise SerializationError(
                 f"{len(data) - r.pos} trailing bytes after the {t.name} payload")

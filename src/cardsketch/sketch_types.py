@@ -2,11 +2,12 @@
 the nine types the CLI, the experiment runner and the codecs accept.
 
 An entry gives a type's name and binary tag, its class with any fixed
-constructor argument, its parameters, the layout (see the state module)
-of the state arrays its class declares, and its exact sampler.  The
+constructor argument, its parameters and its exact sampler.  The state
+arrays are described once, by the layout the class declares (see the
+state module): their names, invariants, combine rule and encodings.  The
 CLI's ``--type`` choices and constructor, the experiment runner's
 algorithms, hash-mode build and sampled-mode draw, and both codecs are
-derived from it.
+derived from the entry and that layout.
 Samplers are looked up on the sampling module at call time, so a wrapper
 installed there is honoured.
 """
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sampling, state
-from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch
+from .baselines import HyperLogLogSketch, LogLogSketch, MinCountSketch
 from .errors import SerializationError
 from .order_sketch import (
     BernoulliSketch,
@@ -31,8 +32,7 @@ from .projection import ProjectionSketch
 class SketchType:
     name: str
     tag: int                  # binary frame type tag
-    cls: type                 # a state.Sketch; its arrays are cls.arrays
-    layout: object            # their encoding, from the state module
+    cls: type                 # a state.Sketch; cls.layout describes its arrays
     sampler: str              # sampling module function drawing the exact state
     params: tuple = ()        # (name, state.REAL or state.U16) pairs
     fixed: dict = field(default_factory=dict)  # fixed constructor arguments
@@ -59,22 +59,20 @@ class SketchType:
 
 
 TYPES = {t.name: t for t in (
-    SketchType("max-uniform", 1, ContinuousMaxSketch, state.F64,
-               "sample_continuous", fixed={"kind": "uniform"}),
-    SketchType("max-exp", 2, ContinuousMaxSketch, state.F64,
-               "sample_continuous", fixed={"kind": "exponential"}),
-    SketchType("max-geom", 3, GeometricMaxSketch, state.U32,
-               "sample_geometric", params=(("q", state.REAL),)),
-    SketchType("kth", 4, KthOrderSketch, state.Rows(float("nan"), "k"),
-               "sample_kth", params=(("k", state.U16),)),
-    SketchType("bernoulli", 5, BernoulliSketch, state.BITS,
-               "sample_bernoulli", params=(("p", state.REAL),)),
-    SketchType("projection", 6, ProjectionSketch, state.SIGNED_LOG,
-               "sample_projection", params=(("alpha", state.REAL),)),
-    SketchType("loglog", 7, LogLogSketch, state.U8, "sample_loglog"),
-    SketchType("hll", 8, HyperLogLogSketch, state.U8, "sample_hll"),
-    SketchType("mincount", 9, MinCountSketch, state.Rows(float("inf"), MINCOUNT_K),
-               "sample_mincount"),
+    SketchType("max-uniform", 1, ContinuousMaxSketch, "sample_continuous",
+               fixed={"kind": "uniform"}),
+    SketchType("max-exp", 2, ContinuousMaxSketch, "sample_continuous",
+               fixed={"kind": "exponential"}),
+    SketchType("max-geom", 3, GeometricMaxSketch, "sample_geometric",
+               params=(("q", state.REAL),)),
+    SketchType("kth", 4, KthOrderSketch, "sample_kth", params=(("k", state.U16),)),
+    SketchType("bernoulli", 5, BernoulliSketch, "sample_bernoulli",
+               params=(("p", state.REAL),)),
+    SketchType("projection", 6, ProjectionSketch, "sample_projection",
+               params=(("alpha", state.REAL),)),
+    SketchType("loglog", 7, LogLogSketch, "sample_loglog"),
+    SketchType("hll", 8, HyperLogLogSketch, "sample_hll"),
+    SketchType("mincount", 9, MinCountSketch, "sample_mincount"),
 )}
 BY_TAG = {t.tag: t for t in TYPES.values()}
 

@@ -1,16 +1,21 @@
-"""Sketch state: the base every sketch class derives from, the checks every
-``from_state`` runs on its arrays, the merge of sorted rows, and the
-layouts (and encodings) the arrays are stored in.
+"""Sketch state: the base every sketch class derives from, and the layouts
+that describe state arrays.
+
+A class's layout is the one description of its arrays: ``names`` in
+``from_state`` order, ``checked(m, *arrays, **params)`` (the arrays
+checked against m and the parameters), ``joined(*mine, *theirs)`` (the
+combine rule, as new arrays) and the JSON and binary encodings.
 
 The checks are the gate between outside data and a sketch: both decoders
-build every sketch through ``from_state``.  The decoders check sizes
-first, so no array sized by a declared m or k exists before the payload
-has shown it holds that many entries.
+build every sketch through ``from_state``, and check sizes first, so no
+array sized by a declared m or k exists before the payload has shown it
+holds that many entries.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import struct
 import sys
 
@@ -22,6 +27,8 @@ U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
+_LOG2 = math.log(2.0)
+
 
 # --- the sketch base ----------------------------------------------------
 
@@ -29,19 +36,12 @@ class Sketch:
     """A mergeable summary: m hash streams under one salt, named parameters,
     state arrays and one associative combine rule.
 
-    A subclass declares ``params`` and ``arrays``, its parameter and state
-    attribute names in ``from_state`` order, and writes ``add_batch`` and
-    two hooks:
-
-    - ``_checked(m, *arrays, **params)``, static: the arrays, checked
-      against m and the parameters, as a tuple;
-    - ``_joined(other)``: the merged arrays, as a tuple of new arrays that
-      writes into neither input.  The default, the slot-wise maximum, is
-      the combine rule of every maximal-term state.
+    A subclass declares ``params``, its parameter names in ``from_state``
+    order, and ``layout``, the layout of its state arrays, and writes
+    ``add_batch``.
     """
 
     params: tuple = ()
-    arrays: tuple = ()
 
     def __init__(self, m: int, seed: int = 0):
         self.m, self.salt = header(m, seed)
@@ -51,27 +51,31 @@ class Sketch:
         """The sketch holding the given state arrays, then parameters by
         position or by name.  The arrays are checked before the sketch is
         built, so nothing is sized from an unchecked declaration."""
-        n = len(cls.arrays)
+        n = len(cls.layout.names)
         named = dict(zip(cls.params, args[n:]))
         if not n <= len(args) <= n + len(cls.params) or named.keys() & params.keys():
             raise TypeError(f"{cls.__name__}.from_state takes m, seed, the arrays "
-                            f"{cls.arrays} and the parameters {cls.params}")
+                            f"{cls.layout.names} and the parameters {cls.params}")
         params.update(named)
         m, salt = header(m, seed)
-        arrays = cls._checked(m, *args[:n], **params)
+        arrays = cls.layout.checked(m, *args[:n], **params)
         sk = cls(m, seed=salt, **params)
-        for name, a in zip(cls.arrays, arrays):
+        for name, a in zip(cls.layout.names, arrays):
             setattr(sk, name, a)
         return sk
+
+    def state_arrays(self) -> list:
+        """The state arrays, in the order the layout names them."""
+        return [getattr(self, n) for n in self.layout.names]
 
     def add(self, item, d: int = 1) -> None:
         """Ingest one item with quantity d: a one-row ``add_batch``."""
         self.add_batch([item], [d])
 
     def merge(self, other):
-        """The sketch of both inputs' streams, as a new object.  Raises
-        IncompatibleSketchError unless other has this type, m, salt and
-        parameters."""
+        """The sketch of both inputs' streams, as a new object that shares
+        no array with either.  Raises IncompatibleSketchError unless other
+        has this type, m, salt and parameters."""
         if type(other) is not type(self):
             raise IncompatibleSketchError(
                 f"cannot merge {type(self).__name__} with {type(other).__name__}")
@@ -79,18 +83,16 @@ class Sketch:
             raise IncompatibleSketchError(
                 "sketch configurations differ (m, salt or parameters)")
         out = copy.copy(self)
-        for name, a in zip(self.arrays, self._joined(other)):
+        joined = self.layout.joined(*self.state_arrays(), *other.state_arrays())
+        for name, a in zip(self.layout.names, joined):
             setattr(out, name, a)
         return out
 
-    def _joined(self, other) -> tuple:
-        return tuple(np.maximum(getattr(self, n), getattr(other, n)) for n in self.arrays)
-
     def state_bytes(self) -> int:
-        return sum(getattr(self, n).nbytes for n in self.arrays)
+        return sum(a.nbytes for a in self.state_arrays())
 
 
-# --- checks -------------------------------------------------------------
+# --- checks and combine rules -------------------------------------------
 
 def header(m, seed) -> tuple[int, int]:
     """(m, salt) as ints, checked to fit the binary header's u32 and u64."""
@@ -108,47 +110,9 @@ def _shaped(a: np.ndarray, shape: tuple, what: str) -> np.ndarray:
     return a
 
 
-def floats(x, m: int, hi: float, what: str) -> np.ndarray:
-    """m float64 values, none NaN and none above hi; -inf is allowed."""
-    a = _shaped(np.array(x, dtype=np.float64), (m,), what)
-    if np.isnan(a).any() or (a > hi).any():
-        raise ValueError(f"{what} must be numbers <= {hi}")
-    return a
-
-
-def uints(x, m: int, hi: int, dtype, what: str) -> np.ndarray:
-    """m integers in [0, hi], returned as dtype."""
-    a = _shaped(np.asarray(x), (m,), what)
-    if a.dtype.kind not in "biu":
-        raise ValueError(f"{what} must be integers, got {a.dtype}")
-    if a.min() < 0 or a.max() > hi:
-        raise ValueError(f"{what} must lie in [0, {hi}]")
-    return a.astype(dtype)
-
-
-def rows(x, m: int, k: int, descending: bool, what: str) -> np.ndarray:
-    """(m, k) rows of values in (0, 1], each sorted (ties allowed) and
-    padded at the end: NaN after descending values, inf after ascending.
-
-    Hashed values lie strictly inside (0, 1); the exact samplers can round
-    a value to 1 and two neighbours to one double when c is large."""
-    a = _shaped(np.array(x, dtype=np.float64), (m, k), what)
-    pad = np.isnan(a) if descending else np.isposinf(a)
-    values = a[~pad]
-    if not ((values > 0.0) & (values <= 1.0)).all():
-        raise ValueError(f"{what} values must lie in (0, 1]")
-    if (pad[:, :-1] & ~pad[:, 1:]).any():
-        raise ValueError(f"{what} padding must come after every value")
-    lo, hi = (a[:, 1:], a[:, :-1]) if descending else (a[:, :-1], a[:, 1:])
-    if (lo > hi).any():  # NaN and inf padding compare False
-        order = "descending" if descending else "ascending"
-        raise ValueError(f"{what} must be sorted {order}")
-    return a
-
-
 def merge_rows(a: np.ndarray, b: np.ndarray, descending: bool) -> np.ndarray:
     """The k = a.shape[1] largest distinct values of each row of the rows
-    a (as ``rows`` lays them out) joined to the candidate rows b (any
+    a (as ``Rows`` lays them out) joined to the candidate rows b (any
     order, repeats and padding allowed), or the k smallest.  Descending
     rows are sorted negated, and their padding is a fresh positive NaN."""
     pool = np.concatenate([a, b], axis=1)
@@ -161,17 +125,21 @@ def merge_rows(a: np.ndarray, b: np.ndarray, descending: bool) -> np.ndarray:
     return np.where(best == np.inf, np.nan, -best) if descending else best.copy()
 
 
-def signed_log(signs, logmag, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m signs in {-1, 0, +1} and m log-magnitudes, none NaN or +inf, with
-    a sign of 0 exactly where the log-magnitude is -inf."""
-    s = _shaped(np.asarray(signs), (m,), "projection signs")
-    if s.dtype.kind not in "biu" or not np.isin(s, (-1, 0, 1)).all():
-        raise ValueError("projection signs must lie in {-1, 0, +1}")
-    lm = floats(logmag, m, sys.float_info.max, "projection log-magnitudes")
-    if ((s == 0) != np.isneginf(lm)).any():
-        raise ValueError("a projection sign must be 0 exactly where its "
-                         "log-magnitude is -inf")
-    return s.astype(np.int8), lm
+def signed_add(s1, l1, s2, l2):
+    """Element-wise sum of signed log-space numbers (sign, log|x|).
+
+    (0, -inf) is the zero element, equal magnitudes of opposite sign give
+    exactly (0, -inf), and x + x gives log(2) + log|x| bit for bit.
+    Returns (int8 signs, log-magnitudes).
+    """
+    hi = np.maximum(l1, l2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # -inf - -inf; log(0) on cancelling
+        d = np.minimum(l1, l2) - hi
+        # log(e**hi - e**lo), on the branch that keeps its digits
+        diff = hi + np.where(d > -_LOG2, np.log(-np.expm1(d)), np.log1p(-np.exp(d)))
+    mag = np.where(np.multiply(s1, s2) < 0, diff, np.logaddexp(l1, l2))
+    sign = np.where(l1 > l2, s1, s2)
+    return np.where(mag == -np.inf, 0, sign).astype(np.int8), mag
 
 
 # --- encodings ----------------------------------------------------------
@@ -243,13 +211,38 @@ class Scalar:
         return self.fmt.unpack(r.take(self.fmt.size))[0]
 
 
-class Vector:
-    """m values of one little-endian dtype (the f64, u32 and u8 layouts);
-    JSON writes floats as repr strings, integers as integers."""
+# --- layouts ------------------------------------------------------------
 
-    def __init__(self, dtype: str):
+class Vector:
+    """m values of one little-endian dtype, none above hi (a bound or a
+    function of m): floats none NaN (-inf is allowed), integers none
+    negative.  Combined by the slot-wise maximum.  JSON writes floats as
+    repr strings, integers as integers."""
+
+    def __init__(self, name: str, dtype: str, hi, what: str):
+        self.names = (name,)
         self.dtype = np.dtype(dtype)
         self.real = self.dtype.kind == "f"
+        self.hi = hi
+        self.what = what
+
+    def checked(self, m: int, x, **params) -> tuple:
+        hi = self.hi(m) if callable(self.hi) else self.hi
+        if self.real:
+            a = _shaped(np.array(x, dtype=np.float64), (m,), self.what)
+            if np.isnan(a).any() or (a > hi).any():
+                raise ValueError(f"{self.what} must be numbers <= {hi}")
+            return (a,)
+        a = _shaped(np.asarray(x), (m,), self.what)
+        if a.dtype.kind not in "biu":
+            raise ValueError(f"{self.what} must be integers, got {a.dtype}")
+        if a.min() < 0 or a.max() > hi:
+            raise ValueError(f"{self.what} must lie in [0, {hi}]")
+        return (a.astype(self.dtype.type),)
+
+    @staticmethod
+    def joined(a, b) -> tuple:
+        return (np.maximum(a, b),)
 
     def to_json(self, a) -> list:
         return [_f2s(v) for v in a.tolist()] if self.real else a.tolist()
@@ -266,7 +259,8 @@ class Vector:
 
 
 class Bits(Vector):
-    """m 0/1 values; binary packs them eight to a byte, high bit first."""
+    """m u1 values in [0, 1]; binary packs them eight to a byte, high bit
+    first."""
 
     def pack(self, a) -> bytes:
         return np.packbits(a).tobytes()
@@ -279,8 +273,25 @@ class Bits(Vector):
 
 
 class SignedLog:
-    """m (sign, log-magnitude) pairs: [[sign, "logmag"], ...] in JSON; in
-    binary the m signs as i1, then the m log-magnitudes as f8."""
+    """m signed log-space accumulators: m signs in {-1, 0, +1} and m
+    log-magnitudes, none NaN or +inf, with a sign of 0 exactly where the
+    log-magnitude is -inf.  Combined by ``signed_add``.  JSON writes
+    [[sign, "logmag"], ...]; binary the m signs as i1, then the m
+    log-magnitudes as f8."""
+
+    names = ("signs", "logmag")
+    _logmag = Vector("logmag", "<f8", sys.float_info.max, "projection log-magnitudes")
+    joined = staticmethod(signed_add)
+
+    def checked(self, m: int, signs, logmag, **params) -> tuple:
+        s = _shaped(np.asarray(signs), (m,), "projection signs")
+        if s.dtype.kind not in "biu" or not np.isin(s, (-1, 0, 1)).all():
+            raise ValueError("projection signs must lie in {-1, 0, +1}")
+        (lm,) = self._logmag.checked(m, logmag)
+        if ((s == 0) != np.isneginf(lm)).any():
+            raise ValueError("a projection sign must be 0 exactly where its "
+                             "log-magnitude is -inf")
+        return s.astype(np.int8), lm
 
     def to_json(self, signs, logmag) -> list:
         return [[s, _f2s(lm)] for s, lm in zip(signs.tolist(), logmag.tolist())]
@@ -298,17 +309,48 @@ class SignedLog:
 
 
 class Rows:
-    """An (m, k) matrix of ragged rows padded at the end with pad, where k
-    is a parameter's value (named by width) or a fixed count.  Only the
-    values are stored: JSON as one list per row, binary as the m row
-    lengths (u2) followed by every value (f8), row by row."""
+    """An (m, k) matrix of values in (0, 1], k a parameter's value (named by
+    width) or a fixed count, each row sorted (ties allowed) and padded at
+    the end: NaN after descending values, inf after ascending.  Combined by
+    ``merge_rows``.  Only the values are stored: JSON as one list per row,
+    binary as the m row lengths (u2) followed by every value (f8).
 
-    def __init__(self, pad: float, width):
+    Hashed values lie strictly inside (0, 1); the exact samplers can round
+    a value to 1 and two neighbours to one double when c is large."""
+
+    def __init__(self, name: str, pad: float, width, what: str):
+        self.names = (name,)
         self.pad = pad
+        self.descending = math.isnan(pad)
         self.width = width
+        self.what = what
+
+    def _k(self, params: dict) -> int:
+        if not isinstance(self.width, str):
+            return self.width
+        if self.width not in params:  # as the constructor would refuse it
+            raise TypeError(f"missing the parameter {self.width!r}")
+        return params[self.width]
+
+    def checked(self, m: int, x, **params) -> tuple:
+        a = _shaped(np.array(x, dtype=np.float64), (m, self._k(params)), self.what)
+        pad = np.isnan(a) if self.descending else np.isposinf(a)
+        values = a[~pad]
+        if not ((values > 0.0) & (values <= 1.0)).all():
+            raise ValueError(f"{self.what} values must lie in (0, 1]")
+        if (pad[:, :-1] & ~pad[:, 1:]).any():
+            raise ValueError(f"{self.what} padding must come after every value")
+        lo, hi = (a[:, 1:], a[:, :-1]) if self.descending else (a[:, :-1], a[:, 1:])
+        if (lo > hi).any():  # NaN and inf padding compare False
+            order = "descending" if self.descending else "ascending"
+            raise ValueError(f"{self.what} must be sorted {order}")
+        return (a,)
+
+    def joined(self, a, b) -> tuple:
+        return (merge_rows(a, b, self.descending),)
 
     def _matrix(self, counts: np.ndarray, values, m: int, params: dict) -> np.ndarray:
-        k = params[self.width] if isinstance(self.width, str) else self.width
+        k = self._k(params)
         if (counts > k).any():
             raise SerializationError(f"a row holds more than k={k} values")
         values = np.asarray(values, dtype=np.float64)
@@ -341,8 +383,3 @@ class Rows:
 
 REAL = Scalar("<d")
 U16 = Scalar("<H")
-F64 = Vector("<f8")
-U32 = Vector("<u4")
-U8 = Vector("<u1")
-BITS = Bits("<u1")
-SIGNED_LOG = SignedLog()

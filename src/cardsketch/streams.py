@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,15 +18,9 @@ class Stream:
 
     keys: np.ndarray              # uint64 item identities
     d: np.ndarray                 # int64 signed quantities
-    target_c: int = 0             # live-set size the generator aimed for
-    ids: list = field(default=None, repr=False)  # optional text ids (CLI)
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def elements(self):
-        for key, dv in zip(self.keys.tolist(), self.d.tolist()):
-            yield key, dv
 
 
 def distinct_keys(c: int, seed: int, offset: int = 0) -> np.ndarray:
@@ -90,7 +84,7 @@ def generate_stream(
         d = np.concatenate([d, np.ones(deleted_extra, dtype=np.int64),
                             -np.ones(deleted_extra, dtype=np.int64)])
     order = rng.permutation(len(keys))
-    return Stream(keys=keys[order], d=d[order], target_c=c)
+    return Stream(keys=keys[order], d=d[order])
 
 
 def exact_count(stream: Stream) -> int:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cardsketch.cli import main
+from cardsketch.inference import chernoff_bounds
 from cardsketch.order_sketch import GeometricMaxSketch
 from cardsketch.serialize import dumps
 
@@ -211,6 +212,9 @@ class TestAnalyze:
         assert abs(doc["optimal_lambda"] - 1.594) < 1e-3
         assert abs(doc["psi_infinity"]["0.5"] - 0.9304) < 1e-4
         assert abs(doc["chernoff"]["0.1"]["c1"] - 2.272) < 1e-3
+        bounds = chernoff_bounds(0.1, 256)
+        assert doc["chernoff"]["0.1"] == {"c1": bounds.c1, "c2": bounds.c2,
+                                          "upper": bounds.upper, "lower": bounds.lower}
         assert doc["required_m"]["(0.1,0.05)"] >= 1
         assert list(doc["storage_bits"].values())[0] > 0
 

@@ -372,6 +372,18 @@ class TestGeometricEstimator:
         assert abs(raw - mle) / mle == pytest.approx(lam / 2, abs=0.02)
         assert abs(corrected - mle) / mle < 0.01
 
+    def test_slot_with_tiny_tail_term_has_finite_mle(self):
+        # q**y ~ 1e-181 at y = 600: the derivative's (a - b) and expm1(d),
+        # each squared apart, would both underflow to 0, so 0/0
+        slots = np.array([1] * 7 + [600], dtype=np.uint32)
+        sk = GeometricMaxSketch.from_state(8, 0, slots, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c_hat, _ = solve_geometric_mle(slots, 0.5)
+            est = sk.estimate()
+        assert c_hat == pytest.approx(0.2061, abs=1e-4)
+        assert est.c_hat == c_hat
+
     def test_slot_beyond_double_range_raises_without_warning(self):
         # q**y underflows at y = 2000, so the slot's score term is 0/0
         slots = np.array([1] * 7 + [2000], dtype=np.uint32)

@@ -46,11 +46,11 @@ def test_contract(name):
     out = a.merge(b)
     assert out is not a and out is not b
     assert (_raw(a), _raw(b)) == before
-    for n in t.cls.arrays:
+    for n in t.cls.layout.names:
         assert not np.shares_memory(getattr(out, n), getattr(a, n))
         assert not np.shares_memory(getattr(out, n), getattr(b, n))
 
-    arrays = [getattr(out, n) for n in t.cls.arrays]
+    arrays = [getattr(out, n) for n in t.cls.layout.names]
     params = {n: getattr(out, n) for n in t.cls.params}
     by_position = t.cls.from_state(M, 7, *arrays, *params.values())
     assert _raw(by_position) == _raw(t.cls.from_state(M, 7, *arrays, **params)) == _raw(out)
@@ -61,3 +61,11 @@ def test_contract(name):
             t.cls.from_state(M, 7, *arrays, *params.values(), **params)
 
     assert out.state_bytes() == STATE_BYTES[name]
+
+
+@pytest.mark.parametrize("name", ["max-geom", "kth", "bernoulli"])
+def test_from_state_without_a_required_parameter_is_a_type_error(name):
+    t = TYPES[name]
+    out = _filled(t)
+    with pytest.raises(TypeError):
+        t.cls.from_state(M, 7, *out.state_arrays())
