@@ -139,7 +139,7 @@ class MinCountSketch(_BucketSketch):
         first = rank < MINCOUNT_K
         cand = np.full((self.m, MINCOUNT_K), np.inf)
         cand[buckets[first], rank[first]] = values[first]
-        self.smallest = state.merge_rows(self.smallest, cand, descending=False)
+        self.smallest = self.layout.joined(self.smallest, cand)[0]
 
     def estimate(self, level: float = 0.95) -> Estimate:
         third = self.smallest[:, MINCOUNT_K - 1]

@@ -1,11 +1,31 @@
-"""Point estimates with standard errors and confidence intervals."""
+"""Point estimates with standard errors and confidence intervals.
+
+The exact interval of the maximal-term sketches needs quantiles of the
+Gamma(m) law, the inverse in x of the regularized incomplete gamma
+P(m, x).  ``incomplete_gamma`` evaluates P by its power series below
+x = m + 1 and Q = 1 - P by the finite Poisson sum of integer m above it,
+both vectorized, the common factor x**m e**-x / m! taken through
+Stirling's series so that it keeps its relative precision at large m.
+``gamma_quantile`` solves P(m, x) = p by Halley steps from the
+Wilson-Hilferty start; m = 1 has the closed form -log(1 - p).  Above
+m = 2**20, where the sums would need some 8 sqrt(m) terms, the
+Cornish-Fisher expansion of DiDonato & Morris (ACM TOMS 1986) is the
+answer: its error falls as m**-3 and is below rounding there.  The
+quantiles agree with a reference inverse to 1e-12 relative (most to the
+last bit) for m up to 2**20 and levels up to 0.999 (tests/test_estimate.py);
+where the two differ in the far tails of large m, a 30-digit evaluation
+of P sides with these.  Each (m, p) is solved once and kept in a bounded
+cache.  Normal quantiles come from ``statistics.NormalDist``.
+"""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
-from scipy.special import gammaincinv, ndtri
+import numpy as np
 
 from .errors import EstimationNumericError
 
@@ -66,15 +86,16 @@ def gamma_pivot_interval(pivot_sum: float, m: int, level: float) -> tuple[float,
     _check_level(level)
     if pivot_sum <= 0.0:
         raise ValueError("pivot sum must be positive")
-    g_lo = float(gammaincinv(m, (1.0 - level) / 2.0))
-    g_hi = float(gammaincinv(m, (1.0 + level) / 2.0))
+    g_lo = gamma_quantile(m, (1.0 - level) / 2.0)
+    g_hi = gamma_quantile(m, (1.0 + level) / 2.0)
     return (g_lo / pivot_sum, g_hi / pivot_sum)
 
 
 def normal_interval(c_hat: float, std_error: float, level: float) -> tuple[float, float]:
     """Large-sample normal interval, clipped at zero."""
     _check_level(level)
-    z = float(ndtri((1.0 + level) / 2.0))
+    p = (1.0 + level) / 2.0  # rounds to 1 for a level within 2**-53 of 1
+    z = _NORMAL.inv_cdf(p) if p < 1.0 else math.inf
     half = z * std_error
     return (max(0.0, c_hat - half), c_hat + half)
 
@@ -101,3 +122,101 @@ def gamma_estimate(pivot_sum: float, m: int, level: float, estimator: str) -> Es
         estimator=estimator,
         m=m,
     )
+
+
+# -- the incomplete gamma function and its inverse -------------------------
+
+_NORMAL = NormalDist()
+_ASYMPTOTIC_M = 2**20  # above it gamma_quantile takes the Cornish-Fisher expansion
+_SERIES_BLOCK = 1 << 16  # array elements per block of a sum, bounding its memory
+_HALLEY_STEPS = 40
+
+
+def _log_stirling(m: int) -> float:
+    """log(m!) - m log(m) + m; from m = 20 on by Stirling's series, whose
+    next term 1/(1188 m**9) is below 2e-15 there."""
+    if m < 20:
+        return math.lgamma(m + 1.0) - m * math.log(m) + m
+    r = 1.0 / (m * m)
+    return (0.5 * math.log(2.0 * math.pi * m)
+            + (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / m)
+
+
+def _front(m: int, x: np.ndarray) -> np.ndarray:
+    """x**m e**-x / m!, as exp(m (log(1+t) - t) - log_stirling(m)) with t = x/m - 1."""
+    t = (x - m) / m
+    with np.errstate(divide="ignore"):  # x = 0 gives exp(-inf) = 0
+        # x - m is exact from x = m/2 up; below it log(x/m) keeps x's precision
+        log_ratio = np.where(x < 0.5 * m, np.log(x / m), np.log1p(t))
+        return np.exp(m * (log_ratio - t) - _log_stirling(m))
+
+
+def incomplete_gamma(m: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """The regularized incomplete gamma functions P(m, x) and Q(m, x) = 1 - P
+    for an integer m >= 1, element-wise over finite x >= 0.
+
+    With front = x**m e**-x / m!, below x = m + 1
+    P = front * sum_n prod_{k<=n} x/(m+k), the power series, and above it
+    Q = (m/x) front sum_{j<m} prod_{k<=j} (m-k)/x, the Poisson sum
+    e**-x sum_{j<m} x**j/j! read from its largest term down.  On either side
+    the terms fall below 1e-21 of the first within 32 + 10 sqrt(m) of them.
+    """
+    if m < 1 or m != int(m):
+        raise ValueError(f"m must be a positive integer, got {m}")
+    x = np.asarray(x, dtype=np.float64)
+    k = np.arange(1.0, 33 + 10 * math.isqrt(int(m)))
+    rows = max(1, _SERIES_BLOCK // len(k))
+
+    def series(xs, ratios):  # 1 + sum_n prod_{k<=n} ratios(xs)[k], per element
+        out = np.empty_like(xs)
+        for i in range(0, len(xs), rows):
+            out[i:i + rows] = 1.0 + np.cumprod(ratios(xs[i:i + rows, None]), axis=1).sum(axis=1)
+        return out
+
+    front = _front(m, x)
+    fall = np.maximum(m - k, 0.0)
+    below = x < m + 1
+    p, q = np.empty_like(x), np.empty_like(x)
+    p[below] = front[below] * series(x[below], lambda r: r / (m + k))
+    q[~below] = m / x[~below] * front[~below] * series(x[~below], lambda r: fall / r)
+    q[below] = 1.0 - p[below]
+    p[~below] = 1.0 - q[~below]
+    return p, q
+
+
+@functools.lru_cache(maxsize=1024)
+def gamma_quantile(m: int, p: float) -> float:
+    """The p-quantile of the Gamma(m, 1) law: x with P(m, x) = p, for
+    integer m >= 1 and p above 1e-200 (intervals ask for p >= 2**-54)."""
+    if p >= 1.0:  # (1 + level)/2 rounds to 1 for a level within 2**-53 of 1
+        return math.inf
+    if m == 1:
+        return -math.log1p(-p)
+    z = _NORMAL.inv_cdf(p)
+    r = math.sqrt(m)
+    if m > _ASYMPTOTIC_M:
+        return (m + z * r + (z * z - 1.0) / 3.0 + (z**3 - 7.0 * z) / (36.0 * r)
+                - (3.0 * z**4 + 7.0 * z * z - 16.0) / (810.0 * m)
+                + (9.0 * z**5 + 256.0 * z**3 - 433.0 * z) / (38880.0 * m * r))
+    base = 1.0 - 1.0 / (9.0 * m) + z / (3.0 * r)
+    if base > 0.25:
+        x = m * base**3
+    else:  # far in the lower tail, where P(m, x) ~ x**m / m!
+        x = math.exp((math.log(p) + math.lgamma(m + 1.0)) / m)
+    # Halley steps on g = log(P/p) below m + 1 and log(Q/(1-p)) above it,
+    # where the direct sum keeps its relative precision; Gamma(m >= 1) is
+    # log-concave, so both g are concave and the steps hold their course
+    # even from far in either tail
+    for _ in range(_HALLEY_STEPS):
+        (lower,), (upper,) = incomplete_gamma(m, np.array([x]))
+        density = m / x * float(_front(m, np.array(x)))
+        if x < m + 1:
+            g, slope = math.log(lower / p), density / lower
+        else:
+            g, slope = math.log(upper / (1.0 - p)), -density / upper
+        u = g / slope
+        dx = u / (1.0 - 0.5 * u * ((m - 1.0) / x - 1.0 - slope))
+        x = x - dx if dx < x else 0.5 * x
+        if abs(dx) <= 1e-15 * x:
+            break
+    return float(x)

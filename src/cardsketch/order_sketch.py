@@ -16,9 +16,10 @@ the extreme of the transformed values bit for bit; only m values are ever
 transformed.
 
 The top-k sketch joins its rows to the candidate uniforms of a batch, or to
-another sketch's rows, in one array operation (``state.merge_rows``): every
-row keeps its k largest distinct values.  Only a column whose candidates
-hold one uniform twice is redone, alone, from all its words.
+another sketch's rows, in one array operation (the combine rule of its
+``state.Rows`` layout): every row keeps its k largest distinct values.
+Only a column whose candidates hold one uniform twice is redone, alone,
+from all its words.
 
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
@@ -286,10 +287,10 @@ class KthOrderSketch(_MaxSketchBase):
         keys = np.unique(keys)
         top = top_words(hashing.word_tiles(keys, self.salt, self.m), self.k)
         u = hashing.unit_array(top)
-        merged = state.merge_rows(self.topk, u.T, descending=True)
+        merged = self.layout.joined(self.topk, u.T)[0]
         for j in np.flatnonzero(tied_columns(u)):
             col = hashing.uniform_block(keys, self.salt, j, j + 1)
-            merged[j] = state.merge_rows(self.topk[j:j + 1], col.T, descending=True)[0]
+            merged[j] = self.layout.joined(self.topk[j:j + 1], col.T)[0][0]
         self.topk = merged
 
     def kth_values(self) -> np.ndarray:

@@ -4,12 +4,13 @@ and the import cost of the package."""
 import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from cardsketch import serialize
+from cardsketch import estimate, serialize
 from cardsketch.baselines import MinCountSketch
 from cardsketch.cli import main
 from cardsketch.errors import DegenerateSketchError, EstimationNumericError
@@ -23,22 +24,52 @@ from cardsketch.order_sketch import (
 from cardsketch.projection import ProjectionSketch
 
 
-@pytest.mark.parametrize("m", [1, 2, 17, 128, 4096])
+@pytest.mark.parametrize("m", [1, 2, 17, 128, 4096, 65535, 2**20])
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
 def test_quantiles_equal_scipy_stats(m, level):
+    # the package computes its own quantiles; scipy is the reference
     s = 3.25
     lo, hi = gamma_pivot_interval(s, m, level)
-    assert lo == float(stats.gamma.ppf((1 - level) / 2, m)) / s
-    assert hi == float(stats.gamma.ppf((1 + level) / 2, m)) / s
+    assert lo == pytest.approx(float(stats.gamma.ppf((1 - level) / 2, m)) / s, rel=1e-12, abs=0)
+    assert hi == pytest.approx(float(stats.gamma.ppf((1 + level) / 2, m)) / s, rel=1e-12, abs=0)
     z = float(stats.norm.ppf((1 + level) / 2))
-    assert normal_interval(100.0, 7.5, level) == (max(0.0, 100.0 - z * 7.5), 100.0 + z * 7.5)
+    assert normal_interval(100.0, 7.5, level) == pytest.approx(
+        (100.0 - z * 7.5, 100.0 + z * 7.5), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.999])
+def test_quantiles_at_the_largest_m_are_quick_and_bracket(level):
+    m = 2**32 - 1
+    estimate.gamma_quantile.cache_clear()
+    t0 = time.perf_counter()
+    lo, hi = gamma_pivot_interval(1.0, m, level)
+    elapsed = time.perf_counter() - t0
+    assert math.isfinite(lo) and math.isfinite(hi) and lo < m < hi
+    assert elapsed < 0.01
+    assert lo == pytest.approx(float(stats.gamma.ppf((1 - level) / 2, m)), rel=1e-12, abs=0)
+    assert hi == pytest.approx(float(stats.gamma.ppf((1 + level) / 2, m)), rel=1e-12, abs=0)
+
+
+def test_quantiles_are_cached():
+    estimate.gamma_quantile.cache_clear()
+    first = gamma_pivot_interval(2.0, 300, 0.9)
+    assert estimate.gamma_quantile.cache_info().misses == 2
+    assert gamma_pivot_interval(2.0, 300, 0.9) == first
+    assert estimate.gamma_quantile.cache_info().hits == 2
+
+
+def test_non_integer_m_is_refused():
+    # the Poisson sum above x = m + 1 holds for integer m only
+    with pytest.raises(ValueError):
+        gamma_pivot_interval(1.0, 2.5, 0.95)
 
 
 def test_import_does_not_load_scipy_stats():
-    code = "import sys, cardsketch.cli; print('scipy.stats' in sys.modules)"
+    # no scipy module at all: the runtime is numpy and the standard library
+    code = "import sys, cardsketch.cli; print(sorted(k for k in sys.modules if k.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 # states at m = 8 that both decoders accept but whose estimate leaves double

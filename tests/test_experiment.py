@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from cardsketch.experiment import ALGOS, ExperimentConfig, run_experiment
+from cardsketch.experiment import ALGOS, ExperimentConfig, ks_gamma, run_experiment
 
 
 def test_config_validation():
@@ -94,6 +95,21 @@ def test_pivot_ks_reported_for_pivot_algos():
     rep = run_experiment(cfg)
     assert "pivot_ks_pvalue" in rep.summary["max-uniform"]
     assert "pivot_ks_pvalue" in rep.summary["projection"]
+    pivots = rep.replicates["max-uniform"]["pivot"]
+    assert (rep.summary["max-uniform"]["pivot_ks_stat"],
+            rep.summary["max-uniform"]["pivot_ks_pvalue"]) == ks_gamma(pivots, 32)
+
+
+@pytest.mark.parametrize("n", [8, 50, 200, 1000])
+@pytest.mark.parametrize("m, scale", [(1, 1.0), (17, 1.0), (128, 1.0), (128, 1.02)])
+def test_ks_matches_scipy_kstest(n, m, scale):
+    # scipy is the reference: the same statistic, and a p-value from the
+    # exact distribution where scipy may take an asymptotic one
+    x = scale * np.random.default_rng(n + m).gamma(m, size=n)
+    d, p = ks_gamma(x, m)
+    ref = stats.kstest(x, "gamma", args=(m,))
+    assert abs(d - ref.statistic) <= 1e-14
+    assert p == pytest.approx(ref.pvalue, rel=1e-5, abs=0)
 
 
 def test_hash_mode_baselines_reject_deletions():

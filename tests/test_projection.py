@@ -326,7 +326,16 @@ class TestStableMedian:
         # median of 1/(2 N^2) is 1/(2 z^2), z the normal 75th percentile
         z = 0.6744897501960817
         assert stable_median_log(0.5) == pytest.approx(
-            math.log(1.0 / (2.0 * z * z)), rel=0.0, abs=1e-12)
+            math.log(1.0 / (2.0 * z * z)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha, value", [
+        (0.005, 72.72411257564593), (0.05, 6.741029314351114), (0.3, 0.5913100435302512),
+        (0.9, -0.12016944217893394), (0.99, -0.032964809598119885)])
+    def test_values_kept_with_numpy_nodes(self, alpha, value):
+        # values of the earlier Gauss-Legendre nodes of scipy's roots_legendre;
+        # at alpha = 1/2, where that value was 1.6e-13 from the closed form,
+        # test_half_alpha_closed_form holds the reference
+        assert stable_median_log(alpha) == pytest.approx(value, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("alpha", [0.005, 0.01, 0.05, 0.1, 0.5, 0.9, 0.99])
     def test_node_count_converged(self, alpha, monkeypatch):
