@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import hashing, state
-from .errors import DegenerateSketchError, InsufficientDataError, reject_deletions
+from .errors import DegenerateSketchError, InsufficientDataError
 from .estimate import Estimate, normal_estimate
 
 # Asymptotic relative efficiencies (ratio of c^2/m to the estimator's
@@ -42,11 +42,8 @@ class _BucketSketch(state.Sketch):
         super().__init__(m, seed)
         self.p = self.m.bit_length() - 1
 
-    def add_batch(self, items, d=None) -> None:
-        """Ingest many items at once; these sketches cannot delete, so
-        quantities, if given, must all be positive."""
-        reject_deletions(d, self)
-        for words in hashing.word_tiles(hashing.keys_array(items), self.salt, 1):
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        for words in hashing.word_tiles(keys, self.salt, 1):
             self._absorb_words(words[:, 0])
 
     def _absorb_words(self, words: np.ndarray) -> None:

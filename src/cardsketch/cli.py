@@ -17,18 +17,8 @@ import sys
 import numpy as np
 
 from . import serialize
-from .errors import (
-    DegenerateSketchError,
-    EmptySketchError,
-    EstimationNumericError,
-    IncompatibleSketchError,
-    InsufficientDataError,
-    SaturatedSketchError,
-    SerializationError,
-    SketchError,
-    StreamIntegrityError,
-    UnsupportedDeletionError,
-)
+from .errors import (IncompatibleSketchError, SerializationError, SketchError,
+                     UnsupportedDeletionError)
 from .experiment import ExperimentConfig, run_experiment
 from .inference import (
     are_bernoulli,
@@ -47,11 +37,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_DATA_ERRORS = (SerializationError, IncompatibleSketchError, StreamIntegrityError,
-                UnsupportedDeletionError, UnicodeDecodeError, OSError)
-_NUMERIC_ERRORS = (EmptySketchError, DegenerateSketchError, SaturatedSketchError,
-                   InsufficientDataError, EstimationNumericError)
 
 
 def _make_sketch(args) -> object:
@@ -291,13 +276,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    # SerializationError, StreamIntegrityError and UnicodeDecodeError are
+    # ValueErrors; every other SketchError is a numeric failure
+    except (IncompatibleSketchError, UnsupportedDeletionError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except SketchError as exc:

@@ -1,6 +1,9 @@
-"""Exception types raised by sketches and estimators."""
+"""Exception types raised by sketches and estimators.
 
-import numpy as np
+Quantities are checked in one place, ``state.Sketch.add_batch``: a
+malformed one raises StreamIntegrityError, a deletion sent to an
+insert-only sketch UnsupportedDeletionError.
+"""
 
 
 class SketchError(Exception):
@@ -22,14 +25,6 @@ class IncompatibleSketchError(SketchError):
 class UnsupportedDeletionError(SketchError):
     """Negative or zero quantity fed to an insert-only sketch (the max
     family and the LogLog/HLL/MinCount baselines), which cannot delete."""
-
-
-def reject_deletions(d, sketch) -> None:
-    """Raise UnsupportedDeletionError unless every quantity in d (a scalar,
-    an array, or None for all ones) is positive."""
-    if d is not None and np.any(np.asarray(d) <= 0):
-        raise UnsupportedDeletionError(
-            f"{type(sketch).__name__} cannot delete; got a quantity <= 0")
 
 
 class InsufficientDataError(SketchError):
@@ -64,7 +59,7 @@ class EstimationNumericError(SketchError):
 
 class StreamIntegrityError(ValueError):
     """A stream left an item with negative cumulative quantity, or carried
-    a quantity that is not a finite number."""
+    quantities that are not finite numbers, one per item."""
 
 
 class SerializationError(ValueError):

@@ -22,8 +22,9 @@ column 2j and its exponential w from column 2j+1 (``stable_log_tiles``).
 Every transform from a word to a variate (uniform, log, geometric,
 Bernoulli indicator) is monotone, so a sketch may reduce each column of a
 tile to its extreme word first and transform only m values: the result is
-bit-identical to transforming every element and then reducing.  The
-variates of a single item are a one-row call into the same block functions.
+bit-identical to transforming every element and then reducing.  A single
+item is a one-row tile: the digest, the word and the variate functions
+have no scalar branch, and only ``keys_array`` folds one item by itself.
 
 The stable variate needs three sines per (item, stream).  ``kanter_sines``
 computes them without numpy's sin, whose float64 loop is not vectorized
@@ -75,19 +76,13 @@ _TILE_WORDS = 1 << 15
 
 def mix64_array(z: np.ndarray, out: np.ndarray | None = None,
                 scratch: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized mix64 on uint64 arrays; wraps modulo 2**64 like the scalar path.
-
-    With ``out`` (which may be ``z`` itself) the result is written there and
-    ``scratch``, an array shaped like ``z`` that defaults to a fresh one,
-    holds the shifted temporaries; without it a new array is returned.
-    """
+    """Vectorized mix64 on uint64 arrays; wraps modulo 2**64 like the scalar
+    path.  The result is written to ``out`` (which may be ``z`` itself; a
+    fresh array by default) and ``scratch``, an array shaped like ``z``
+    (fresh by default), holds the shifted temporaries."""
     s30, s27, s31 = _U_SHIFTS
     if out is None:
-        # operator form: fewer calls, so faster on the short arrays of
-        # single-item paths
-        z = (z ^ (z >> s30)) * _U_MIX1
-        z = (z ^ (z >> s27)) * _U_MIX2
-        return z ^ (z >> s31)
+        out = np.empty_like(z)
     if scratch is None:
         scratch = np.empty_like(out)
     np.right_shift(z, s30, out=scratch)
@@ -176,12 +171,9 @@ def digest(key: int, salt: int) -> int:
 
 
 def digest_array(keys: np.ndarray, salt: int) -> np.ndarray:
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    if len(keys) == 1:
-        # a single item: the scalar path is bit-identical and skips the
-        # fixed cost of eight array operations
-        return np.array([digest(int(keys[0]), salt)], dtype=np.uint64)
-    return mix64_array(keys ^ np.uint64(salt_base(salt)))
+    """``digest`` of each key."""
+    z = np.ascontiguousarray(keys, dtype=np.uint64) ^ np.uint64(salt_base(salt))
+    return mix64_array(z, out=z)
 
 
 def unit_array(words: np.ndarray) -> np.ndarray:
@@ -216,22 +208,17 @@ def word_tiles(keys: np.ndarray, salt: int, m: int):
     """Yield the raw words behind ``uniform_block(keys, salt, 0, m)`` in row
     tiles of about _TILE_WORDS words, top to bottom.
 
-    Each tile is a view of one buffer that the next tile overwrites, so a
-    consumer reduces a tile before asking for the next and keeps no
-    reference to it.  Yields nothing for an empty key array.
+    Each tile is a view of one buffer, of at most as many rows as there are
+    keys, that the next tile overwrites, so a consumer reduces a tile
+    before asking for the next and keeps no reference to it.  Yields
+    nothing for an empty key array.
     """
     dig = digest_array(keys, salt)
     steps = _counter_steps(0, m)
-    rows = max(1, _TILE_WORDS // m)
-    if len(dig) <= rows:
-        # one tile (a single item, say): no buffers to set up
-        if len(dig):
-            yield mix64_array(dig[:, None] + steps[None, :])
-        return
-    buf = np.empty((rows, m), dtype=np.uint64)
+    buf = np.empty((max(1, min(_TILE_WORDS // m, len(dig))), m), dtype=np.uint64)
     scratch = np.empty_like(buf)
-    for lo in range(0, len(dig), rows):
-        part = dig[lo:lo + rows]
+    for lo in range(0, len(dig), len(buf)):
+        part = dig[lo:lo + len(buf)]
         words, tmp = buf[:len(part)], scratch[:len(part)]
         np.add(part[:, None], steps[None, :], out=words)
         yield mix64_array(words, out=words, scratch=tmp)

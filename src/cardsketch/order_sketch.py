@@ -39,7 +39,6 @@ from .errors import (
     EstimationNumericError,
     InsufficientDataError,
     SaturatedSketchError,
-    reject_deletions,
 )
 from .estimate import Estimate, gamma_estimate, normal_estimate
 from .inference import psi_infinity
@@ -47,31 +46,17 @@ from .inference import psi_infinity
 _LOG_HALF = math.log(0.5)
 
 
-class _MaxSketchBase(state.Sketch):
-    """Shared ingestion plumbing."""
-
-    def add_batch(self, items, d=None) -> None:
-        """Ingest many items at once; quantities, if given, must all be positive."""
-        reject_deletions(d, self)
-        keys = hashing.keys_array(items)
-        if len(keys):
-            self._absorb_keys(keys)
-
-    def _absorb_keys(self, keys: np.ndarray) -> None:
-        """Fold a non-empty key array into the state."""
-        raise NotImplementedError
-
-    def _column_words(self, keys: np.ndarray, extreme) -> np.ndarray:
-        """The extreme raw hash word of each stream over the keys, where
-        extreme is np.maximum (largest word) or np.minimum (smallest)."""
-        acc = None
-        for words in hashing.word_tiles(keys, self.salt, self.m):
-            part = extreme.reduce(words, axis=0)
-            acc = part if acc is None else extreme(acc, part, out=acc)
-        return acc
+def _column_words(sk, keys: np.ndarray, extreme) -> np.ndarray:
+    """The extreme raw hash word of each of the sketch's m streams over the
+    keys, where extreme is np.maximum (largest word) or np.minimum."""
+    acc = None
+    for words in hashing.word_tiles(keys, sk.salt, sk.m):
+        part = extreme.reduce(words, axis=0)
+        acc = part if acc is None else extreme(acc, part, out=acc)
+    return acc
 
 
-class ContinuousMaxSketch(_MaxSketchBase):
+class ContinuousMaxSketch(state.Sketch):
     """Max sketch with continuous hashing ("uniform" or "exponential").
 
     Slots store log F(M_j) <= 0, the log-CDF of the running maximum, with
@@ -93,8 +78,8 @@ class ContinuousMaxSketch(_MaxSketchBase):
         self.kind = kind
         self.slots = np.full(m, -np.inf)
 
-    def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.unit_array(self._column_words(keys, np.maximum))
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        u = hashing.unit_array(_column_words(self, keys, np.maximum))
         np.maximum(self.slots, np.log(u), out=self.slots)
 
     def max_values(self) -> np.ndarray:
@@ -118,7 +103,7 @@ class ContinuousMaxSketch(_MaxSketchBase):
         return gamma_estimate(s, self.m, level, f"max-{self.kind}")
 
 
-class GeometricMaxSketch(_MaxSketchBase):
+class GeometricMaxSketch(state.Sketch):
     """Max sketch hashing to the geometric law with CDF 1 - q**x on x=1,2,...
 
     Slots are small unsigned integers (the expected maximum grows like
@@ -135,8 +120,8 @@ class GeometricMaxSketch(_MaxSketchBase):
         self.q = float(q)
         self.slots = np.zeros(m, dtype=np.uint32)
 
-    def _absorb_keys(self, keys: np.ndarray) -> None:
-        u = hashing.unit_array(self._column_words(keys, np.maximum))
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        u = hashing.unit_array(_column_words(self, keys, np.maximum))
         np.maximum(self.slots, hashing.geometric_variate(u, self.q), out=self.slots)
 
     def estimate(self, level: float = 0.95) -> Estimate:
@@ -195,13 +180,12 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
     range (d and em1 round to 0, so 0/0) gives a NaN score or derivative,
     on which ``solve_geometric_mle`` raises.
     """
-    logq = math.log(q)
-    a = np.log1p(-np.exp(y * logq))
+    a = _log1m_qpow(y, q)
     score = np.where(y == 1, math.log1p(-q), 0.0)
     dscore = np.zeros_like(a)
     mask = y > 1
     if np.any(mask):
-        b = np.log1p(-np.exp((y[mask] - 1) * logq))
+        b = _log1m_qpow(y[mask] - 1, q)
         d = c * (b - a[mask])
         ed = np.exp(d)
         em1 = np.expm1(d)
@@ -261,7 +245,7 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
     )
 
 
-class KthOrderSketch(_MaxSketchBase):
+class KthOrderSketch(state.Sketch):
     """Keeps the k largest distinct uniform hash values per stream.
 
     Rows are stored descending with NaN padding; bit-exact duplicate hash
@@ -279,7 +263,7 @@ class KthOrderSketch(_MaxSketchBase):
         self.k = int(k)
         self.topk = np.full((m, k), np.nan)
 
-    def _absorb_keys(self, keys: np.ndarray) -> None:
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
         # distinct keys give distinct words in every column (the digest,
         # the counter offset and mix64 are bijections), so the k largest
         # words of a column carry its k largest distinct uniforms unless
@@ -408,7 +392,7 @@ def combine_kth(c1: float, m1: int, c2: float, m2: int, k: int) -> float:
     return k / -math.expm1(log_terms / (m1 + m2))
 
 
-class BernoulliSketch(_MaxSketchBase):
+class BernoulliSketch(state.Sketch):
     """m-bit sketch: bit j is set once any item's j-th uniform falls below p.
 
     Choose p about 1.594/c0 for a prior guess c0 of the cardinality; the
@@ -426,8 +410,8 @@ class BernoulliSketch(_MaxSketchBase):
         self.p = float(p)
         self.bits = np.zeros(m, dtype=np.uint8)
 
-    def _absorb_keys(self, keys: np.ndarray) -> None:
-        hit = hashing.unit_array(self._column_words(keys, np.minimum)) < self.p
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        hit = hashing.unit_array(_column_words(self, keys, np.minimum)) < self.p
         np.maximum(self.bits, hit.astype(np.uint8), out=self.bits)
 
     def ones(self) -> int:

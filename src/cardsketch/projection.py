@@ -7,14 +7,15 @@ far outside float64 range.  Linearity makes the sketch additive, so signed
 quantities are supported and deletions work: an item inserted then removed
 cancels exactly when the two contributions meet with equal magnitude.
 
-A batch is hashed in the row tiles of ``hashing.stable_log_tiles``.  Its
-insertion terms and its deletion terms are each summed per stream, the
-running sum carried from tile to tile: a tile's terms and the running sum
-are shifted by their largest value, so each term costs one exp and the new
-sum is that maximum plus the log of the shifted sum.  The state is updated
-once per batch: ``state.signed_add``, the combine rule of the sketch's
-layout, adds the insertion sum, then the deletion sum (or another sketch),
-element-wise.
+``state.Sketch.add_batch`` checks a batch's quantities, which here may be
+negative or zero (zero adds nothing).  The batch is hashed in the row
+tiles of ``hashing.stable_log_tiles``.  Its insertion terms and its
+deletion terms are each summed per stream, the running sum carried from
+tile to tile: a tile's terms and the running sum are shifted by their
+largest value, so each term costs one exp and the new sum is that maximum
+plus the log of the shifted sum.  The state is updated once per batch:
+``state.signed_add``, the combine rule of the sketch's layout, adds the
+insertion sum, then the deletion sum (or another sketch), element-wise.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing, state
-from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
-                     UnsupportedDeletionError)
+from .errors import DegenerateSketchError, EstimationNumericError, UnsupportedDeletionError
 from .estimate import Estimate, gamma_estimate
 from .state import signed_add
 
@@ -66,6 +66,7 @@ class ProjectionSketch(state.Sketch):
 
     params = ("alpha",)
     layout = state.SignedLog()
+    deletes = True
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
         super().__init__(m, seed)
@@ -77,13 +78,11 @@ class ProjectionSketch(state.Sketch):
 
     # -- ingestion --------------------------------------------------------
 
-    def add_batch(self, items, d=None) -> None:
-        """Ingest many elements; d defaults to all ones."""
-        keys, dvals = _keys_and_quantities(items, d)
-        live = dvals != 0
-        keys, dvals = keys[live], dvals[live]
-        logd = np.log(np.abs(dvals))
-        pos = dvals > 0
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        live = d != 0
+        keys, d = keys[live], d[live]
+        logd = np.log(np.abs(d))
+        pos = d > 0
         # per-stream sums of the insertion and the deletion terms, each tile
         # folded onto the running sum; a side with no rows sums to -inf,
         # which adds nothing, so its update is skipped
@@ -138,19 +137,6 @@ class ProjectionSketch(state.Sketch):
             raise EstimationNumericError(
                 f"median estimate exp({log_c}) is outside double range")
         return math.exp(log_c)
-
-
-def _keys_and_quantities(items, d) -> tuple[np.ndarray, np.ndarray]:
-    """uint64 keys and finite float64 quantities (default all ones) of a stream."""
-    keys = hashing.keys_array(items)
-    if d is None:
-        return keys, np.ones(len(keys))
-    dvals = np.asarray(d, dtype=np.float64)
-    if dvals.shape != keys.shape:
-        raise ValueError("d must match items in length")
-    if not np.isfinite(dvals).all():
-        raise StreamIntegrityError("quantities must be finite numbers")
-    return keys, dvals
 
 
 # -- the stable law's median --------------------------------------------
@@ -232,7 +218,7 @@ def coupled_residuals(items, m: int, alpha: float, seed: int = 0, d=None) -> Cou
     zero, while the ratio V**alpha / M always sits between 1 and
     (sum of quantities)**alpha; both facts are checked element by element.
     """
-    keys, dvals = _keys_and_quantities(items, d)
+    keys, dvals = state.keys_and_quantities(items, d)
     if np.any(dvals <= 0):
         raise UnsupportedDeletionError("coupled run requires a cash-register stream")
 

@@ -1,6 +1,13 @@
 """Sketch state: the base every sketch class derives from, and the layouts
 that describe state arrays.
 
+``Sketch.add_batch`` is the one ingestion entry point of every sketch
+type.  It folds the items to keys and checks their quantities once:
+d must match the items in length and hold finite numbers
+(``StreamIntegrityError``), and only a class that declares ``deletes``
+takes a quantity <= 0 (``UnsupportedDeletionError``).  A class then
+absorbs the checked, non-empty batch in its ``_absorb(keys, d)``.
+
 A class's layout is the one description of its arrays: ``names`` in
 ``from_state`` order, ``checked(m, *arrays, **params)`` (the arrays
 checked against m and the parameters), ``joined(*mine, *theirs)`` (the
@@ -21,13 +28,24 @@ import sys
 
 import numpy as np
 
-from .errors import IncompatibleSketchError, SerializationError
+from . import hashing
+from .errors import (IncompatibleSketchError, SerializationError, StreamIntegrityError,
+                     UnsupportedDeletionError)
 
 U16_MAX = 0xFFFF
 U32_MAX = 0xFFFFFFFF
 U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 _LOG2 = math.log(2.0)
+
+# A decoded Rows matrix holds at most _ROWS_PER_STORED entries per row or
+# value its payload stores, or _ROWS_FLOOR entries (8 MiB) in all: padding
+# is not stored, so without this bound a few KB declaring many empty rows
+# and a large k would allocate an (m, k) matrix of gigabytes.  A sparser
+# state (above 2**20 entries and eight per stored row or value) does not
+# decode.
+_ROWS_PER_STORED = 8
+_ROWS_FLOOR = 1 << 20
 
 
 # --- the sketch base ----------------------------------------------------
@@ -37,11 +55,12 @@ class Sketch:
     state arrays and one associative combine rule.
 
     A subclass declares ``params``, its parameter names in ``from_state``
-    order, and ``layout``, the layout of its state arrays, and writes
-    ``add_batch``.
+    order, ``layout``, the layout of its state arrays, and ``deletes`` if
+    it takes quantities <= 0, and writes ``_absorb``.
     """
 
     params: tuple = ()
+    deletes = False
 
     def __init__(self, m: int, seed: int = 0):
         self.m, self.salt = header(m, seed)
@@ -68,6 +87,27 @@ class Sketch:
         """The state arrays, in the order the layout names them."""
         return [getattr(self, n) for n in self.layout.names]
 
+    def add_batch(self, items, d=None) -> None:
+        """Ingest many items with quantities d, all ones by default.
+
+        Raises StreamIntegrityError unless d matches the items in length
+        and holds finite numbers, and UnsupportedDeletionError on a
+        quantity <= 0 unless the class ``deletes``; either leaves the
+        state as it was.
+        """
+        keys, d = keys_and_quantities(items, d)
+        if not self.deletes and (d <= 0).any():
+            raise UnsupportedDeletionError(
+                f"{type(self).__name__} cannot delete; got a quantity <= 0")
+        if len(keys):
+            self._absorb(keys, d)
+
+    def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
+        """Fold a non-empty batch into the state: uint64 keys and their
+        float64 quantities, finite and of the keys' length, each > 0
+        unless the class ``deletes``."""
+        raise NotImplementedError
+
     def add(self, item, d: int = 1) -> None:
         """Ingest one item with quantity d: a one-row ``add_batch``."""
         self.add_batch([item], [d])
@@ -93,6 +133,25 @@ class Sketch:
 
 
 # --- checks and combine rules -------------------------------------------
+
+def keys_and_quantities(items, d) -> tuple[np.ndarray, np.ndarray]:
+    """uint64 keys of a stream's items and their quantities as float64,
+    all ones when d is None; StreamIntegrityError unless d holds finite
+    numbers, one per item."""
+    keys = hashing.keys_array(items)
+    if d is None:
+        return keys, np.ones(len(keys))
+    d = np.asarray(d)
+    if d.dtype.kind not in "biuf":
+        raise StreamIntegrityError(f"quantities must be numbers, got {d.dtype}")
+    if d.shape != keys.shape:
+        raise StreamIntegrityError(
+            f"d must match items in length, got shape {d.shape} for {len(keys)} items")
+    d = d.astype(np.float64, copy=False)
+    if not np.isfinite(d).all():
+        raise StreamIntegrityError("quantities must be finite numbers")
+    return keys, d
+
 
 def header(m, seed) -> tuple[int, int]:
     """(m, salt) as ints, checked to fit the binary header's u32 and u64."""
@@ -353,6 +412,9 @@ class Rows:
         k = self._k(params)
         if (counts > k).any():
             raise SerializationError(f"a row holds more than k={k} values")
+        if m * k > max(_ROWS_FLOOR, _ROWS_PER_STORED * (m + len(values))):
+            raise SerializationError(
+                f"an (m={m}, k={k}) matrix is mostly padding for {len(values)} stored values")
         values = np.asarray(values, dtype=np.float64)
         if not np.isfinite(values).all():  # padding is never stored
             raise SerializationError("stored row values must be finite")

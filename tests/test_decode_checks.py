@@ -5,6 +5,7 @@ silent wrong estimate, a bare ValueError or a crash."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,3 +156,29 @@ def test_sampler_rounding_at_large_c_loads():
     sk = KthOrderSketch.from_state(2, 0, rows, 2)
     assert serialize.unpack(serialize.pack(sk)).topk.tolist() == rows
     assert serialize.loads(serialize.dumps(sk)).topk.tolist() == rows
+
+
+# 5000 empty rows declaring k = 2000: 15 KB of JSON or 10 KB of binary ask
+# for a 76 MiB matrix of padding
+SPARSE_KTH = {
+    "json": _doc(_kth(), m=5000, params={"k": 2000}, state=[[]] * 5000).encode(),
+    "binary": _frame(4, 5000, _u2(2000) + _u2(*[0] * 5000)),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(SPARSE_KTH))
+def test_mostly_padding_kth_is_refused_before_the_matrix_exists(fmt):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SerializationError, match="padding"):
+            serialize.load_any(SPARSE_KTH[fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_empty_kth_at_the_padding_floor_still_loads():
+    sk = KthOrderSketch(1024, k=1024, seed=3)
+    for data in (serialize.dumps(sk).encode(), serialize.pack(sk)):
+        np.testing.assert_array_equal(serialize.load_any(data).topk, sk.topk)

@@ -1,12 +1,14 @@
 """The contract every entry of the sketch-type table keeps through the
 ``state.Sketch`` base: merge refuses any other configuration and writes
 into neither input, from_state binds parameters by position or by name,
-and state_bytes reports the stored size."""
+state_bytes reports the stored size, and add_batch checks quantities
+before it touches the state."""
 
 import numpy as np
 import pytest
 
-from cardsketch.errors import IncompatibleSketchError
+from cardsketch.errors import (IncompatibleSketchError, StreamIntegrityError,
+                               UnsupportedDeletionError)
 from cardsketch.sketch_types import TYPES
 
 M = 64
@@ -69,3 +71,22 @@ def test_from_state_without_a_required_parameter_is_a_type_error(name):
     out = _filled(t)
     with pytest.raises(TypeError):
         t.cls.from_state(M, 7, *out.state_arrays())
+
+
+@pytest.mark.parametrize("name", list(TYPES))
+def test_quantities_are_checked_before_the_state_changes(name):
+    sk = _filled(TYPES[name])
+    before = _raw(sk)
+    malformed = [(["a", "b", "c"], [1]), (["a", "b"], [5] * 4), (["a", "b"], [1, np.nan]),
+                 (["a", "b"], [np.inf, 1]), (["a", "b"], [1, -np.inf]), (["a"], ["x"])]
+    for items, d in malformed:
+        with pytest.raises(StreamIntegrityError):
+            sk.add_batch(items, d)
+        assert _raw(sk) == before
+    for d in ([1, 0], [-1, 1]):
+        if name == "projection":  # the one linear sketch: it deletes
+            sk.add_batch(["a", "b"], d)
+            continue
+        with pytest.raises(UnsupportedDeletionError):
+            sk.add_batch(["a", "b"], d)
+        assert _raw(sk) == before
