@@ -63,7 +63,6 @@ class _RankSketch(_BucketSketch):
 
     def __init__(self, m: int, seed: int = 0):
         super().__init__(m, seed)
-        self.registers = np.zeros(m, dtype=np.uint8)
         self.max_rank = max_rank(self.m)
 
     def _absorb_words(self, words: np.ndarray) -> None:
@@ -119,10 +118,6 @@ class MinCountSketch(_BucketSketch):
     (k-1)/M rule on the third minimum and sums the buckets."""
 
     layout = state.Rows("smallest", np.inf, MINCOUNT_K, "mincount rows")
-
-    def __init__(self, m: int, seed: int = 0):
-        super().__init__(m, seed)
-        self.smallest = np.full((m, MINCOUNT_K), np.inf)
 
     def _absorb_words(self, words: np.ndarray) -> None:
         # sorted words are sorted by (bucket, value); repeated values (of a

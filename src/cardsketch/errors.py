@@ -19,7 +19,8 @@ class DegenerateSketchError(SketchError):
 
 
 class IncompatibleSketchError(SketchError):
-    """Merge of sketches with differing type, size, salt or parameters."""
+    """Merge of sketches with differing type, size, salt, parameters or hash
+    scheme version, or items added to a state of an older hash scheme."""
 
 
 class UnsupportedDeletionError(SketchError):

@@ -11,20 +11,26 @@ the same keys: it joins the bytes of all str/bytes items into one buffer,
 sorts the items by length, longest first, and folds byte column j into the
 prefix of items longer than j with one array xor and one multiply.
 
-``word_tiles`` produces the hash words of every ingestion path.  It yields
-the word matrix of ``uniform_block`` (the reference, which the top-k
-sketch also reads for a tied column) a few hundred rows at a time in
-reused buffers, so no path materialises the whole (items x m) matrix.
-Counter j of an item is word column j.  The max family reads columns
-0..m-1, one per stream; LogLog, HyperLogLog and MinCount read column 0;
-the projection sketch reads 2m columns, taking stream j's uniform u from
-column 2j and its exponential w from column 2j+1 (``stable_log_tiles``).
-Every transform from a word to a variate (uniform, log, geometric,
-Bernoulli indicator) is monotone, so a sketch may reduce each column of a
-tile to its extreme word first and transform only m values: the result is
-bit-identical to transforming every element and then reducing.  A single
-item is a one-row tile: the digest, the word and the variate functions
-have no scalar branch, and only ``keys_array`` folds one item by itself.
+An item's counters are read in one of two layouts.
+
+- Columns (LogLog, HyperLogLog, MinCount and the projection sketch):
+  ``word_tiles`` yields the words of counters 0..n-1 of every key a few
+  hundred rows at a time in reused buffers, so no path materialises the
+  whole (items x n) matrix.  The bucket sketches read column 0; the
+  projection sketch reads 2m columns, taking stream j's uniform u from
+  column 2j and its exponential w from column 2j+1 (``stable_log_tiles``).
+- Arrivals (the max family): ``first_arrivals`` gives each key a rate-m
+  Poisson process of arrivals, each in a register chosen uniformly.
+  Arrival r reads counter 2r, its Exp(1)/m spacing, and counter 2r+1, its
+  register.  A key's first arrival in each register is Exp(1), independent
+  across registers, so a maximal-term state is a function of the earliest
+  first arrival per register, and a key stops as soon as its next arrival
+  can no longer change the state: after warm-up an item costs about two
+  words, not one per register.
+
+A single item is a one-row call: the digest, the word and the variate
+functions have no scalar branch, and only ``keys_array`` folds one item by
+itself.
 
 The stable variate needs three sines per (item, stream).  ``kanter_sines``
 computes them without numpy's sin, whose float64 loop is not vectorized
@@ -70,7 +76,10 @@ def mix64(z: int) -> int:
 _U_SHIFTS = (np.uint64(30), np.uint64(27), np.uint64(31))
 
 # row tiles of word_tiles hold about this many words (256 KiB), so a tile
-# and its scratch buffer fit a typical per-core L2 cache
+# and its scratch buffer fit a typical per-core L2 cache; a round of
+# first_arrivals gives its live keys at most this many arrivals in all, or
+# m when that is more (a round costs O(m) besides), or one each when more
+# keys are live
 _TILE_WORDS = 1 << 15
 
 
@@ -183,7 +192,9 @@ def unit_array(words: np.ndarray) -> np.ndarray:
     The top 53 bits, offset by half a step; the largest of them rounds up
     to 1.0, so it is clamped to the largest double below 1.
     """
-    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = (words >> np.uint64(11)).astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
     return np.minimum(u, _UNIT_MAX, out=u)
 
 
@@ -195,18 +206,9 @@ def _counter_steps(counter_lo: int, counter_hi: int) -> np.ndarray:
     return steps
 
 
-def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int) -> np.ndarray:
-    """(len(keys), counter_hi-counter_lo) matrix of uniforms, bit-identical
-    to ``word_tiles`` through ``unit_array`` element by element.  The
-    reference for the tiled ingestion path."""
-    dig = digest_array(keys, salt)
-    steps = _counter_steps(counter_lo, counter_hi)
-    return unit_array(mix64_array(dig[:, None] + steps[None, :]))
-
-
 def word_tiles(keys: np.ndarray, salt: int, m: int):
-    """Yield the raw words behind ``uniform_block(keys, salt, 0, m)`` in row
-    tiles of about _TILE_WORDS words, top to bottom.
+    """Yield the raw words of counters 0..m-1 of the keys, one row per key,
+    in row tiles of about _TILE_WORDS words, top to bottom.
 
     Each tile is a view of one buffer, of at most as many rows as there are
     keys, that the next tile overwrites, so a consumer reduces a tile
@@ -222,6 +224,147 @@ def word_tiles(keys: np.ndarray, salt: int, m: int):
         words, tmp = buf[:len(part)], scratch[:len(part)]
         np.add(part[:, None], steps[None, :], out=words)
         yield mix64_array(words, out=words, scratch=tmp)
+
+
+# first_arrivals follows at most this many keys at once
+_KEYS_PER_PASS = 1 << 16
+
+# the first chunk of a round holds m * (ln m + _FIRST_CHUNK) arrivals, which
+# reach every register 98% of the time, and each later chunk twice as many
+# as the one before
+_FIRST_CHUNK = 4
+
+
+def first_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
+    """Yield (rows, registers, times) for the first arrivals, per key and
+    register, of the keys' arrival processes that can still change a state.
+
+    Key i (row i of keys) arrives at the running sums of its spacings,
+    added in order from 0, and its arrival r reads two counters: 2r for
+    the spacing -log(u)/m, an Exp(1)/m, and 2r+1 for the register, word %
+    m (biased by at most m * 2**-64).  The spacings are summed by
+    ``np.add.accumulate`` onto the time each key carries from the round
+    before, so the times do not depend on how arrivals are grouped.
+
+    ``bound[j]`` is the time from which an arrival in register j cannot
+    change the consumer's state (inf while any can).  The consumer lowers
+    it in place, and never raises it, before asking for the next chunk.
+    An arrival is yielded only if it is its key's first in its register
+    and comes before that register's bound, and a key stops once its next
+    arrival comes after every finite bound and it has visited every
+    register whose bound is infinite.
+
+    The work runs in rounds.  A round gives every live key the same number
+    of arrivals: about what the earliest needs to pass every bound, or what
+    the keys need to reach every register whose bound is infinite.  It
+    takes them in ascending time, in doubling chunks, so once the bounds
+    have fallen the later ones are dropped without hashing their
+    registers.  Keys are followed _KEYS_PER_PASS at a time, so the
+    temporaries stay a few times that size however long the batch.
+    """
+    for lo in range(0, len(keys), _KEYS_PER_PASS):
+        for rows, regs, t in _pass_arrivals(keys[lo:lo + _KEYS_PER_PASS], salt, m, bound):
+            yield rows + lo, regs, t
+
+
+def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
+    """``first_arrivals`` of one pass of keys."""
+    dig = digest_array(keys, salt)
+    rows = np.arange(len(dig))
+    carry = np.zeros(len(dig))
+    # sorted codes row * m + register of the visits before their
+    # register's bound, with their times: a later visit of the key to the
+    # register is a repeat, and while a bound is infinite they show which
+    # keys have visited every register it holds
+    seen, seen_t = np.empty(0, dtype=np.int64), np.empty(0)
+    r = 0
+    while len(rows):
+        # twice as many arrivals as the earliest key needs on average to
+        # pass every bound, or about as many as the keys together need to
+        # reach every register whose bound is infinite (m ln u + m arrivals
+        # reach u registers)
+        top = bound.max()
+        if top < np.inf:
+            need = 2 * m * (top - carry.min())
+        else:
+            need = m * (math.log(np.count_nonzero(bound == np.inf)) + 1) / len(rows)
+        block = max(1, math.ceil(min(need, max(_TILE_WORDS, m) // len(rows))))
+        # counter c adds (c + 1) * GAMMA: spacings even, registers odd
+        steps = np.arange(2 * r + 1, 2 * (r + block) + 1, dtype=np.uint64) * _U_GAMMA
+        d = dig[rows] if r else dig
+        words = d[:, None] + steps[None, 0::2]
+        t = unit_array(mix64_array(words, out=words))
+        np.log(t, out=t)
+        np.divide(t, -m, out=t)
+        if r:  # the first arrival starts from 0
+            t[:, 0] += carry
+        if block > 1:
+            np.add.accumulate(t, axis=1, out=t)
+        flat = t.ravel()
+        taken = -np.inf  # every arrival up to this time has been taken
+        size = int(m * (math.log(m) + _FIRST_CHUNK))
+        while taken < np.inf:
+            chunk = flat < top
+            if taken > -np.inf:
+                chunk &= flat > taken
+            times = flat[chunk]
+            if not len(times):
+                break
+            if len(times) > size:
+                taken = np.partition(times, size)[size]
+                chunk &= flat <= taken
+            else:
+                taken = np.inf
+            pos = np.flatnonzero(chunk)
+            i, b = np.divmod(pos, block)
+            w = d[i] + steps[1::2][b]
+            regs = (mix64_array(w, out=w) % np.uint64(m)).astype(np.intp)
+            code = rows[i] * m + regs
+            if block > 1:  # a key's first visit to each register in the chunk
+                order = np.argsort(code)
+                code = code[order]
+                starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+                code, first = code[starts], np.minimum.reduceat(order, starts)
+            else:
+                first = np.arange(len(code))
+            if len(seen):
+                new = seen[np.minimum(np.searchsorted(seen, code), len(seen) - 1)] != code
+                code, first = code[new], first[new]
+            regs, when = regs[first], flat[pos[first]]
+            live = when < bound[regs]
+            code, regs, when = code[live], regs[live], when[live]
+            yield rows[i[first[live]]], regs, when
+            top = bound.max()
+            if len(seen):
+                keep = seen_t < bound[seen % m]
+                seen, seen_t = seen[keep], seen_t[keep]
+            stays = when < bound[regs]
+            seen, seen_t = _insert(seen, seen_t, code[stays], when[stays])
+            size *= 2
+        last = t[:, -1]
+        if top < np.inf:
+            alive = last < top
+            if not alive.any():
+                return
+        else:
+            # a key still counts while it is before a finite bound or has not
+            # visited every register whose bound is infinite
+            infinite = bound == np.inf
+            visits = seen[infinite[seen % m]]
+            visited = np.searchsorted(visits, rows * m + m) - np.searchsorted(visits, rows * m)
+            alive = (last < bound[~infinite].max(initial=-np.inf)) | (visited < infinite.sum())
+        rows, carry = rows[alive], last[alive]
+        r += block
+
+
+def _insert(seen: np.ndarray, seen_t: np.ndarray, code: np.ndarray, when: np.ndarray):
+    """The sorted codes seen joined to new codes, none already there, with
+    their times."""
+    if not len(code):
+        return seen, seen_t
+    codes = np.concatenate([seen, code])
+    order = np.argsort(codes, kind="stable")
+    return codes[order], np.concatenate([seen_t, when])[order]
 
 
 # --- inverse-CDF transforms --------------------------------------------

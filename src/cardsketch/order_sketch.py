@@ -1,25 +1,34 @@
 """Maximal-term and k-th order-statistic sketches over m hash streams.
 
-Each sketch keeps one monotone slot per hash stream: the running maximum of
-that stream's hash variates over all distinct items seen.  Slots only grow,
-so ingestion is duplicate-insensitive and order-invariant, merge is the
-slot-wise maximum, and merge(sketch(A), sketch(B)) is bit-identical to a
-single pass over A union B.
+Each sketch keeps one monotone slot per hash stream (here a register): a
+function of the earliest first arrivals of the distinct items seen in
+that register.  Slots only move one way, so ingestion is
+duplicate-insensitive and order-invariant, merge is the slot-wise
+combine, and merge(sketch(A), sketch(B)) is bit-identical to a single
+pass over A union B.
 
-Ingestion streams the raw hash words in cache-sized row tiles
-(``hashing.word_tiles``) and reduces each tile column-wise before any
-transform: the maximum word for the continuous and geometric sketches, the
-minimum word for the Bernoulli sketch, the k largest words for the top-k
-sketch.  The word-to-uniform map ``((w >> 11) + 0.5) * 2**-53`` and every
-variate transform after it are monotone, so the transformed extreme equals
-the extreme of the transformed values bit for bit; only m values are ever
-transformed.
+Ingestion reads ``hashing.first_arrivals``: every item has a rate-m
+Poisson process of arrivals, each in a uniformly chosen register, and its
+first arrival in each register is an Exp(1) time E, independent across
+registers.  A register's slot is a function of the smallest such E over
+the items, E_j:
 
-The top-k sketch joins its rows to the candidate uniforms of a batch, or to
-another sketch's rows, in one array operation (the combine rule of its
-``state.Rows`` layout): every row keeps its k largest distinct values.
-Only a column whose candidates hold one uniform twice is redone, alone,
-from all its words.
+- continuous: -E_j, the log of e**-E_j, which is distributed as the
+  largest of c uniforms;
+- geometric: the rounding ceil(log(1 - e**-E_j) / log q);
+- Bernoulli: the bit E_j < -log(1 - p);
+- top-k: the k smallest first arrivals, stored as e**-E, descending.
+
+Each sketch tells the arrivals, per register, the time from which an
+arrival can no longer change its slot, so an item stops after an arrival
+or two once the slots have filled.  Thresholds read back from stored
+values (the top-k sketch's -log u, the geometric -log(1 - q**y)) are
+padded upward, so an item may be followed too long, never dropped early.
+
+The hash scheme is recorded as the sketch's ``version``: 2 for these
+arrivals.  A state decoded from a version-1 document (one hash column per
+stream) keeps version 1; it can be estimated and merged with other
+version-1 states, and refuses new items.
 
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
@@ -46,41 +55,50 @@ from .inference import psi_infinity
 _LOG_HALF = math.log(0.5)
 
 
-def _column_words(sk, keys: np.ndarray, extreme) -> np.ndarray:
-    """The extreme raw hash word of each of the sketch's m streams over the
-    keys, where extreme is np.maximum (largest word) or np.minimum."""
-    acc = None
-    for words in hashing.word_tiles(keys, sk.salt, sk.m):
-        part = extreme.reduce(words, axis=0)
-        acc = part if acc is None else extreme(acc, part, out=acc)
-    return acc
+# relative padding of the thresholds read back from stored values, applied
+# both to the stored value and to the time: far above the few ulps that
+# evaluating either loses
+_PAD = 2.0**-40
+
+
+def _first_arrival_minima(sk, keys: np.ndarray, reach: np.ndarray) -> np.ndarray:
+    """The earliest first arrival of the keys in each of the sketch's
+    registers, inf where none came before reach, the time from which an
+    arrival in that register no longer changes the state."""
+    bound = np.array(reach, dtype=np.float64)
+    lowest = np.full(sk.m, np.inf)
+    for _, regs, t in hashing.first_arrivals(keys, sk.salt, sk.m, bound):
+        np.minimum.at(lowest, regs, t)
+        np.minimum(bound, lowest, out=bound)
+    return lowest
 
 
 class ContinuousMaxSketch(state.Sketch):
     """Max sketch with continuous hashing ("uniform" or "exponential").
 
     Slots store log F(M_j) <= 0, the log-CDF of the running maximum, with
-    -inf marking an empty stream.  For any continuous hashing distribution
-    F(h(u)) is identically the underlying uniform u (probability integral
-    transform), so the slot update is max with log u regardless of kind and
-    uniform/exponential hashing produce bit-identical pivots by construction.
-    A single float per stream, and the pivot sum -sum(slots) is exactly the
+    -inf marking an empty stream: -E_j, minus the earliest first arrival
+    in register j, since e**-E_j has the law of the largest of c uniforms.
+    For any continuous hashing distribution F(h(u)) is identically the
+    underlying uniform u (probability integral transform), so uniform and
+    exponential hashing produce bit-identical pivots by construction.  A
+    single float per stream, and the pivot sum -sum(slots) is exactly the
     merge-consistent sufficient statistic.
     """
 
     params = ("kind",)
     layout = state.Vector("slots", "<f8", 0.0, "continuous log-CDF slots")
+    version = 2
 
     def __init__(self, m: int, seed: int = 0, kind: str = "uniform"):
-        super().__init__(m, seed)
         if kind not in ("uniform", "exponential"):
             raise ValueError(f"continuous kind must be uniform or exponential, got {kind!r}")
         self.kind = kind
-        self.slots = np.full(m, -np.inf)
+        super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        u = hashing.unit_array(_column_words(self, keys, np.maximum))
-        np.maximum(self.slots, np.log(u), out=self.slots)
+        earliest = _first_arrival_minima(self, keys, -self.slots)
+        np.maximum(self.slots, -earliest, out=self.slots)
 
     def max_values(self) -> np.ndarray:
         """Running maxima in the hash domain (uniform: M_j, exponential: -log(1-M_j))."""
@@ -112,17 +130,23 @@ class GeometricMaxSketch(state.Sketch):
 
     params = ("q",)
     layout = state.Vector("slots", "<u4", state.U32_MAX, "geometric slots")
+    version = 2
 
     def __init__(self, m: int, q: float, seed: int = 0):
-        super().__init__(m, seed)
         if not 0.0 < q < 1.0:
             raise ValueError("q must lie strictly inside (0,1)")
         self.q = float(q)
-        self.slots = np.zeros(m, dtype=np.uint32)
+        super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        u = hashing.unit_array(_column_words(self, keys, np.maximum))
-        np.maximum(self.slots, hashing.geometric_variate(u, self.q), out=self.slots)
+        # an arrival at t raises slot y exactly when 1 - e**-t < q**y,
+        # padded up in q**y (inf if that reaches 1, as for an empty slot)
+        qy = np.minimum(self.q ** self.slots.astype(np.float64) * (1.0 + _PAD), 1.0)
+        with np.errstate(divide="ignore"):
+            reach = -np.log1p(-qy) * (1.0 + _PAD)
+        earliest = _first_arrival_minima(self, keys, reach)
+        hit = earliest < reach
+        self.slots[hit] = np.maximum(self.slots[hit], geometric_slots(-earliest[hit], self.q))
 
     def estimate(self, level: float = 0.95) -> Estimate:
         """Maximum-likelihood estimate via the score equation of the
@@ -150,6 +174,14 @@ class GeometricMaxSketch(state.Sketch):
         if continuity_correction:
             y = y - 0.5
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
+
+
+def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
+    """The geometric slots ceil(log(1 - u) / log q), at least 1, of the
+    uniforms u given by their logs: a monotone rounding of the continuous
+    slot, so max and rounding commute exactly."""
+    y = np.ceil(np.log(-np.expm1(log_u)) / math.log(q))
+    return np.maximum(y, 1.0).astype(np.uint32)
 
 
 def _log1m_qpow(y: np.ndarray, q: float) -> np.ndarray:
@@ -246,7 +278,9 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
 
 
 class KthOrderSketch(state.Sketch):
-    """Keeps the k largest distinct uniform hash values per stream.
+    """Keeps the k largest distinct uniform hash values per stream: the
+    values e**-E of the k earliest first arrivals of distinct items in
+    each register.
 
     Rows are stored descending with NaN padding; bit-exact duplicate hash
     values are kept once (set semantics), so repeated items never change
@@ -255,27 +289,19 @@ class KthOrderSketch(state.Sketch):
 
     params = ("k",)
     layout = state.Rows("topk", np.nan, "k", "top-k rows")
+    version = 2
 
     def __init__(self, m: int, k: int, seed: int = 0):
-        super().__init__(m, seed)
         if not 1 <= k <= state.U16_MAX:
             raise ValueError(f"k must lie in [1, 2**16), got {k}")
         self.k = int(k)
-        self.topk = np.full((m, k), np.nan)
+        super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        # distinct keys give distinct words in every column (the digest,
-        # the counter offset and mix64 are bijections), so the k largest
-        # words of a column carry its k largest distinct uniforms unless
-        # two of them map to the same uniform
-        keys = np.unique(keys)
-        top = top_words(hashing.word_tiles(keys, self.salt, self.m), self.k)
-        u = hashing.unit_array(top)
-        merged = self.layout.joined(self.topk, u.T)[0]
-        for j in np.flatnonzero(tied_columns(u)):
-            col = hashing.uniform_block(keys, self.salt, j, j + 1)
-            merged[j] = self.layout.joined(self.topk[j:j + 1], col.T)[0][0]
-        self.topk = merged
+        bound = _kth_reach(self.topk[:, -1])
+        for _, regs, t in hashing.first_arrivals(keys, self.salt, self.m, bound):
+            self.topk = self.layout.joined(self.topk, _register_rows(regs, np.exp(-t), self.m))[0]
+            bound[:] = _kth_reach(self.topk[:, -1])
 
     def kth_values(self) -> np.ndarray:
         """The k-th largest value per stream; errors if any stream has fewer."""
@@ -292,44 +318,22 @@ class KthOrderSketch(state.Sketch):
         return normal_estimate(c_hat, se, level, "max-kth", self.m)
 
 
-def top_words(tiles, k: int) -> np.ndarray:
-    """The min(k, rows) largest words of each column over a sequence of
-    (rows, m) word tiles, as a (min(k, rows), m) matrix in no set order.
-
-    After the first k rows only the few words above a column's running
-    k-th largest can enter, so each later tile costs one comparison per
-    word plus a small sort of the entrants.
-    """
-    top = None
-    for words in tiles:
-        if top is None or len(top) < k:
-            pool = words.copy() if top is None else np.concatenate([top, words])
-            if len(pool) > k:
-                pool = np.partition(pool, len(pool) - k, axis=0)[len(pool) - k:]
-            top = pool
-            continue
-        flat = np.flatnonzero(words > top.min(axis=0))
-        if len(flat) == 0:
-            continue
-        m = top.shape[1]
-        values = np.concatenate([top.ravel(), words.ravel()[flat]])
-        owner = np.concatenate([np.tile(np.arange(m), k), flat % m])
-        order = np.lexsort((values, owner))
-        ends = np.cumsum(np.bincount(owner, minlength=m))
-        top = values[order][ends[None, :] - k + np.arange(k)[:, None]]
-    return top
+def _kth_reach(kth: np.ndarray) -> np.ndarray:
+    """The time from which a first arrival no longer enters each row, given
+    its k-th value u (NaN while the row has room): -log u, padded down in u
+    and up in time, or inf."""
+    reach = -np.log(kth * (1.0 - _PAD)) * (1.0 + _PAD)
+    return np.where(np.isnan(reach), np.inf, reach)
 
 
-def tied_columns(u: np.ndarray) -> np.ndarray:
-    """Columns of the uniforms of a top_words matrix that hold one value
-    twice; those columns need every word.
-
-    The word-to-uniform map is monotone but not injective: two words that
-    differ only in the 11 low bits it drops give one uniform, and so do
-    neighbouring 53-bit values above 1/2, where the + 0.5 offset rounds.
-    """
-    s = np.sort(u, axis=0)
-    return (s[1:] == s[:-1]).any(axis=0)
+def _register_rows(regs: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """The values grouped into one NaN-padded row per register, unsorted."""
+    order = np.argsort(regs, kind="stable")
+    regs, values = regs[order], values[order]
+    rank = np.arange(len(regs)) - np.searchsorted(regs, regs)
+    rows = np.full((m, int(rank.max(initial=0)) + 1), np.nan)
+    rows[regs, rank] = values
+    return rows
 
 
 def kth_closed_form(y: np.ndarray, k: int) -> float:
@@ -393,7 +397,8 @@ def combine_kth(c1: float, m1: int, c2: float, m2: int, k: int) -> float:
 
 
 class BernoulliSketch(state.Sketch):
-    """m-bit sketch: bit j is set once any item's j-th uniform falls below p.
+    """m-bit sketch: bit j is set once any item's j-th uniform falls below
+    p, that is, once a first arrival in register j comes before -log(1-p).
 
     Choose p about 1.594/c0 for a prior guess c0 of the cardinality; the
     estimator stays within 25% relative efficiency of continuous hashing
@@ -402,17 +407,19 @@ class BernoulliSketch(state.Sketch):
 
     params = ("p",)
     layout = state.Bits("bits", "<u1", 1, "bernoulli bits")
+    version = 2
 
     def __init__(self, m: int, p: float, seed: int = 0):
-        super().__init__(m, seed)
         if not 0.0 < p < 1.0:
             raise ValueError("p must lie strictly inside (0,1)")
         self.p = float(p)
-        self.bits = np.zeros(m, dtype=np.uint8)
+        super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        hit = hashing.unit_array(_column_words(self, keys, np.minimum)) < self.p
-        np.maximum(self.bits, hit.astype(np.uint8), out=self.bits)
+        # bit j is set by a first arrival before -log(1 - p), once
+        reach = -math.log1p(-self.p)
+        earliest = _first_arrival_minima(self, keys, np.where(self.bits, 0.0, reach))
+        np.maximum(self.bits, (earliest < reach).astype(np.uint8), out=self.bits)
 
     def ones(self) -> int:
         return int(self.bits.sum())

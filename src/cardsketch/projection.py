@@ -69,12 +69,10 @@ class ProjectionSketch(state.Sketch):
     deletes = True
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
-        super().__init__(m, seed)
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0,1)")
         self.alpha = float(alpha)
-        self.signs = np.zeros(self.m, dtype=np.int8)
-        self.logmag = np.full(self.m, -np.inf)
+        super().__init__(m, seed)
 
     # -- ingestion --------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Under the idealized truly-random hash model, the state of every sketch here
 has a known sampling distribution when the stream holds c distinct items.
 Drawing states directly from that law is orders of magnitude cheaper than
-hashing c*m variates per replicate and is statistically indistinguishable
+hashing every item of every replicate and is statistically indistinguishable
 from honest ingestion (the equivalence is pinned by two-sample tests in the
 suite).  Replication experiments at c*m beyond desk scale use these; every
 correctness test of ingestion itself runs the real hash path.
@@ -25,6 +25,7 @@ from .order_sketch import (
     ContinuousMaxSketch,
     GeometricMaxSketch,
     KthOrderSketch,
+    geometric_slots,
 )
 from .projection import ProjectionSketch
 
@@ -38,16 +39,8 @@ def sample_continuous(c: int, m: int, rng, kind: str = "uniform") -> ContinuousM
     return ContinuousMaxSketch.from_state(m, 0, continuous_slots(c, m, rng), kind)
 
 
-def geometric_slots_from_continuous(log_y: np.ndarray, q: float) -> np.ndarray:
-    """Couple a geometric max to a continuous max built from the same
-    uniforms: the geometric variate is a monotone rounding of the uniform
-    one, so max and rounding commute exactly."""
-    y = np.ceil(np.log(-np.expm1(log_y)) / math.log(q))
-    return np.maximum(y, 1.0).astype(np.uint32)
-
-
 def sample_geometric(c: int, m: int, q: float, rng) -> GeometricMaxSketch:
-    slots = geometric_slots_from_continuous(continuous_slots(c, m, rng), q)
+    slots = geometric_slots(continuous_slots(c, m, rng), q)
     return GeometricMaxSketch.from_state(m, 0, slots, q)
 
 

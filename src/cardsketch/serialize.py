@@ -5,13 +5,23 @@ The sketch-type table (sketch_types.TYPES) and the state layout each
 class declares (state module) are the single description of both
 formats.  A sketch is a (header, params, arrays) triple:
 
-- header: type, m and salt.  JSON: {"format", "version", "type", "m",
-  "salt", "params", "state"}.  Binary: magic "CSKB", u8 version, u8 type
-  tag, u32 m, u64 salt, all little-endian.
+- header: version, type, m and salt.  JSON: {"format", "version", "type",
+  "m", "salt", "params", "state"}.  Binary: magic "CSKB", u8 version, u8
+  type tag, u32 m, u64 salt, all little-endian.
 - params, in table order: floats (q, p, alpha) as repr strings in JSON and
   f8 in binary; k as a JSON integer and u2 in binary.
 - arrays, in the layout the type's class declares, which also checks
   them.  JSON carries them as "state", binary right after the params.
+
+The version names the hash scheme behind the state (the sketch's
+``version``).  Version 1 is the per-stream scheme: counter j of an item is
+the hash of stream j.  Version 2 is the arrival scheme of the max family
+(max-uniform, max-exp, max-geom, kth, bernoulli; see
+``hashing.first_arrivals``), the only version those types write when
+built here; every other type writes version 1.  Both decoders read either
+version of a max-family state, and the decoded sketch keeps it, so a
+version-1 document re-encodes byte for byte; such a sketch estimates and
+merges with version-1 sketches only, and refuses new items.
 
 JSON stores reals as their shortest round-trip repr, so decoding
 reproduces the state bit for bit, including the -inf empty sentinels.
@@ -33,7 +43,6 @@ from .errors import SerializationError
 from .sketch_types import BY_TAG, TYPES, type_of
 
 FORMAT = "cardsketch"
-VERSION = 1
 MAGIC = b"CSKB"
 
 
@@ -49,9 +58,19 @@ def _decoding(t):
         raise SerializationError(f"invalid {t.name} state: {exc}") from exc
 
 
+def _built(t, version, m, salt, arrays, params):
+    """The sketch of a decoded state, refusing a version its type never had."""
+    if type(version) is not int or version not in (1, t.cls.version):
+        raise SerializationError(f"unsupported version {version!r} for a {t.name} sketch")
+    sk = t.from_state(m, salt, arrays, params)
+    if version != sk.version:
+        sk.version = version
+    return sk
+
+
 def to_json_obj(sk) -> dict:
     t = type_of(sk)
-    return {"format": FORMAT, "version": VERSION, "type": t.name,
+    return {"format": FORMAT, "version": sk.version, "type": t.name,
             "m": sk.m, "salt": sk.salt,
             "params": {n: codec.to_json(getattr(sk, n)) for n, codec in t.params},
             "state": t.cls.layout.to_json(*sk.state_arrays())}
@@ -60,8 +79,6 @@ def to_json_obj(sk) -> dict:
 def from_json_obj(obj: dict):
     if not isinstance(obj, dict) or obj.get("format") != FORMAT:
         raise SerializationError("not a cardsketch document")
-    if obj.get("version") != VERSION:
-        raise SerializationError(f"unsupported version {obj.get('version')!r}")
     name = obj.get("type")
     t = TYPES.get(name) if isinstance(name, str) else None
     if t is None:
@@ -71,7 +88,7 @@ def from_json_obj(obj: dict):
         raw = obj.get("params", {})
         params = {n: codec.from_json(raw[n]) for n, codec in t.params}
         arrays = t.cls.layout.from_json(obj["state"], m, params)
-        return t.from_state(m, salt, arrays, params)
+        return _built(t, obj.get("version"), m, salt, arrays, params)
 
 
 def dumps(sk) -> str:
@@ -93,7 +110,7 @@ _HEADER = struct.Struct("<4sBBIQ")  # magic, version, tag, m, salt
 
 def pack(sk) -> bytes:
     t = type_of(sk)
-    out = [_HEADER.pack(MAGIC, VERSION, t.tag, sk.m, sk.salt)]
+    out = [_HEADER.pack(MAGIC, sk.version, t.tag, sk.m, sk.salt)]
     out += [codec.pack(getattr(sk, n)) for n, codec in t.params]
     out.append(t.cls.layout.pack(*sk.state_arrays()))
     return b"".join(out)
@@ -107,8 +124,6 @@ def unpack(data: bytes):
     magic, version, tag, m, salt = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise SerializationError("bad magic; not a binary cardsketch frame")
-    if version != VERSION:
-        raise SerializationError(f"unsupported binary version {version}")
     t = BY_TAG.get(tag)
     if t is None:
         raise SerializationError(f"unknown type tag {tag}")
@@ -119,7 +134,7 @@ def unpack(data: bytes):
         if r.pos != len(data):
             raise SerializationError(
                 f"{len(data) - r.pos} trailing bytes after the {t.name} payload")
-        return t.from_state(m, salt, arrays, params)
+        return _built(t, version, m, salt, arrays, params)
 
 
 def load_any(data: bytes):

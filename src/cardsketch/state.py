@@ -9,14 +9,21 @@ takes a quantity <= 0 (``UnsupportedDeletionError``).  A class then
 absorbs the checked, non-empty batch in its ``_absorb(keys, d)``.
 
 A class's layout is the one description of its arrays: ``names`` in
-``from_state`` order, ``checked(m, *arrays, **params)`` (the arrays
-checked against m and the parameters), ``joined(*mine, *theirs)`` (the
-combine rule, as new arrays) and the JSON and binary encodings.
+``from_state`` order, ``empty(m, **params)`` (the state of no items),
+``checked(m, *arrays, **params)`` (the arrays checked against m and the
+parameters), ``joined(*mine, *theirs)`` (the combine rule, as new arrays)
+and the JSON and binary encodings.
 
 The checks are the gate between outside data and a sketch: both decoders
 build every sketch through ``from_state``, and check sizes first, so no
 array sized by a declared m or k exists before the payload has shown it
-holds that many entries.
+holds that many entries.  ``from_state`` runs the constructor's checks
+but allocates no empty state beside the checked one.
+
+A class's ``version`` names the hash scheme its ``_absorb`` uses, and is
+the format version the codecs write.  A sketch decoded from an older
+scheme's document carries that version: it merges only with sketches of
+the same version and refuses new items (``IncompatibleSketchError``).
 """
 
 from __future__ import annotations
@@ -55,15 +62,24 @@ class Sketch:
     state arrays and one associative combine rule.
 
     A subclass declares ``params``, its parameter names in ``from_state``
-    order, ``layout``, the layout of its state arrays, and ``deletes`` if
-    it takes quantities <= 0, and writes ``_absorb``.
+    order, ``layout``, the layout of its state arrays, ``deletes`` if it
+    takes quantities <= 0, and ``version`` if its hash scheme is not the
+    first, and writes ``_absorb``.  Its constructor checks and sets the
+    parameters, then calls this one, which sets the empty state.
     """
 
     params: tuple = ()
     deletes = False
+    version = 1
 
     def __init__(self, m: int, seed: int = 0):
         self.m, self.salt = header(m, seed)
+        # from_state leaves the checked arrays here in place of an empty state
+        arrays = self.__dict__.pop("_checked_state", None)
+        if arrays is None:
+            arrays = self.layout.empty(self.m, **{p: getattr(self, p) for p in self.params})
+        for name, a in zip(self.layout.names, arrays):
+            setattr(self, name, a)
 
     @classmethod
     def from_state(cls, m, seed, *args, **params):
@@ -77,10 +93,9 @@ class Sketch:
                             f"{cls.layout.names} and the parameters {cls.params}")
         params.update(named)
         m, salt = header(m, seed)
-        arrays = cls.layout.checked(m, *args[:n], **params)
-        sk = cls(m, seed=salt, **params)
-        for name, a in zip(cls.layout.names, arrays):
-            setattr(sk, name, a)
+        sk = cls.__new__(cls)
+        sk._checked_state = cls.layout.checked(m, *args[:n], **params)
+        sk.__init__(m, seed=salt, **params)
         return sk
 
     def state_arrays(self) -> list:
@@ -91,10 +106,17 @@ class Sketch:
         """Ingest many items with quantities d, all ones by default.
 
         Raises StreamIntegrityError unless d matches the items in length
-        and holds finite numbers, and UnsupportedDeletionError on a
-        quantity <= 0 unless the class ``deletes``; either leaves the
-        state as it was.
+        and holds finite numbers, UnsupportedDeletionError on a quantity
+        <= 0 unless the class ``deletes``, and IncompatibleSketchError if
+        the state was hashed under an older scheme; each leaves the state
+        as it was.
         """
+        if self.version != type(self).version:
+            raise IncompatibleSketchError(
+                f"this {type(self).__name__} was hashed under scheme version "
+                f"{self.version}; it can be estimated and merged with version "
+                f"{self.version} sketches, but items are now hashed under version "
+                f"{type(self).version}")
         keys, d = keys_and_quantities(items, d)
         if not self.deletes and (d <= 0).any():
             raise UnsupportedDeletionError(
@@ -115,10 +137,14 @@ class Sketch:
     def merge(self, other):
         """The sketch of both inputs' streams, as a new object that shares
         no array with either.  Raises IncompatibleSketchError unless other
-        has this type, m, salt and parameters."""
+        has this type, m, salt, parameters and hash scheme version."""
         if type(other) is not type(self):
             raise IncompatibleSketchError(
                 f"cannot merge {type(self).__name__} with {type(other).__name__}")
+        if self.version != other.version:
+            raise IncompatibleSketchError(
+                f"hash scheme versions differ ({self.version} and {other.version}); "
+                "a sketch merges only with sketches of its own version")
         if any(getattr(self, n) != getattr(other, n) for n in ("m", "salt", *self.params)):
             raise IncompatibleSketchError(
                 "sketch configurations differ (m, salt or parameters)")
@@ -303,6 +329,10 @@ class Vector:
     def joined(a, b) -> tuple:
         return (np.maximum(a, b),)
 
+    def empty(self, m: int, **params) -> tuple:
+        """The state of no items: -inf floats or zero integers."""
+        return (np.full(m, -np.inf) if self.real else np.zeros(m, self.dtype.type),)
+
     def to_json(self, a) -> list:
         return [_f2s(v) for v in a.tolist()] if self.real else a.tolist()
 
@@ -341,6 +371,10 @@ class SignedLog:
     names = ("signs", "logmag")
     _logmag = Vector("logmag", "<f8", sys.float_info.max, "projection log-magnitudes")
     joined = staticmethod(signed_add)
+
+    @staticmethod
+    def empty(m: int, **params) -> tuple:
+        return np.zeros(m, dtype=np.int8), np.full(m, -np.inf)
 
     def checked(self, m: int, signs, logmag, **params) -> tuple:
         s = _shaped(np.asarray(signs), (m,), "projection signs")
@@ -391,12 +425,19 @@ class Rows:
             raise TypeError(f"missing the parameter {self.width!r}")
         return params[self.width]
 
+    def empty(self, m: int, **params) -> tuple:
+        return (np.full((m, self._k(params)), self.pad),)
+
     def checked(self, m: int, x, **params) -> tuple:
         a = _shaped(np.array(x, dtype=np.float64), (m, self._k(params)), self.what)
         pad = np.isnan(a) if self.descending else np.isposinf(a)
-        values = a[~pad]
-        if not ((values > 0.0) & (values <= 1.0)).all():
+        # boolean temporaries only, so a large state is not copied again
+        ok = a <= 1.0
+        ok &= a > 0.0
+        ok |= pad
+        if not ok.all():
             raise ValueError(f"{self.what} values must lie in (0, 1]")
+        del ok
         if (pad[:, :-1] & ~pad[:, 1:]).any():
             raise ValueError(f"{self.what} padding must come after every value")
         lo, hi = (a[:, 1:], a[:, :-1]) if self.descending else (a[:, :-1], a[:, 1:])

@@ -178,6 +178,38 @@ def test_mostly_padding_kth_is_refused_before_the_matrix_exists(fmt):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("name", ["kth", "mincount"])
+def test_from_state_allocates_no_empty_state_beside_the_checked_one(name):
+    # the constructor's (m, k) matrix used to be allocated and then replaced
+    values = np.sort(np.random.default_rng(4).random((1024, 256)), axis=1)
+    if name == "kth":
+        rows = values[:, ::-1].copy()
+        build = lambda: KthOrderSketch.from_state(1024, 3, rows, 256)  # noqa: E731
+    else:
+        rows = np.sort(values.reshape(-1, 4)[:, :3], axis=1)
+        build = lambda: MinCountSketch.from_state(len(rows), 3, rows)  # noqa: E731
+    tracemalloc.start()
+    try:
+        sk = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sk.state_arrays()[0].nbytes
+
+
+def test_from_state_still_checks_the_parameters():
+    with pytest.raises(ValueError, match="k must lie"):
+        KthOrderSketch.from_state(2, 0, np.full((2, 0), np.nan), 0)
+    with pytest.raises(ValueError, match="q must lie"):
+        GeometricMaxSketch.from_state(2, 0, [1, 1], 1.5)
+    with pytest.raises(ValueError, match="m must lie"):
+        ContinuousMaxSketch.from_state(0, 0, [], "uniform")
+    with pytest.raises(ValueError, match="power of two"):
+        HyperLogLogSketch.from_state(3, 0, [0, 0, 0])
+    with pytest.raises(ValueError, match="alpha must lie"):
+        ProjectionSketch.from_state(1, 0, [0], [-np.inf], 1.0)
+
+
 def test_empty_kth_at_the_padding_floor_still_loads():
     sk = KthOrderSketch(1024, k=1024, seed=3)
     for data in (serialize.dumps(sk).encode(), serialize.pack(sk)):

@@ -15,6 +15,14 @@ from cardsketch.hashing import (
 )
 
 
+def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int) -> np.ndarray:
+    """(len(keys), counter_hi-counter_lo) matrix of uniforms: ``unit_array``
+    of the words of counters lo..hi-1, the reference for the tiled paths."""
+    steps = np.arange(counter_lo + 1, counter_hi + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    dig = hashing.digest_array(keys, salt)
+    return hashing.unit_array(hashing.mix64_array(dig[:, None] + steps[None, :]))
+
+
 def raw_word_oracle(key: int, counter: int, salt: int) -> int:
     """Scalar splitmix64 reference for the word at a counter position."""
     step = (counter + 1) * 0x9E3779B97F4A7C15
@@ -30,7 +38,7 @@ def uniform_oracle(key: int, counter: int, salt: int) -> float:
 def stable_log_oracle(keys, salt: int, m: int, alpha: float) -> np.ndarray:
     """log X variates from the even (u) and odd (w) counter columns of
     ``uniform_block``."""
-    u = hashing.uniform_block(keys, salt, 0, 2 * m)
+    u = uniform_block(keys, salt, 0, 2 * m)
     return stable_log_variate(u[:, 0::2], -np.log1p(-u[:, 1::2]), alpha)
 
 
@@ -47,14 +55,14 @@ def stable_log_tiles(keys, salt: int, m: int, alpha: float) -> np.ndarray:
 
 
 def _uniform(item, j: int, salt: int) -> float:
-    return float(hashing.uniform_block(hashing.keys_array([item]), salt, j, j + 1)[0, 0])
+    return float(uniform_block(hashing.keys_array([item]), salt, j, j + 1)[0, 0])
 
 
 class TestDeterminism:
     def test_repeat_query_identical(self):
         keys = np.arange(100, dtype=np.uint64)
-        a = hashing.uniform_block(keys, 99, 0, 8)
-        b = hashing.uniform_block(keys, 99, 0, 8)
+        a = uniform_block(keys, 99, 0, 8)
+        b = uniform_block(keys, 99, 0, 8)
         np.testing.assert_array_equal(a, b)
 
     def test_streams_differ(self):
@@ -73,7 +81,7 @@ class TestDeterminism:
 
     def test_scalar_matches_vector(self):
         keys = np.arange(200, dtype=np.uint64)
-        block = hashing.uniform_block(keys, 99, 0, 4)
+        block = uniform_block(keys, 99, 0, 4)
         for i in (0, 17, 199):
             for j in range(4):
                 assert block[i, j] == uniform_oracle(int(keys[i]), j, 99)
@@ -163,17 +171,17 @@ class TestUnitArray:
 
 class TestUniform:
     def test_open_interval(self):
-        u = hashing.uniform_block(np.arange(10**5, dtype=np.uint64), 1, 0, 1)
+        u = uniform_block(np.arange(10**5, dtype=np.uint64), 1, 0, 1)
         assert u.min() > 0.0 and u.max() < 1.0
 
     def test_ks_against_uniform(self):
         # 1e5 distinct items, one variate each
-        u = hashing.uniform_block(np.arange(10**5, dtype=np.uint64), 7, 0, 1)[:, 0]
+        u = uniform_block(np.arange(10**5, dtype=np.uint64), 7, 0, 1)[:, 0]
         d = kstest(u, "uniform").statistic
         assert d < 1.628 / math.sqrt(len(u))  # 1% critical value
 
     def test_stream_pairwise_correlation(self):
-        u = hashing.uniform_block(np.arange(10**5, dtype=np.uint64), 11, 0, 2)
+        u = uniform_block(np.arange(10**5, dtype=np.uint64), 11, 0, 2)
         r = np.corrcoef(u[:, 0], u[:, 1])[0, 1]
         assert abs(r) < 0.01
 
@@ -191,7 +199,7 @@ class TestExponential:
                 exponential_variate(bad)
 
     def test_mean(self):
-        u = hashing.uniform_block(np.arange(10**5, dtype=np.uint64), 3, 0, 1)[:, 0]
+        u = uniform_block(np.arange(10**5, dtype=np.uint64), 3, 0, 1)[:, 0]
         assert exponential_variate(u).mean() == pytest.approx(1.0, abs=0.01)
 
 
@@ -202,7 +210,7 @@ class TestGeometric:
 
     def test_frequency_of_one(self):
         # P(X=1) = 1-q = 1/11 for q=10/11
-        u = hashing.uniform_block(np.arange(10**5, dtype=np.uint64), 5, 0, 1)[:, 0]
+        u = uniform_block(np.arange(10**5, dtype=np.uint64), 5, 0, 1)[:, 0]
         y = geometric_variate(u, 10.0 / 11.0)
         assert np.mean(y == 1) == pytest.approx(1.0 / 11.0, abs=0.005)
 

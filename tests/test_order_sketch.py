@@ -61,13 +61,24 @@ class TestUpdateSemantics:
         np.testing.assert_array_equal(a.slots, b.slots)
 
     def test_single_stream_max_definition(self):
+        # arrival r of an item: counter 2r gives the spacing -log(u)/m,
+        # counter 2r+1 the register; slot j is minus the earliest first
+        # arrival in register j over the items
         from cardsketch.hashing import item_key
-        from test_hashing import uniform_oracle
-        sk = ContinuousMaxSketch(1, seed=7)
+        from test_hashing import raw_word_oracle, uniform_oracle
+        m, salt = 3, 7
+        first = {}
+        for item in ("a", "b"):
+            key, t, r = item_key(item), 0.0, 0
+            while len({j for (it, j) in first if it == item}) < m:
+                t += float(np.log(np.array([uniform_oracle(key, 2 * r, salt)]))[0] / -m)
+                j = raw_word_oracle(key, 2 * r + 1, salt) % m
+                first.setdefault((item, j), t)
+                r += 1
+        sk = ContinuousMaxSketch(m, seed=salt)
         sk.add("a"); sk.add("b")
-        expected = max(uniform_oracle(item_key("a"), 0, 7),
-                       uniform_oracle(item_key("b"), 0, 7))
-        assert sk.slots[0] == np.log(expected)
+        for j in range(m):
+            assert sk.slots[j] == -min(first["a", j], first["b", j])
 
     def test_deletion_rejected(self):
         sk = ContinuousMaxSketch(4, seed=0)

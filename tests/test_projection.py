@@ -20,12 +20,13 @@ from cardsketch.projection import (
     stable_median_log,
 )
 from cardsketch.streams import distinct_keys, exact_count, generate_stream
+from test_hashing import uniform_block
 
 
 def _stable_log(keys, salt, m, alpha):
     """log X variates from the even (u) and odd (w) counter columns of
     ``uniform_block``: the reference for the tiled transform."""
-    u = hashing.uniform_block(keys, salt, 0, 2 * m)
+    u = uniform_block(keys, salt, 0, 2 * m)
     return hashing.stable_log_variate(u[:, 0::2], -np.log1p(-u[:, 1::2]), alpha)
 
 

@@ -110,7 +110,7 @@ def test_json_is_plain_data():
     sk.add("a")
     doc = json.loads(serialize.dumps(sk))
     assert doc["format"] == "cardsketch"
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["type"] == "max-uniform"
     assert all(isinstance(v, str) for v in doc["state"])
 

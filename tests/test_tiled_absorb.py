@@ -1,26 +1,36 @@
-"""The tiled, reduce-before-transform absorb of the max family is bit-identical
-to the reference path: uniform_block, elementwise transform, then reduce."""
+"""The max family's arrival ingestion against a brute-force oracle.
+
+Every key has a rate-m Poisson process of arrivals: arrival r reads
+counter 2r for its Exp(1)/m spacing and counter 2r+1 for its register.
+The oracle hashes a dense matrix of R arrivals per key, takes the first
+arrival per (key, register) and reduces it as each sketch does, doubling
+R until no key's later arrivals could still count.  Each sketch must
+equal it bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
-from cardsketch import hashing, order_sketch, state
+from cardsketch import hashing, state
 from cardsketch.order_sketch import (
     BernoulliSketch,
     ContinuousMaxSketch,
     GeometricMaxSketch,
     KthOrderSketch,
-    tied_columns,
-    top_words,
+    geometric_slots,
 )
 from cardsketch.streams import distinct_keys
+from test_hashing import uniform_block
 
 SALT = 17
 Q = 10.0 / 11.0
-K = 3
+P = 0.002
+KINDS = ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli")
 
 
-def _make(kind, m):
+def _make(kind, m, k=3):
     if kind == "max-uniform":
         return ContinuousMaxSketch(m, SALT)
     if kind == "max-exp":
@@ -28,42 +38,73 @@ def _make(kind, m):
     if kind == "max-geom":
         return GeometricMaxSketch(m, Q, SALT)
     if kind == "kth":
-        return KthOrderSketch(m, K, SALT)
-    return BernoulliSketch(m, 0.002, SALT)
+        return KthOrderSketch(m, k, SALT)
+    return BernoulliSketch(m, P, SALT)
 
 
 def _state(sk):
-    for name in ("slots", "topk", "bits"):
-        if hasattr(sk, name):
-            return getattr(sk, name)
-    raise AssertionError(type(sk).__name__)
+    (a,) = sk.state_arrays()
+    return a
 
 
-def _reference(kind, m, batches):
-    """The state the reference path gives after absorbing the batches, built
-    from uniform_block a few columns at a time to bound memory."""
-    keys = np.concatenate([np.asarray(b, dtype=np.uint64) for b in batches])
-    sk = _make(kind, m)
+def _arrivals(keys, m, r):
+    """Times and registers of the first r arrivals of each key, (n, r) each."""
+    u = uniform_block(keys, SALT, 0, 2 * r)
+    times = np.add.accumulate(np.log(u[:, 0::2]) / -m, axis=1)
+    dig = hashing.digest_array(keys, SALT)
+    steps = np.arange(2, 2 * r + 1, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    words = hashing.mix64_array(dig[:, None] + steps[None, :])
+    return times, (words % np.uint64(m)).astype(np.intp)
+
+
+def _first_arrivals(keys, m, r):
+    """(n, m) first arrival time per (key, register) among r arrivals, inf
+    where none, and each key's r-th arrival time."""
+    times, regs = _arrivals(keys, m, r)
+    first = np.full((len(keys), m), np.inf)
+    for j in range(r - 1, -1, -1):
+        first[np.arange(len(keys)), regs[:, j]] = times[:, j]
+    return first, times[:, -1]
+
+
+def _reduce(kind, first, m, k):
+    """The state of a sketch whose first arrivals are the (n, m) matrix."""
+    earliest = first.min(axis=0, initial=np.inf)
+    if kind in ("max-uniform", "max-exp"):
+        return -earliest
+    if kind == "max-geom":
+        slots = np.zeros(m, dtype=np.uint32)
+        hit = np.isfinite(earliest)
+        slots[hit] = geometric_slots(-earliest[hit], Q)
+        return slots
+    if kind == "bernoulli":
+        return (earliest < -math.log1p(-P)).astype(np.uint8)
+    rows = np.full((m, k), np.nan)
+    for j in range(m):
+        col = first[:, j]
+        best = np.unique(np.exp(-col[np.isfinite(col)]))[::-1][:k]
+        rows[j, :len(best)] = best
+    return rows
+
+
+def _reach(kind, first, k):
+    """The time from which no arrival can change the oracle's state."""
+    col = np.sort(first, axis=0)
+    depth = k if kind == "kth" else 1
+    return col[depth - 1].max() if len(col) >= depth else np.inf
+
+
+def _oracle(kind, m, batches, k=3):
+    keys = np.unique(np.concatenate([np.asarray(b, dtype=np.uint64) for b in batches]))
     if len(keys) == 0:
-        return _state(sk)
-    cols = []
-    for lo in range(0, m, 16):
-        u = hashing.uniform_block(keys, SALT, lo, min(m, lo + 16))
-        if kind in ("max-uniform", "max-exp"):
-            cols.append(np.log(u).max(axis=0))
-        elif kind == "max-geom":
-            cols.append(hashing.geometric_variate(u, Q).max(axis=0))
-        elif kind == "bernoulli":
-            cols.append((u < sk.p).any(axis=0).astype(np.uint8))
-        else:
-            for j in range(u.shape[1]):
-                best = np.unique(u[:, j])[::-1][:K]
-                row = np.full(K, np.nan)
-                row[:len(best)] = best
-                cols.append(row)
-    if kind == "kth":
-        return np.array(cols)
-    return np.maximum(_state(sk), np.concatenate(cols))
+        return _state(_make(kind, m, k))
+    r = 4
+    while True:
+        first, last = _first_arrivals(keys, m, r)
+        # every key has passed the reach, or has visited every register
+        if ((last >= _reach(kind, first, k)) | np.isfinite(first).all(axis=1)).all():
+            return _reduce(kind, first, m, k)
+        r *= 2
 
 
 def _assert_same(a, b):
@@ -71,17 +112,13 @@ def _assert_same(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-KINDS = ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli")
-
-
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [1, 255, 256, 257, 70000])
 def test_batch_sizes_around_the_tile_edge(kind, n):
-    # at m=128 a tile holds 256 rows
     keys = distinct_keys(n, seed=n)
     sk = _make(kind, 128)
     sk.add_batch(keys)
-    _assert_same(_state(sk), _reference(kind, 128, [keys]))
+    _assert_same(_state(sk), _oracle(kind, 128, [keys]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -90,7 +127,7 @@ def test_successive_batches_accumulate(kind):
     sk = _make(kind, 33)
     for lo, hi in ((0, 257), (257, 258), (258, 900)):
         sk.add_batch(keys[lo:hi])
-    _assert_same(_state(sk), _reference(kind, 33, [keys]))
+    _assert_same(_state(sk), _oracle(kind, 33, [keys]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -100,7 +137,62 @@ def test_duplicate_heavy_batch(kind):
     keys = pool[rng.integers(0, len(pool), 5000)]
     sk = _make(kind, 64)
     sk.add_batch(keys)
-    _assert_same(_state(sk), _reference(kind, 64, [keys]))
+    _assert_same(_state(sk), _oracle(kind, 64, [keys]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_stream(kind):
+    # at m=1 a key's first arrival is its only one that can count
+    keys = distinct_keys(70000, seed=8)
+    sk = _make(kind, 1)
+    sk.add_batch(keys)
+    _assert_same(_state(sk), _oracle(kind, 1, [keys]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_single_item_add_matches_batch(kind):
+    keys = distinct_keys(20, seed=9)
+    one, batch = _make(kind, 12), _make(kind, 12)
+    for key in keys.tolist():
+        one.add(key)
+    batch.add_batch(keys)
+    _assert_same(_state(one), _state(batch))
+    _assert_same(_state(one), _oracle(kind, 12, [keys]))
+
+
+def _register_counts():
+    """(kind, k, m) beyond the tests above: m of 1, 7 and 128, and k = 1."""
+    for kind in KINDS:
+        for k in ((1, 3) if kind == "kth" else (3,)):
+            for m in (1, 7, 128):
+                if k == 1 or m != 128:
+                    yield kind, k, m
+
+
+@pytest.mark.parametrize("kind,k,m", list(_register_counts()))
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 70000])
+def test_batches_at_every_register_count(kind, k, m, n):
+    keys = distinct_keys(n, seed=n + m)
+    sk = _make(kind, m, k)
+    sk.add_batch(keys)
+    _assert_same(_state(sk), _oracle(kind, m, [keys], k))
+
+
+@pytest.mark.parametrize("kind,k,m", list(_register_counts()))
+def test_repeats_successive_batches_and_single_adds_at_every_register_count(kind, k, m):
+    rng = np.random.default_rng(m + k)
+    keys = distinct_keys(600, seed=m)
+    repeated = keys[rng.integers(0, 40, 3000)]
+    sk = _make(kind, m, k)
+    sk.add_batch(repeated)
+    _assert_same(_state(sk), _oracle(kind, m, [repeated], k))
+    for lo, hi in ((0, 257), (257, 258), (258, 600)):
+        sk.add_batch(keys[lo:hi])
+    _assert_same(_state(sk), _oracle(kind, m, [keys], k))
+    one = _make(kind, m, k)
+    for key in keys[:12].tolist():
+        one.add(key)
+    _assert_same(_state(one), _oracle(kind, m, [keys[:12]], k))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -114,83 +206,113 @@ def test_empty_batch_leaves_state_alone(kind):
     _assert_same(_state(sk), before)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_single_stream(kind):
-    # m=1 puts 32768 rows in a tile, so 70000 keys still span three tiles
-    keys = distinct_keys(70000, seed=8)
-    sk = _make(kind, 1)
-    sk.add_batch(keys)
-    _assert_same(_state(sk), _reference(kind, 1, [keys]))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_single_item_add_matches_batch(kind):
-    keys = distinct_keys(20, seed=9)
-    one, batch = _make(kind, 12), _make(kind, 12)
-    for key in keys.tolist():
-        one.add(key)
-    batch.add_batch(keys)
-    _assert_same(_state(one), _state(batch))
-    _assert_same(_state(one), _reference(kind, 12, [keys]))
-
-
 def test_kth_with_fewer_items_than_k():
     keys = distinct_keys(2, seed=10)
     sk = _make("kth", 8)
     sk.add_batch(keys)
     assert np.isnan(sk.topk[:, 2]).all() and not np.isnan(sk.topk[:, :2]).any()
-    _assert_same(sk.topk, _reference("kth", 8, [keys]))
+    _assert_same(sk.topk, _oracle("kth", 8, [keys]))
 
 
-def _top_k_brute(words, k):
-    return np.sort(words, axis=0)[::-1][:k]
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [1, 300])
+def test_rounds_chunks_and_passes_do_not_change_the_state(kind, n, monkeypatch):
+    # (tile words, first chunk, keys per pass): one arrival per round with
+    # small chunks; the defaults; large blocks and chunks; passes of 7 keys
+    keys = distinct_keys(n, seed=13)
+    states = []
+    for tile, chunk, per_pass in ((1, -3, 1 << 16), (hashing._TILE_WORDS, hashing._FIRST_CHUNK, 1 << 16),
+                                  (1 << 22, 64, 1 << 16), (hashing._TILE_WORDS, 0, 7)):
+        monkeypatch.setattr(hashing, "_TILE_WORDS", tile)
+        monkeypatch.setattr(hashing, "_FIRST_CHUNK", chunk)
+        monkeypatch.setattr(hashing, "_KEYS_PER_PASS", per_pass)
+        sk = _make(kind, 33)
+        sk.add_batch(keys)
+        states.append(_state(sk))
+    for s in states[1:]:
+        _assert_same(s, states[0])
+    _assert_same(states[0], _oracle(kind, 33, [keys]))
 
 
-@pytest.mark.parametrize("sizes", [(1,), (2, 1, 5), (1, 1, 1, 1), (7, 300, 3), (256, 256)])
-def test_top_words_matches_a_full_sort(sizes):
-    rng = np.random.default_rng(sum(sizes))
-    words = rng.integers(0, 2**64, size=(sum(sizes), 9), dtype=np.uint64)
-    edges = np.cumsum((0,) + sizes)
-    tiles = (words[lo:hi] for lo, hi in zip(edges[:-1], edges[1:]))
-    top = top_words(tiles, K)
-    np.testing.assert_array_equal(np.sort(top, axis=0)[::-1], _top_k_brute(words, K))
+@pytest.mark.parametrize("kind", KINDS)
+def test_merged_shards_equal_one_pass_in_any_split_and_order(kind):
+    keys = distinct_keys(3000, seed=14)
+    whole = _make(kind, 64)
+    whole.add_batch(keys)
+    rng = np.random.default_rng(15)
+    for _ in range(3):
+        cuts = np.sort(rng.integers(0, len(keys), size=3))
+        parts = np.split(keys[rng.permutation(len(keys))], cuts)
+        sketches = []
+        for part in parts:
+            sk = _make(kind, 64)
+            sk.add_batch(part)
+            sketches.append(sk)
+        merged = sketches[-1]
+        for sk in sketches[-2::-1]:
+            merged = merged.merge(sk)
+        _assert_same(_state(merged), _state(whole))
 
 
-def test_tie_guard_flags_words_sharing_a_uniform():
-    step = np.uint64(2048)  # one unit of the 53 bits a uniform keeps
-    a = np.uint64(0x4000_0000_0000_0000)  # uniforms near 1/4: no rounding
-    b = np.uint64(0xC000_0000_0000_0000) + step  # near 3/4: b and b + step round together
-    # column 0: the two largest words differ only in the low 11 bits;
-    # column 1: the two largest are neighbouring 53-bit values above 1/2;
-    # column 2: three words with distinct uniforms
-    words = np.array([[a + np.uint64(5), b + step, a],
-                      [a, b, a - step],
-                      [a - step, b - np.uint64(4) * step, a - np.uint64(2) * step]],
-                     dtype=np.uint64)
-    top = top_words(iter([words[:1], words[1:]]), 2)
-    u = hashing.unit_array(top)
-    np.testing.assert_array_equal(tied_columns(u), [True, True, False])
-    # reading a tied column from its two largest words alone loses a value
-    for j in (0, 1):
-        assert len(np.unique(u[:, j])) == 1
-        assert len(np.unique(hashing.unit_array(words[:, j]))) == 2
+def test_registers_are_uniform():
+    # the register of a key's earliest arrival is its arrival 0's
+    m, n = 7, 20000
+    keys = distinct_keys(n, seed=16)
+    earliest = np.full(n, np.inf)
+    register = np.full(n, -1)
+    bound = np.full(m, np.inf)
+    for rows, regs, t in hashing.first_arrivals(keys, SALT, m, bound):
+        better = t < earliest[rows]
+        earliest[rows[better]] = t[better]
+        register[rows[better]] = regs[better]
+    counts = np.bincount(register, minlength=m)
+    assert counts.sum() == n
+    assert chisquare(counts).pvalue > 1e-3
 
 
-def test_tied_columns_fall_back_to_every_word(monkeypatch):
-    keys = distinct_keys(3000, seed=11)
-    monkeypatch.setattr(order_sketch, "tied_columns",
-                        lambda u: np.ones(u.shape[1], dtype=bool))
-    sk = _make("kth", 20)
+def test_every_first_arrival_is_yielded_once_while_bounds_are_infinite():
+    keys = distinct_keys(50, seed=17)
+    seen = []
+    for rows, regs, t in hashing.first_arrivals(keys, SALT, 5, np.full(5, np.inf)):
+        seen += list(zip(rows.tolist(), regs.tolist(), t.tolist()))
+    first, _ = _first_arrivals(keys, 5, 256)
+    assert np.isfinite(first).all()
+    assert sorted(seen) == sorted((i, j, first[i, j]) for i in range(50) for j in range(5))
+
+
+def test_a_lone_item_hashes_about_m_log_m_words(monkeypatch):
+    counted = []
+    mix = hashing.mix64_array
+
+    def counting(z, *args, **kwargs):
+        counted.append(z.size)
+        return mix(z, *args, **kwargs)
+
+    monkeypatch.setattr(hashing, "mix64_array", counting)
+    m = 4096
+    sk = ContinuousMaxSketch(m, SALT)
+    sk.add("lone")
+    assert np.isfinite(sk.slots).all()
+    assert sum(counted) <= 4 * m * math.log(m)
+
+
+def test_a_warm_sketch_hashes_few_words_per_item(monkeypatch):
+    counted = []
+    mix = hashing.mix64_array
+    sk = ContinuousMaxSketch(128, SALT)
+    sk.add_batch(distinct_keys(20000, seed=18))
+    keys = distinct_keys(20000, seed=19)
+    monkeypatch.setattr(hashing, "mix64_array",
+                        lambda z, *a, **kw: counted.append(z.size) or mix(z, *a, **kw))
     sk.add_batch(keys)
-    _assert_same(sk.topk, _reference("kth", 20, [keys]))
+    assert sum(counted) <= 2.5 * 20000
 
 
 def test_word_tiles_cover_uniform_block():
     keys = distinct_keys(1000, seed=12)
     tiles = [t.copy() for t in hashing.word_tiles(keys, SALT, 128)]
     assert [len(t) for t in tiles] == [256, 256, 256, 232]
-    _assert_same(hashing.unit_array(np.concatenate(tiles)),
-                 hashing.uniform_block(keys, SALT, 0, 128))
+    _assert_same(hashing.unit_array(np.concatenate(tiles)), uniform_block(keys, SALT, 0, 128))
     assert list(hashing.word_tiles(keys[:0], SALT, 128)) == []
 
 
