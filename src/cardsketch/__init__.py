@@ -23,12 +23,7 @@ from .errors import (
 )
 from .estimate import Estimate, gamma_pivot_interval
 from .experiment import ExperimentConfig, ExperimentReport, run_experiment
-from .hashing import (
-    exponential_variate,
-    geometric_variate,
-    item_key,
-    stable_log_variate,
-)
+from .hashing import item_key, stable_log_variate
 from .inference import (
     TailBound,
     are_bernoulli,
@@ -92,11 +87,9 @@ __all__ = [
     "coupled_residuals",
     "dumps",
     "exact_count",
-    "exponential_variate",
     "fisher_info_geometric",
     "gamma_pivot_interval",
     "generate_stream",
-    "geometric_variate",
     "item_key",
     "kth_root_estimate",
     "loads",

@@ -4,13 +4,16 @@ Subcommands: sketch (build from a text stream), merge, estimate,
 simulate (replicated experiments), analyze (closed-form constants) and
 equivalence (coupled maximal-term / projection diagnostics).
 
+sketch reads its elements, from a file or stdin, as UTF-8 bytes, whatever
+the locale: LF, CRLF and a lone CR each end a line, and an id keys as its
+bytes.  Input that is not UTF-8 is a data error.
+
 Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 
@@ -50,36 +53,33 @@ def _make_sketch(args) -> object:
 
 
 def _read_elements(path: str):
-    """One element per line: <item_id>[<TAB><d>], missing d = 1; UTF-8 with
-    universal newlines, from a file or from stdin alike."""
+    """One element per line: <item_id>[<TAB><d>], missing d = 1; the ids
+    as bytes, which key as their text would."""
     if path == "-":
-        # detached, not closed, afterwards: main() may run again in-process
-        fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-        done = fh.detach
+        data = sys.stdin.buffer.read()
     else:
-        fh = open(path, "r", encoding="utf-8")
-        done = fh.close
+        with open(path, "rb") as fh:
+            data = fh.read()
+    data.decode("utf-8")  # UnicodeDecodeError, a ValueError, on a bad byte
     items, ds = [], []
-    try:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            item, _, dtext = line.partition("\t")
-            if not item:
-                raise SerializationError(f"line {lineno}: empty item id")
-            try:
-                d = int(dtext) if dtext else 1
-            except ValueError:
-                raise SerializationError(
-                    f"line {lineno}: quantity {dtext!r} is not an integer")
-            if not -2**63 <= d < 2**63:
-                raise SerializationError(
-                    f"line {lineno}: quantity {dtext!r} is outside int64")
-            items.append(item)
-            ds.append(d)
-    finally:
-        done()
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for lineno, line in enumerate(lines, 1):
+        if not line:
+            continue
+        item, _, dtext = line.partition(b"\t")
+        if not item:
+            raise SerializationError(f"line {lineno}: empty item id")
+        dtext = dtext.decode("utf-8")
+        try:
+            d = int(dtext) if dtext else 1
+        except ValueError:
+            raise SerializationError(
+                f"line {lineno}: quantity {dtext!r} is not an integer")
+        if not -2**63 <= d < 2**63:
+            raise SerializationError(
+                f"line {lineno}: quantity {dtext!r} is outside int64")
+        items.append(item)
+        ds.append(d)
     return items, np.array(ds, dtype=np.int64)
 
 

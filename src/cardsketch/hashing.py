@@ -28,9 +28,10 @@ An item's counters are read in one of two layouts.
   can no longer change the state: after warm-up an item costs about two
   words, not one per register.
 
-A single item is a one-row call: the digest, the word and the variate
-functions have no scalar branch, and only ``keys_array`` folds one item by
-itself.
+A single item is a one-row call: the digest and word functions have no
+scalar branch, and only ``keys_array`` folds one item by itself.  Words
+become variates where they are consumed: the max family's slots in
+``order_sketch``, the stable log variates here.
 
 The stable variate needs three sines per (item, stream).  ``kanter_sines``
 computes them without numpy's sin, whose float64 loop is not vectorized
@@ -44,7 +45,6 @@ Do NOT use Python's built-in hash(): it is salted per process.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -174,13 +174,9 @@ def salt_base(salt: int) -> int:
     return mix64(salt ^ _SALT_TAG)
 
 
-def digest(key: int, salt: int) -> int:
-    """Per-item digest; seeds the counter-based variate stream."""
-    return mix64((key ^ salt_base(salt)) & _MASK64)
-
-
 def digest_array(keys: np.ndarray, salt: int) -> np.ndarray:
-    """``digest`` of each key."""
+    """Per-item digests mix64(key ^ salt_base(salt)), which seed the
+    counter-based variate streams."""
     z = np.ascontiguousarray(keys, dtype=np.uint64) ^ np.uint64(salt_base(salt))
     return mix64_array(z, out=z)
 
@@ -198,14 +194,6 @@ def unit_array(words: np.ndarray) -> np.ndarray:
     return np.minimum(u, _UNIT_MAX, out=u)
 
 
-@functools.lru_cache(maxsize=64)
-def _counter_steps(counter_lo: int, counter_hi: int) -> np.ndarray:
-    """Read-only (counter + 1) * GAMMA offsets for counters lo..hi-1."""
-    steps = np.arange(counter_lo + 1, counter_hi + 1, dtype=np.uint64) * _U_GAMMA
-    steps.flags.writeable = False
-    return steps
-
-
 def word_tiles(keys: np.ndarray, salt: int, m: int):
     """Yield the raw words of counters 0..m-1 of the keys, one row per key,
     in row tiles of about _TILE_WORDS words, top to bottom.
@@ -216,7 +204,7 @@ def word_tiles(keys: np.ndarray, salt: int, m: int):
     nothing for an empty key array.
     """
     dig = digest_array(keys, salt)
-    steps = _counter_steps(0, m)
+    steps = np.arange(1, m + 1, dtype=np.uint64) * _U_GAMMA  # (counter + 1) * GAMMA
     buf = np.empty((max(1, min(_TILE_WORDS // m, len(dig))), m), dtype=np.uint64)
     scratch = np.empty_like(buf)
     for lo in range(0, len(dig), len(buf)):
@@ -367,29 +355,6 @@ def _insert(seen: np.ndarray, seen_t: np.ndarray, code: np.ndarray, when: np.nda
     return codes[order], np.concatenate([seen_t, when])[order]
 
 
-# --- inverse-CDF transforms --------------------------------------------
-
-def _check_unit(u) -> None:
-    arr = np.asarray(u)
-    if not np.all((arr > 0.0) & (arr < 1.0)):
-        raise ValueError("u must lie strictly inside (0,1)")
-
-
-def exponential_variate(u):
-    """Exponential(mean 1) via -log(1-u)."""
-    _check_unit(u)
-    return -np.log1p(-np.asarray(u))
-
-
-def geometric_variate(u, q):
-    """Smallest integer x >= 1 with 1-q**x >= u, i.e. ceil(log(1-u)/log(q))."""
-    _check_unit(u)
-    if not 0.0 < q < 1.0:
-        raise ValueError("q must lie strictly inside (0,1)")
-    x = np.ceil(np.log1p(-np.asarray(u)) / math.log(q))
-    return np.maximum(x, 1.0).astype(np.uint32)
-
-
 # Taylor coefficients of sin(pi*r)/r in powers of r*r, (-1)**k pi**(2k+1)/(2k+1)!;
 # for r <= 1/2 the first one left out adds about 1e-18
 _SIN_PI_TAYLOR = tuple((-1) ** k * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
@@ -446,10 +411,11 @@ def stable_log_variate(u, w, alpha):
     reflection keeps full relative precision as u -> 1, where the largest
     variates sit and sin(pi*u) is tiny.
     """
-    _check_unit(u)
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all((u > 0.0) & (u < 1.0)):
+        raise ValueError("u must lie strictly inside (0,1)")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly inside (0,1)")
-    u = np.asarray(u, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if u.shape != w.shape:
         u, w = np.broadcast_arrays(u, w)

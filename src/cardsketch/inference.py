@@ -95,7 +95,10 @@ def are_bernoulli(lam: float) -> float:
     return lam * lam / math.expm1(lam)
 
 
-def optimal_lambda(tol: float = 1e-13) -> float:
+_LAMBDA_TOL = 1e-13  # Newton's absolute step tolerance in optimal_lambda
+
+
+def optimal_lambda() -> float:
     """Positive root of lambda = 2*(1 - e**-lambda), the rate maximising
     Bernoulli Fisher information; approximately 1.594."""
     lam = 1.6
@@ -103,7 +106,7 @@ def optimal_lambda(tol: float = 1e-13) -> float:
         f = lam - 2.0 * -math.expm1(-lam)
         df = 1.0 - 2.0 * math.exp(-lam)
         nxt = lam - f / df
-        if abs(nxt - lam) < tol:
+        if abs(nxt - lam) < _LAMBDA_TOL:
             return nxt
         lam = nxt
     return lam

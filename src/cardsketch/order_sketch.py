@@ -60,6 +60,11 @@ _LOG_HALF = math.log(0.5)
 # evaluating either loses
 _PAD = 2.0**-40
 
+# the largest q: a hashed first arrival is at least -log(1 - 2**-53) / m,
+# about 2**-85 for m < 2**32, so a geometric slot is at most
+# 85 log 2 / -log q, about 3.95e9 here, below the u32 maximum 2**32 - 1
+_Q_MAX = 1.0 - 2.0**-26
+
 
 def _first_arrival_minima(sk, keys: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """The earliest first arrival of the keys in each of the sketch's
@@ -133,8 +138,8 @@ class GeometricMaxSketch(state.Sketch):
     version = 2
 
     def __init__(self, m: int, q: float, seed: int = 0):
-        if not 0.0 < q < 1.0:
-            raise ValueError("q must lie strictly inside (0,1)")
+        if not 0.0 < q <= _Q_MAX:
+            raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
         self.q = float(q)
         super().__init__(m, seed)
 
@@ -227,8 +232,12 @@ def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
     return float((score * counts).sum()), float((dscore * counts).sum())
 
 
-def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
-                        max_iter: int = 50) -> tuple[float, float]:
+# Newton's relative step tolerance and iteration limit for each root
+_GEOM_TOL, _GEOM_MAX_ITER = 1e-9, 50
+_KTH_TOL, _KTH_MAX_ITER = 1e-12, 100
+
+
+def solve_geometric_mle(slots: np.ndarray, q: float) -> tuple[float, float]:
     """Newton-Raphson on the geometric score equation.
 
     Starts from the consistent estimator log(r/m)/log(1-q**n) with
@@ -256,7 +265,7 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
         return -1.0 / math.log1p(-q), c0
 
     c = c0
-    for _ in range(max_iter):
+    for _ in range(_GEOM_MAX_ITER):
         s, ds = geometric_score(y, counts, q, c)
         if not (math.isfinite(s) and math.isfinite(ds)):
             raise EstimationNumericError(
@@ -269,11 +278,11 @@ def solve_geometric_mle(slots: np.ndarray, q: float, tol: float = 1e-9,
         while nxt <= 0.0:
             step *= 0.5
             nxt = c - step
-        if abs(nxt - c) < tol * max(c, 1.0):
+        if abs(nxt - c) < _GEOM_TOL * max(c, 1.0):
             return float(nxt), float(c0)
         c = nxt
     raise EstimationNumericError(
-        f"geometric MLE did not converge within {max_iter} iterations", initial=c0
+        f"geometric MLE did not converge within {_GEOM_MAX_ITER} iterations", initial=c0
     )
 
 
@@ -346,8 +355,7 @@ def kth_closed_form(y: np.ndarray, k: int) -> float:
     return k / t
 
 
-def kth_root_estimate(y: np.ndarray, k: int, tol: float = 1e-12,
-                      max_iter: int = 100) -> float:
+def kth_root_estimate(y: np.ndarray, k: int) -> float:
     """Unique root c > k-1 of  sum_j log y_j + m * sum_{i=1..k} 1/(c-i+1) = 0.
 
     The left side is strictly decreasing in c, from +inf at c -> (k-1)+ to
@@ -360,7 +368,7 @@ def kth_root_estimate(y: np.ndarray, k: int, tol: float = 1e-12,
     log_prod = float(np.log(y).sum())
     offsets = np.arange(k, dtype=np.float64) - (k - 1)  # c-i+1 = c + offsets
     c = kth_closed_form(y, k)
-    for _ in range(max_iter):
+    for _ in range(_KTH_MAX_ITER):
         denom = c + offsets
         f = log_prod + m * float((1.0 / denom).sum())
         df = -m * float((1.0 / denom**2).sum())
@@ -369,7 +377,7 @@ def kth_root_estimate(y: np.ndarray, k: int, tol: float = 1e-12,
         while nxt <= k - 1:
             step *= 0.5
             nxt = c - step
-        if abs(nxt - c) < tol * max(c, 1.0):
+        if abs(nxt - c) < _KTH_TOL * max(c, 1.0):
             return float(nxt)
         c = nxt
     raise EstimationNumericError("k-th order-statistic root search did not converge",

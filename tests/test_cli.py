@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from cardsketch import cli
 from cardsketch.cli import main
+from cardsketch.hashing import keys_array
 from cardsketch.inference import chernoff_bounds
 from cardsketch.order_sketch import GeometricMaxSketch
 from cardsketch.serialize import dumps
@@ -26,6 +28,54 @@ def _run(args, stdin_text=None):
 
 def _stream_text(n, start=0):
     return "".join(f"item-{i}\n" for i in range(start, start + n))
+
+
+def _text_reader_oracle(data: bytes):
+    """(keys, quantities) as the element reader gave them when it read a
+    UTF-8 text stream with universal newlines, line by line."""
+    items, ds = [], []
+    for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
+        line = line.rstrip("\n")
+        if line:
+            item, _, dtext = line.partition("\t")
+            items.append(item)
+            ds.append(int(dtext) if dtext else 1)
+    return keys_array(items).tolist(), ds
+
+
+_READER_CASES = {
+    "lf": b"a\nb\t3\nc\n",
+    "crlf": b"a\r\nb\t3\r\nc\r\n",
+    "lone cr": b"a\rb\t3\rc\r",
+    "mixed": b"a\r\nb\t3\rc\nd\r\r\ne\n\rf",
+    "blank lines": b"\n\na\n\r\n\rb\n\n",
+    "bom": b"\xef\xbb\xbfa\nb\n",
+    "no final newline": b"a\nb\t2",
+    "tab quantities": "a\t-3\nb\t+4\nc\t0\nd\t 7 \ne\t1_000\nf\t٣\n".encode(),
+    "non-ascii ids": "café\t2\nsí\nnaïve\r€-1\t-1\r\n😀\n".encode(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_READER_CASES))
+def test_reader_matches_the_text_reader(case, tmp_path, monkeypatch):
+    data = _READER_CASES[case]
+    want = _text_reader_oracle(data)
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+    for source in (str(path), "-"):
+        items, ds = cli._read_elements(source)
+        assert (keys_array(items).tolist(), ds.tolist()) == want
+
+
+def test_invalid_utf8_is_data_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"ok\n\xff\n")
+    for p in (_run(["sketch", "--type", "hll", "--m", "16", "--in", str(path)]),
+              subprocess.run([sys.executable, "-m", "cardsketch.cli", "sketch", "--type",
+                              "hll", "--m", "16"], input=path.read_bytes(), capture_output=True)):
+        assert p.returncode == 3
+        assert b"Traceback" not in p.stderr
 
 
 class TestSketchEstimate:

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,7 @@ JSON_CASES = {
     "hll register 300": _doc(HyperLogLogSketch(4, seed=0), state=[300, 0, 0, 0]),
     "negative max-geom slot": _doc(GeometricMaxSketch(2, q=0.5), state=[-1, 3]),
     "fractional max-geom slot": _doc(GeometricMaxSketch(2, q=0.5), state=[1.5, 3]),
+    "max-geom q 1 - 1e-12": _doc(GeometricMaxSketch(2, q=0.5), params={"q": repr(1 - 1e-12)}),
     "negative salt": _doc(_max(), salt=-5),
     "salt beyond u64": _doc(_max(), salt=2**64),
     "projection (0, finite)": _doc(ProjectionSketch(2, alpha=0.5), state=[[0, "1.5"], [1, "2.0"]]),
@@ -91,6 +93,7 @@ BINARY_CASES = {
     "projection (1, -inf)": _frame(6, 1, _f8(0.5) + bytes([1]) + _f8(-math.inf)),
     "bernoulli padding bit": _frame(5, 3, _f8(0.1) + bytes([0b11110000])),
     "max-geom q nan": _frame(3, 1, _f8(math.nan) + bytes(4)),
+    "max-geom q 1 - 1e-12": _frame(3, 1, _f8(1 - 1e-12) + bytes(4)),
 }
 
 
@@ -132,6 +135,20 @@ def test_unpackable_seed_is_refused_at_construction(capsys):
 def test_kth_beyond_u16_is_refused_at_construction():
     with pytest.raises(ValueError):
         KthOrderSketch(4, k=2**16)
+
+
+def test_geometric_q_near_one_is_refused_at_construction(capsys):
+    # a slot of a larger q could pass the u32 maximum
+    with pytest.raises(ValueError, match="q must lie"):
+        GeometricMaxSketch(8, 1 - 1e-12)
+    assert main(["sketch", "--type", "max-geom", "--m", "8", "--q", repr(1 - 1e-12),
+                 "--in", "/dev/null"]) == 3
+    assert "q must lie" in capsys.readouterr().err
+    sk = GeometricMaxSketch(8, 1 - 2.0**-26)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sk.add_batch(["a", "b", "c"])
+    assert sk.slots.max() < 2**32 - 1
 
 
 def test_from_state_checks_row_order_and_padding():

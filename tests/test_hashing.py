@@ -7,12 +7,8 @@ import pytest
 from scipy.stats import kstest, ks_2samp
 
 from cardsketch import hashing
-from cardsketch.hashing import (
-    exponential_variate,
-    geometric_variate,
-    item_key,
-    stable_log_variate,
-)
+from cardsketch.hashing import item_key, stable_log_variate
+from cardsketch.order_sketch import geometric_slots
 
 
 def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int) -> np.ndarray:
@@ -26,7 +22,7 @@ def uniform_block(keys: np.ndarray, salt: int, counter_lo: int, counter_hi: int)
 def raw_word_oracle(key: int, counter: int, salt: int) -> int:
     """Scalar splitmix64 reference for the word at a counter position."""
     step = (counter + 1) * 0x9E3779B97F4A7C15
-    return hashing.mix64(hashing.digest(key, salt) + step)
+    return hashing.mix64(hashing.mix64(key ^ hashing.salt_base(salt)) + step)
 
 
 def uniform_oracle(key: int, counter: int, salt: int) -> float:
@@ -163,9 +159,9 @@ class TestUnitArray:
 
     def test_transforms_accept_the_top_word(self):
         u = hashing.unit_array(self.TOP)
-        w = exponential_variate(u)
+        w = -np.log1p(-u)
         assert np.isfinite(w).all() and (w > 0).all()
-        assert (geometric_variate(u, 0.5) >= 1).all()
+        assert (geometric_slots(np.log(u), 0.5) >= 1).all()
         assert np.isfinite(stable_log_variate(u, w, 0.3)).all()
 
 
@@ -186,49 +182,38 @@ class TestUniform:
         assert abs(r) < 0.01
 
 
-class TestExponential:
-    def test_inverse_cdf_point(self):
-        assert exponential_variate(1.0 - math.exp(-1.0)) == pytest.approx(1.0, rel=1e-12)
-
-    def test_boundary(self):
-        assert 0.0 < exponential_variate(1e-12) < 2e-12
-
-    def test_domain(self):
-        for bad in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(ValueError):
-                exponential_variate(bad)
-
-    def test_mean(self):
-        u = uniform_block(np.arange(10**5, dtype=np.uint64), 3, 0, 1)[:, 0]
-        assert exponential_variate(u).mean() == pytest.approx(1.0, abs=0.01)
-
-
 class TestGeometric:
+    """``geometric_slots``, the rounding the geometric max sketch applies,
+    of uniforms given by their logs."""
+
     def test_inverse_cdf_points(self):
-        assert geometric_variate(0.4, 0.5) == 1
-        assert geometric_variate(0.6, 0.5) == 2
+        assert geometric_slots(np.log([0.4, 0.6]), 0.5).tolist() == [1, 2]
 
     def test_frequency_of_one(self):
         # P(X=1) = 1-q = 1/11 for q=10/11
         u = uniform_block(np.arange(10**5, dtype=np.uint64), 5, 0, 1)[:, 0]
-        y = geometric_variate(u, 10.0 / 11.0)
+        y = geometric_slots(np.log(u), 10.0 / 11.0)
         assert np.mean(y == 1) == pytest.approx(1.0 / 11.0, abs=0.005)
 
     def test_matches_brute_force_inverse_cdf(self):
         # oracle: scan x = 1, 2, ... for the first with 1-q^x >= u
         rng = np.random.default_rng(2)
-        for u in rng.random(200):
-            q = 0.7
-            x = 1
-            while 1.0 - q**x < u:
-                x += 1
-            assert geometric_variate(float(u), q) == x
+        u = rng.random(200)
+        for q in (0.5, 0.7, 10.0 / 11.0):
+            want = []
+            for ui in u:
+                x = 1
+                while 1.0 - q**x < ui:
+                    x += 1
+                want.append(x)
+            assert geometric_slots(np.log(u), q).tolist() == want
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            geometric_variate(0.5, 1.0)
-        with pytest.raises(ValueError):
-            geometric_variate(0.0, 0.5)
+    def test_earliest_arrival_fits_u32_at_the_largest_q(self):
+        # a hashed first arrival is at least about 2**-85 (m < 2**32)
+        with np.errstate(all="raise"):
+            y = geometric_slots(np.array([-2.0**-85]), 1.0 - 2.0**-26)
+        assert y.dtype == np.uint32
+        assert 3.9e9 < y[0] < 2**32 - 1
 
 
 def _reflected_stable_log(u: float, w: float, alpha: float) -> float:
