@@ -6,7 +6,9 @@ equivalence (coupled maximal-term / projection diagnostics).
 
 sketch reads its elements, from a file or stdin, as UTF-8 bytes, whatever
 the locale: LF, CRLF and a lone CR each end a line, and an id keys as its
-bytes.  Input that is not UTF-8 is a data error.
+bytes.  Input that is not UTF-8 is a data error.  The ids are keyed as
+byte spans of the input buffer, with no Python object per line, and a
+quantity is parsed, as a Python int, only on a line that has a tab.
 
 Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 """
@@ -19,7 +21,7 @@ import sys
 
 import numpy as np
 
-from . import serialize
+from . import hashing, serialize
 from .errors import (IncompatibleSketchError, SerializationError, SketchError,
                      UnsupportedDeletionError)
 from .experiment import ExperimentConfig, run_experiment
@@ -53,34 +55,49 @@ def _make_sketch(args) -> object:
 
 
 def _read_elements(path: str):
-    """One element per line: <item_id>[<TAB><d>], missing d = 1; the ids
-    as bytes, which key as their text would."""
+    """One element per line: <item_id>[<TAB><d>], missing d = 1.  Returns
+    the ids' uint64 keys, folded as byte spans of the input, and the int64
+    quantities; the first bad line in file order is reported."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
     data.decode("utf-8")  # UnicodeDecodeError, a ValueError, on a bad byte
-    items, ds = [], []
-    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
-    for lineno, line in enumerate(lines, 1):
-        if not line:
-            continue
-        item, _, dtext = line.partition(b"\t")
-        if not item:
-            raise SerializationError(f"line {lineno}: empty item id")
-        dtext = dtext.decode("utf-8")
+    if b"\r" in data:  # the two-byte search is slow: skip it when there is no CR
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # line i spans buf[starts[i]:ends[i]]; empty lines are dropped, and
+    # lineno keeps the number of each line left
+    ends = np.append(np.flatnonzero(buf == 10), len(buf))
+    starts = np.r_[0, ends[:-1] + 1]
+    lineno = np.flatnonzero(ends > starts)
+    starts, ends = starts[lineno], ends[lineno]
+    lineno += 1
+    # each line's id ends at its first tab, if it has one
+    tabs = np.append(np.flatnonzero(buf == 9), len(buf))
+    id_ends = np.minimum(tabs[np.searchsorted(tabs, starts)], ends)
+    # an empty id has a tab, so one pass over the lines with a tab, in
+    # order, finds the first bad line
+    tabbed = np.flatnonzero(id_ends < ends)
+    fields = (a[tabbed].tolist() for a in (lineno, starts, id_ends, ends))
+    quantities = []
+    for n, start, tab, end in zip(*fields):
+        if tab == start:
+            raise SerializationError(f"line {n}: empty item id")
+        dtext = data[tab + 1:end].decode("utf-8")
         try:
             d = int(dtext) if dtext else 1
         except ValueError:
             raise SerializationError(
-                f"line {lineno}: quantity {dtext!r} is not an integer")
+                f"line {n}: quantity {dtext!r} is not an integer")
         if not -2**63 <= d < 2**63:
             raise SerializationError(
-                f"line {lineno}: quantity {dtext!r} is outside int64")
-        items.append(item)
-        ds.append(d)
-    return items, np.array(ds, dtype=np.int64)
+                f"line {n}: quantity {dtext!r} is outside int64")
+        quantities.append(d)
+    ds = np.ones(len(starts), dtype=np.int64)
+    ds[tabbed] = quantities
+    return hashing.fold_spans(buf, starts, id_ends - starts), ds
 
 
 def _write_sketch(sk, path: str, binary: bool) -> None:
@@ -109,8 +126,8 @@ def _read_sketch(path: str):
 
 def _cmd_sketch(args) -> int:
     sk = _make_sketch(args)
-    items, ds = _read_elements(args.input)
-    sk.add_batch(items, ds)
+    keys, ds = _read_elements(args.input)
+    sk.add_batch(keys, ds)
     _write_sketch(sk, args.out, args.binary)
     return EXIT_OK
 

@@ -33,10 +33,13 @@ class InsufficientDataError(SketchError):
 
 
 class SaturatedSketchError(SketchError):
-    """All Bernoulli bits are set; only a lower confidence bound exists.
+    """A state has reached the end of its range: all Bernoulli bits are set,
+    so only a lower confidence bound exists, or a geometric slot would pass
+    the u32 maximum.
 
     Attributes:
-        lower_bound: one-sided lower confidence bound for the cardinality.
+        lower_bound: one-sided lower confidence bound for the cardinality
+            (Bernoulli only, else None).
         level: confidence level of that bound.
     """
 

@@ -6,10 +6,11 @@ with a global salt (splitmix64 finalizer), and the j-th variate of the item
 is the finalizer applied at counter j.  This is order-invariant, needs no
 per-item state, and is reproducible across runs.
 
-``item_key`` folds one item.  ``keys_array`` folds many at once and gives
-the same keys: it joins the bytes of all str/bytes items into one buffer,
-sorts the items by length, longest first, and folds byte column j into the
-prefix of items longer than j with one array xor and one multiply.
+``item_key`` folds one item.  ``fold_spans`` is the one FNV-1a kernel for
+many: it folds byte spans of one uint8 buffer, a byte column at a time.
+``keys_array`` folds its str/bytes items as spans of their joined bytes,
+and the CLI folds its ids in place, as spans of the input it read; both
+give the keys ``item_key`` gives.
 
 An item's counters are read in one of two layouts.
 
@@ -153,15 +154,27 @@ def keys_array(items) -> np.ndarray:
 
 
 def _fold_text(items) -> np.ndarray:
-    """FNV-1a keys of str/bytes items, one byte column at a time."""
+    """FNV-1a keys of str/bytes items, folded as spans of their joined bytes."""
     data = [it.encode("utf-8") if isinstance(it, str) else it for it in items]
     lens = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
     buf = np.frombuffer(b"".join(data), dtype=np.uint8)
+    return fold_spans(buf, np.cumsum(lens) - lens, lens)
+
+
+def fold_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """FNV-1a keys of the byte spans buf[starts[i]:starts[i] + lens[i]] of
+    one uint8 buffer, each equal to the ``item_key`` of its bytes.
+
+    starts and lens are int64 arrays.  Spans may be empty, repeated or
+    overlap; they must lie inside buf.  The spans are sorted by length,
+    longest first, and byte column j is folded into the prefix of spans
+    longer than j with one gather, one xor and one multiply.
+    """
     order = np.argsort(-lens, kind="stable")
-    starts = (np.cumsum(lens) - lens)[order]
-    # longer[j]: how many items have a byte j, a prefix of the sorted order
+    starts = starts[order]
+    # longer[j]: how many spans have a byte j, a prefix of the sorted order
     longer = len(lens) - np.cumsum(np.bincount(lens))
-    h = np.full(len(data), _FNV_OFFSET, dtype=np.uint64)
+    h = np.full(len(lens), _FNV_OFFSET, dtype=np.uint64)
     for j, k in enumerate(longer[:-1].tolist()):
         h[:k] ^= buf[starts[:k] + j]
         h[:k] *= _U_FNV_PRIME

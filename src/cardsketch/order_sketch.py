@@ -138,9 +138,7 @@ class GeometricMaxSketch(state.Sketch):
     version = 2
 
     def __init__(self, m: int, q: float, seed: int = 0):
-        if not 0.0 < q <= _Q_MAX:
-            raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
-        self.q = float(q)
+        self.q = check_geometric_q(q)
         super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
@@ -181,11 +179,26 @@ class GeometricMaxSketch(state.Sketch):
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
 
 
+def check_geometric_q(q: float) -> float:
+    """q as a float; ValueError unless 0 < q <= 1 - 2**-26."""
+    if not 0.0 < q <= _Q_MAX:
+        raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
+    return float(q)
+
+
 def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
     """The geometric slots ceil(log(1 - u) / log q), at least 1, of the
     uniforms u given by their logs: a monotone rounding of the continuous
-    slot, so max and rounding commute exactly."""
+    slot, so max and rounding commute exactly.
+
+    Raises SaturatedSketchError if a slot passes the u32 maximum.  A
+    hashed slot cannot (see _Q_MAX), but a sampled continuous one can:
+    log u = log(U) / c comes as close to 0 as c is large.
+    """
     y = np.ceil(np.log(-np.expm1(log_u)) / math.log(q))
+    if y.max(initial=0.0) > state.U32_MAX:
+        raise SaturatedSketchError(
+            f"a geometric slot of {y.max():.4g} passes the u32 maximum at q = {q}")
     return np.maximum(y, 1.0).astype(np.uint32)
 
 

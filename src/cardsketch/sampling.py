@@ -25,6 +25,7 @@ from .order_sketch import (
     ContinuousMaxSketch,
     GeometricMaxSketch,
     KthOrderSketch,
+    check_geometric_q,
     geometric_slots,
 )
 from .projection import ProjectionSketch
@@ -40,6 +41,7 @@ def sample_continuous(c: int, m: int, rng, kind: str = "uniform") -> ContinuousM
 
 
 def sample_geometric(c: int, m: int, q: float, rng) -> GeometricMaxSketch:
+    q = check_geometric_q(q)  # before the draw, which a refused q must not use
     slots = geometric_slots(continuous_slots(c, m, rng), q)
     return GeometricMaxSketch.from_state(m, 0, slots, q)
 

@@ -68,6 +68,39 @@ def test_reader_matches_the_text_reader(case, tmp_path, monkeypatch):
         assert (keys_array(items).tolist(), ds.tolist()) == want
 
 
+# (input, sketch type, stderr) for input the reader refuses, exit 3; the
+# line-by-line reader gave these messages.  The first bad line in file
+# order wins, and blank lines, CRLF and a lone CR each count as a line.
+_DATA_ERRORS = [
+    (b"a\tx\n\n\t5\n", "hll", "line 1: quantity 'x' is not an integer"),
+    (b"a\n\t5\nb\tx\n", "hll", "line 2: empty item id"),
+    (b"\tx\n", "hll", "line 1: empty item id"),
+    (b"ok\n\t\n", "hll", "line 2: empty item id"),
+    (b"a\nb\t99999999999999999999\n\tx\n", "hll",
+     "line 2: quantity '99999999999999999999' is outside int64"),
+    (b"x\t-9223372036854775809\r\t1\r", "hll",
+     "line 1: quantity '-9223372036854775809' is outside int64"),
+    (b"a\r\n\r\n\rb\r\t3\n", "hll", "line 5: empty item id"),
+    (b"\r\r\nx\t1.5\n", "hll", "line 3: quantity '1.5' is not an integer"),
+    (b"\n\r\n\ra\t2\rb\tnine\r\n\tx", "hll", "line 5: quantity 'nine' is not an integer"),
+    ("é\t٣x\r\n".encode(), "hll", "line 1: quantity '٣x' is not an integer"),
+    (b"a\t1\nb\t-1\n", "max-uniform", "ContinuousMaxSketch cannot delete; got a quantity <= 0"),
+    (b"\tx\n\xff\n", "hll",
+     "'utf-8' codec can't decode byte 0xff in position 3: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("data,kind,message", _DATA_ERRORS)
+def test_reader_reports_the_first_bad_line(data, kind, message, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"))
+    for source in (str(path), "-"):
+        assert main(["sketch", "--type", kind, "--m", "16", "--in", source]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_invalid_utf8_is_data_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"ok\n\xff\n")

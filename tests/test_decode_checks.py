@@ -11,14 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cardsketch import serialize
+from cardsketch import sampling, serialize
 from cardsketch.baselines import HyperLogLogSketch, MinCountSketch
 from cardsketch.cli import main
-from cardsketch.errors import SerializationError
+from cardsketch.errors import SaturatedSketchError, SerializationError
 from cardsketch.order_sketch import (
     ContinuousMaxSketch,
     GeometricMaxSketch,
     KthOrderSketch,
+    geometric_slots,
 )
 from cardsketch.projection import ProjectionSketch
 
@@ -149,6 +150,28 @@ def test_geometric_q_near_one_is_refused_at_construction(capsys):
         warnings.simplefilter("error")
         sk.add_batch(["a", "b", "c"])
     assert sk.slots.max() < 2**32 - 1
+
+
+def test_sampled_geometric_refuses_q_before_drawing():
+    # q above 1 - 2**-26 is refused as the constructor refuses it, with no
+    # RuntimeWarning from the slot cast and nothing drawn from the rng
+    rng = np.random.default_rng(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="q must lie"):
+            sampling.sample_geometric(100, 8, 1 - 1e-12, rng)
+    assert rng.bit_generator.state == np.random.default_rng(3).bit_generator.state
+
+
+def test_sampled_geometric_slot_past_u32_is_refused():
+    # at the largest q a sampled continuous slot log(U)/c near 0 (huge c)
+    # rounds past the u32 maximum: a typed error, not a wrapped cast
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SaturatedSketchError, match="u32 maximum"):
+            sampling.sample_geometric(10**30, 8, 1 - 2**-26, np.random.default_rng(4))
+        with pytest.raises(SaturatedSketchError, match="u32 maximum"):
+            geometric_slots(np.array([-1.0, -2.0**-100]), 1 - 2**-26)
 
 
 def test_from_state_checks_row_order_and_padding():

@@ -147,6 +147,27 @@ class TestDeterminism:
         assert hashing.keys_array(["", ""]).tolist() == [item_key(b"")] * 2
         assert hashing.keys_array(iter(items)).tolist() == keys.tolist()
 
+    def test_fold_spans_matches_item_key(self):
+        # spans of one shared buffer: empty, repeated, overlapping and
+        # nested, over non-ASCII text and arbitrary bytes, 0 to 99 bytes long
+        rng = np.random.default_rng(15)
+        text = "ab\x00\t é€😀\n".encode() * 40
+        buf = np.frombuffer(text + rng.bytes(500), dtype=np.uint8)
+        lens = rng.integers(0, 100, size=400)
+        lens[:20] = 0
+        starts = rng.integers(0, len(buf) - lens + 1)
+        starts[20:40], lens[20:40] = starts[40:60], lens[40:60]
+        starts[60:80], lens[60:80] = starts[80:100] + 1, lens[80:100] // 2
+        keys = hashing.fold_spans(buf, starts, lens)
+        assert keys.dtype == np.uint64
+        spans = [buf[s:s + n].tobytes() for s, n in zip(starts.tolist(), lens.tolist())]
+        assert keys.tolist() == [item_key(b) for b in spans]
+        assert hashing.keys_array(spans).tolist() == keys.tolist()
+        texts = [b.decode("utf-8", "replace") for b in spans]
+        assert hashing.keys_array(texts).tolist() == [item_key(t) for t in texts]
+        empty = hashing.fold_spans(buf, starts[:0], lens[:0])
+        assert empty.dtype == np.uint64 and len(empty) == 0
+
 
 class TestUnitArray:
     TOP = np.array([2**64 - 1, 2**64 - 2048], dtype=np.uint64)
