@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hashing, state
 from .errors import DegenerateSketchError, InsufficientDataError
-from .estimate import Estimate, normal_estimate
+from .estimate import Estimate, Estimates, fail, normal_estimates
 
 # Asymptotic relative efficiencies (ratio of c^2/m to the estimator's
 # asymptotic variance), used for reported standard errors.
@@ -76,15 +76,28 @@ def _loglog_alpha(m: int) -> float:
     return (math.gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)) ** (-m)
 
 
+def _registers_set(registers) -> list:
+    """Per row of stacked registers None, or the error of an all-empty row."""
+    errors = [None] * len(registers)
+    fail(errors, ~registers.any(axis=1), lambda i: DegenerateSketchError("all registers empty"))
+    return errors
+
+
 class LogLogSketch(_RankSketch):
     """m first-1-bit-rank maxima; estimate from their arithmetic mean."""
 
+    @classmethod
+    def estimates(cls, registers, level: float) -> Estimates:
+        """Estimates of each row of the (sketches, m) registers."""
+        errors = _registers_set(registers)
+        m = registers.shape[1]
+        powers = np.array([2.0 ** v for v in registers.mean(axis=1).tolist()])
+        c_hat = _loglog_alpha(m) * m * powers
+        se = c_hat / math.sqrt(BASELINE_ARE["loglog"] * m)
+        return normal_estimates(c_hat, se, level, "loglog", m, errors)
+
     def estimate(self, level: float = 0.95) -> Estimate:
-        if not self.registers.any():
-            raise DegenerateSketchError("all registers empty")
-        c_hat = _loglog_alpha(self.m) * self.m * 2.0 ** float(self.registers.mean())
-        se = c_hat / math.sqrt(BASELINE_ARE["loglog"] * self.m)
-        return normal_estimate(c_hat, se, level, "loglog", self.m)
+        return self.estimates(self.registers[None], level).estimate()
 
 
 def _hll_alpha(m: int) -> float:
@@ -101,15 +114,21 @@ class HyperLogLogSketch(_RankSketch):
     """Harmonic-mean estimator over the rank maxima, with the published
     bias constant and small-range (linear counting) correction."""
 
-    def estimate(self, level: float = 0.95) -> Estimate:
-        if not self.registers.any():
-            raise DegenerateSketchError("all registers empty")
-        m = self.m
-        raw = _hll_alpha(m) * m * m / float((2.0 ** -self.registers.astype(np.float64)).sum())
-        zeros = int((self.registers == 0).sum())
-        c_hat = m * math.log(m / zeros) if raw <= 2.5 * m and zeros else raw
+    @classmethod
+    def estimates(cls, registers, level: float) -> Estimates:
+        """Estimates of each row of the (sketches, m) registers."""
+        errors = _registers_set(registers)
+        m = registers.shape[1]
+        raw = _hll_alpha(m) * m * m / (2.0 ** -registers.astype(np.float64)).sum(axis=1)
+        zeros = (registers == 0).sum(axis=1)
+        linear = np.flatnonzero((raw <= 2.5 * m) & (zeros > 0))
+        c_hat = raw.copy()
+        c_hat[linear] = [m * math.log(m / z) for z in zeros[linear].tolist()]
         se = c_hat / math.sqrt(BASELINE_ARE["hll"] * m)
-        return normal_estimate(c_hat, se, level, "hll", m)
+        return normal_estimates(c_hat, se, level, "hll", m, errors)
+
+    def estimate(self, level: float = 0.95) -> Estimate:
+        return self.estimates(self.registers[None], level).estimate()
 
 
 class MinCountSketch(_BucketSketch):
@@ -133,17 +152,22 @@ class MinCountSketch(_BucketSketch):
         cand[buckets[first], rank[first]] = values[first]
         self.smallest = self.layout.joined(self.smallest, cand)[0]
 
-    def estimate(self, level: float = 0.95) -> Estimate:
-        third = self.smallest[:, MINCOUNT_K - 1]
-        if not np.all(np.isfinite(third)):
-            raise InsufficientDataError(
-                f"every bucket needs at least {MINCOUNT_K} items for the "
-                f"{MINCOUNT_K}rd-order-statistic estimator"
-            )
+    @classmethod
+    def estimates(cls, smallest, level: float) -> Estimates:
+        """Estimates of each (m, 3) matrix of the (sketches, m, 3) stack."""
+        third = smallest[:, :, MINCOUNT_K - 1]
+        errors = [None] * len(third)
+        fail(errors, ~np.isfinite(third).all(axis=1), lambda i: InsufficientDataError(
+            f"every bucket needs at least {MINCOUNT_K} items for the "
+            f"{MINCOUNT_K}rd-order-statistic estimator"))
         with np.errstate(over="ignore"):  # Estimate refuses an infinite c_hat
-            c_hat = float(((MINCOUNT_K - 1) / third).sum())
-        se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * self.m)
-        return normal_estimate(c_hat, se, level, "mincount", self.m)
+            c_hat = ((MINCOUNT_K - 1) / third).sum(axis=1)
+        m = third.shape[1]
+        se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * m)
+        return normal_estimates(c_hat, se, level, "mincount", m, errors)
+
+    def estimate(self, level: float = 0.95) -> Estimate:
+        return self.estimates(self.smallest[None], level).estimate()
 
     def state_bytes(self) -> int:
         # the stored sketch is one float (the third minimum) per bucket

@@ -16,6 +16,7 @@ Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -289,8 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # SerializationError, StreamIntegrityError and UnicodeDecodeError are

@@ -1,5 +1,13 @@
 """Point estimates with standard errors and confidence intervals.
 
+Every sketch type estimates a stack of states at once, one row per
+sketch, into an ``Estimates``: per-row arrays of the estimate, its
+standard error and interval bounds, and per row the exception that row's
+one-row call raises, or None.  ``gamma_estimates`` and
+``normal_estimates`` finish the two interval kinds for a stack, with
+each quantile computed once per (m, level); a single ``Estimate`` is row
+``i`` of such a block.
+
 The exact interval of the maximal-term sketches needs quantiles of the
 Gamma(m) law, the inverse in x of the regularized incomplete gamma
 P(m, x).  ``incomplete_gamma`` evaluates P by its power series below
@@ -71,57 +79,148 @@ class Estimate:
         }
 
 
+class Estimates:
+    """Estimates of a stack of sketch states, one row per sketch.
+
+    c_hat holds the estimates; std_error, ci_lo and ci_hi the standard
+    errors and interval bounds, or None for an estimator with no interval
+    (the projection's median); pivot the pivot sums S of a gamma-pivot
+    estimator, else None.  errors holds, per row, None or the exception
+    that row's one-row call raises; the values of such a row mean nothing.
+    """
+
+    def __init__(self, c_hat, errors: list, estimator: str, m: int, level=None,
+                 std_error=None, ci_lo=None, ci_hi=None, pivot=None):
+        self.c_hat = c_hat
+        self.estimator = estimator
+        self.m = m
+        self.level = level
+        self.std_error = std_error
+        self.ci_lo = ci_lo
+        self.ci_hi = ci_hi
+        self.pivot = pivot
+        self._errors = errors
+        self._unchecked = ci_lo is not None  # rows whose Estimate may refuse them
+
+    @property
+    def errors(self) -> list:
+        """Per row None or its exception, the Estimate checks included: a
+        row whose values an Estimate refuses gets that EstimationNumericError."""
+        if self._unchecked:
+            self._unchecked = False
+            c, se, lo, hi = self.c_hat, self.std_error, self.ci_lo, self.ci_hi
+            good = np.isfinite(c) & np.isfinite(se) & np.isfinite(lo) & np.isfinite(hi)
+            good &= lo <= c
+            good &= c <= hi
+            for i in (~good).nonzero()[0].tolist():
+                if self._errors[i] is None:
+                    try:
+                        self.estimate(i)
+                    except EstimationNumericError as exc:
+                        self._errors[i] = exc
+        return self._errors
+
+    def value(self, i: int = 0) -> float:
+        """Row i's estimate, or its exception raised."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return float(self.c_hat[i])
+
+    def estimate(self, i: int = 0) -> Estimate:
+        """Row i as an Estimate, or its exception raised (the Estimate's
+        own checks raise what ``errors`` records for them)."""
+        if self._errors[i] is not None:
+            raise self._errors[i]
+        return Estimate(float(self.c_hat[i]), float(self.std_error[i]),
+                        (float(self.ci_lo[i]), float(self.ci_hi[i])),
+                        self.level, self.estimator, self.m)
+
+
+def fail(errors: list, rows, error) -> None:
+    """Give each row flagged in rows that has no error yet the exception
+    error(i): a row keeps the first error its scalar path would meet."""
+    for i in rows.nonzero()[0].tolist():
+        if errors[i] is None:
+            errors[i] = error(i)
+
+
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0,1), got {level}")
 
 
-def gamma_pivot_interval(pivot_sum: float, m: int, level: float) -> tuple[float, float]:
+def _level_failed(errors: list, level: float) -> bool:
+    """Whether level is refused; if so every row left gets the ValueError."""
+    try:
+        _check_level(level)
+    except ValueError as exc:
+        fail(errors, np.ones(len(errors), dtype=bool), lambda i: ValueError(*exc.args))
+        return True
+    return False
+
+
+def gamma_pivot_interval(pivot_sum, m: int, level: float):
     """Exact interval for c when c * pivot_sum ~ Gamma(m, 1).
 
-    pivot_sum is the observed sum S with the property that c*S follows the
-    unit-scale Gamma(m) law; the interval is [g_lo/S, g_hi/S] with g_p the
-    Gamma(m) quantiles at (1-level)/2 and (1+level)/2.
+    pivot_sum is the observed sum S (or an array of them) with the property
+    that c*S follows the unit-scale Gamma(m) law; the interval is
+    [g_lo/S, g_hi/S] with g_p the Gamma(m) quantiles at (1-level)/2 and
+    (1+level)/2.
     """
     _check_level(level)
-    if pivot_sum <= 0.0:
+    if np.min(pivot_sum) <= 0.0:
         raise ValueError("pivot sum must be positive")
     g_lo = gamma_quantile(m, (1.0 - level) / 2.0)
     g_hi = gamma_quantile(m, (1.0 + level) / 2.0)
     return (g_lo / pivot_sum, g_hi / pivot_sum)
 
 
-def normal_interval(c_hat: float, std_error: float, level: float) -> tuple[float, float]:
-    """Large-sample normal interval, clipped at zero."""
-    _check_level(level)
+@functools.lru_cache(maxsize=256)
+def _normal_z(level: float) -> float:
     p = (1.0 + level) / 2.0  # rounds to 1 for a level within 2**-53 of 1
-    z = _NORMAL.inv_cdf(p) if p < 1.0 else math.inf
-    half = z * std_error
-    return (max(0.0, c_hat - half), c_hat + half)
+    return _NORMAL.inv_cdf(p) if p < 1.0 else math.inf
 
 
-def normal_estimate(c_hat: float, se: float, level: float, estimator: str,
-                    m: int) -> Estimate:
-    """c_hat with standard error se and the clipped normal interval."""
-    return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, estimator, m)
+def normal_interval(c_hat, std_error, level: float):
+    """Large-sample normal interval, clipped at zero; element-wise when
+    c_hat and std_error are arrays."""
+    _check_level(level)
+    half = _normal_z(level) * std_error
+    lo = c_hat - half
+    if isinstance(lo, np.ndarray):
+        return np.where(lo > 0.0, lo, 0.0), c_hat + half
+    return max(0.0, lo), c_hat + half
 
 
-def gamma_estimate(pivot_sum: float, m: int, level: float, estimator: str) -> Estimate:
-    """MLE m/S with exact Gamma-pivot interval and std error c_hat/sqrt(m).
+def normal_estimates(c_hat, std_error, level: float, estimator: str, m: int,
+                     errors: list) -> Estimates:
+    """Rows c_hat with standard errors std_error and the clipped normal
+    interval."""
+    if _level_failed(errors, level):
+        return Estimates(c_hat, errors, estimator, m, level)
+    with np.errstate(all="ignore"):  # failed rows may hold inf or NaN
+        ci = normal_interval(c_hat, std_error, level)
+    return Estimates(c_hat, errors, estimator, m, level, std_error, *ci)
 
-    A pivot sum that underflowed to 0 or overflowed to inf raises
-    EstimationNumericError."""
-    if not 0.0 < pivot_sum < math.inf:
-        raise EstimationNumericError(f"pivot sum {pivot_sum} is outside double range")
-    c_hat = m / pivot_sum
-    return Estimate(
-        c_hat=c_hat,
-        std_error=c_hat / math.sqrt(m),
-        ci=gamma_pivot_interval(pivot_sum, m, level),
-        level=level,
-        estimator=estimator,
-        m=m,
-    )
+
+def gamma_estimates(pivot_sum, m: int, level: float, estimator: str,
+                    errors: list) -> Estimates:
+    """Rows of MLEs m/S with the exact Gamma-pivot interval and std error
+    c_hat/sqrt(m), S the rows' pivot sums.  A pivot sum that underflowed
+    to 0 or overflowed to inf gives its row an EstimationNumericError."""
+    fail(errors, ~(pivot_sum > 0.0) | (pivot_sum == math.inf),
+         lambda i: EstimationNumericError(
+             f"pivot sum {float(pivot_sum[i])} is outside double range"))
+    s = pivot_sum
+    if errors.count(None) < len(errors):
+        s = np.where([e is None for e in errors], pivot_sum, 1.0)
+    if _level_failed(errors, level):
+        return Estimates(s, errors, estimator, m, level, pivot=pivot_sum)
+    with np.errstate(over="ignore"):  # the Estimate checks refuse what overflows
+        c_hat = m / s
+        std_error = c_hat / math.sqrt(m)
+        ci = gamma_pivot_interval(s, m, level)
+    return Estimates(c_hat, errors, estimator, m, level, std_error, *ci, pivot=pivot_sum)
 
 
 # -- the incomplete gamma function and its inverse -------------------------

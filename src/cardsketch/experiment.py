@@ -9,6 +9,19 @@ its exact sampling distribution under the truly-random-hash idealization
 configurations affordable.  "auto" picks hash while c*m*replicates stays
 small.  Either way a (config, seed) pair fixes the report bytes.
 
+The runner loops over replicates only to make their states: to draw
+them (sampled mode: each replicate's generator calls, type by type in
+the order of the algorithms) or to build and hash them.  It then works
+per block of replicates: each sketch type's states are stacked, one row
+per replicate, shaped from the draws, checked once, and every algorithm
+of the type is estimated and recorded in one call.  A block holds at
+most _BLOCK_ENTRIES state entries, so memory does not grow with the
+number of replicates.  A row gets the values,
+or the error, that its replicate gets alone through ``sampling.sample_*``
+(or ``build`` and ``add_batch``) and ``estimate``.  A replicate whose
+state cannot be made, or whose estimate raises a SketchError, counts as
+failed for each algorithm of that type.
+
 With more than seven pivots an algorithm's summary carries the
 Kolmogorov-Smirnov statistic of its pivots c * S against Gamma(m) and the
 exact two-sided p-value (``ks_gamma``).
@@ -169,66 +182,139 @@ def _params(t, cfg: ExperimentConfig) -> dict:
             for n in t.param_names}
 
 
-def _estimate(algo: str, sk, level: float):
-    """(c_hat, (ci_lo, ci_hi) or None, pivot or None) for one replicate."""
-    if algo == "median":
-        # the median estimator carries no interval of its own
-        return sk.median_estimate(), None, None
-    est = sk.estimate(level)
-    pivot = sk.pivot_sum() if hasattr(sk, "pivot_sum") else None
-    return est.c_hat, est.ci, pivot
+def _states(t, cfg: ExperimentConfig, method: str, reps, made: list, params: dict,
+            errors: list):
+    """The checked stack of the states of the replicates reps that could be
+    made, and their rows; a row the sampler cannot shape gets its error."""
+    rows = [j for j, e in enumerate(errors) if e is None]
+    if not rows:
+        return None, rows
+    arrays = made if len(rows) == len(errors) else [a[rows] for a in made]
+    if method == "sampled":
+        c = cfg.c
+        if t.name == "projection":
+            c = np.array([_projection_c(cfg, reps[j]) for j in rows])
+        arrays, shape_errors = t.sampler.shape(c, cfg.m, *arrays, **params)
+        keep = [j for j, e in enumerate(shape_errors) if e is None]
+        for j, e in enumerate(shape_errors):
+            if e is not None:
+                errors[rows[j]] = e
+        if len(keep) < len(rows):
+            rows = [rows[j] for j in keep]
+            arrays = [a[keep] for a in arrays]
+            if not rows:
+                return None, rows
+    return t.checked(cfg.m, arrays, params), rows
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    method = cfg.resolved_method()
-    c_exact = cfg.c
-    cols = {
-        a: {"c_hat": [], "pct_error": [], "ci_lo": [], "ci_hi": [],
-            "covered": [], "pivot": [], "errors": 0}
-        for a in cfg.algos
-    }
-    wall = {a: 0.0 for a in cfg.algos}
-    state_bytes = {a: None for a in cfg.algos}
+def _columns(est, rows: list, c_exact: np.ndarray) -> dict:
+    """An algorithm's report columns from its block estimates est of the
+    block's rows numbered rows (est None when there are none), in row
+    order.  A row that failed with a SketchError is counted, any other
+    exception is raised."""
+    ok = []
+    for j, e in enumerate(est.errors if est is not None else ()):
+        if e is None:
+            ok.append(j)
+        elif not isinstance(e, SketchError):
+            raise e
+    c = c_exact[[rows[j] for j in ok]]
+    c_hat = est.c_hat[ok] if ok else np.empty(0)
+    col = {"c_hat": c_hat.tolist(), "pct_error": (100.0 * np.abs(c_hat - c) / c).tolist(),
+           "ci_lo": [None] * len(ok), "ci_hi": [None] * len(ok),
+           "covered": [None] * len(ok), "pivot": [],
+           "errors": len(c_exact) - len(ok)}
+    if ok and est.ci_lo is not None:
+        lo, hi = est.ci_lo[ok], est.ci_hi[ok]
+        col["ci_lo"], col["ci_hi"] = lo.tolist(), hi.tolist()
+        col["covered"] = ((lo <= c) & (c <= hi)).tolist()
+    if ok and est.pivot is not None:
+        col["pivot"] = (est.pivot[ok] * c).tolist()
+    return col
 
-    for rep in range(cfg.replicates):
+
+# replicates are made and estimated in blocks of at most this many state
+# entries (replicates times m), so that a block's draws stay a few MiB
+# however many replicates run; 512 replicates at m = 128 make one block
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block(cfg: ExperimentConfig, method: str, types: dict, reps: range, wall: dict):
+    """The report columns, per algorithm, of the replicates reps, their
+    exact counts, and the state size of each algorithm that estimated."""
+    n = len(reps)
+    c_exact = np.full(n, cfg.c)
+    # per type, its draws (sampled) or state arrays (hash), stacked as they
+    # come, one row per replicate, and the SketchError that stopped a row
+    made = {name: None for name in types}
+    errors = {name: [None] * n for name in types}
+    for j, rep in enumerate(reps):
         rng = _rep_rng(cfg.seed, rep)
-        stream = None
         if method == "hash":
             stream = generate_stream(
                 cfg.c, seed=int(rng.integers(0, 2**63)), repeats=cfg.repeats,
                 heavy_tail=cfg.heavy_tail, d_model=cfg.d_model,
                 deleted_extra=cfg.deleted_extra)
-            c_exact = exact_count(stream)
-        built = {}  # type name -> this replicate's sketch, shared by its algorithms
-        for algo in cfg.algos:
+            c_exact[j] = exact_count(stream)
+        for name, (t, first, params) in types.items():
             t0 = time.perf_counter()
             try:
-                t = _sketch_type(algo)
-                sk = built.get(t.name)
-                if sk is None:
-                    params = _params(t, cfg)
-                    if method == "hash":
-                        sk = t.build(cfg.m, _algo_salt(cfg.seed, rep, algo), params)
-                        sk.add_batch(stream.keys, stream.d)
-                    else:
-                        c = _projection_c(cfg, rep) if t.name == "projection" else cfg.c
-                        sk = t.sample(c, cfg.m, rng, params)
-                    built[t.name] = sk
-                c_hat, ci, pivot = _estimate(algo, sk, cfg.level)
-            except SketchError:
-                cols[algo]["errors"] += 1
-                wall[algo] += time.perf_counter() - t0
+                if method == "hash":
+                    sk = t.build(cfg.m, _algo_salt(cfg.seed, rep, first), params)
+                    sk.add_batch(stream.keys, stream.d)
+                    parts = sk.state_arrays()
+                else:
+                    parts = t.sampler.draw(cfg.c, cfg.m, rng, **params)
+            except SketchError as exc:
+                errors[name][j] = exc
+            else:
+                if made[name] is None:
+                    made[name] = [np.empty((n, *p.shape), p.dtype) for p in parts]
+                for stack, p in zip(made[name], parts):
+                    stack[j] = p
+            wall[first] += time.perf_counter() - t0
+
+    cols, state_bytes = {}, {}
+    for name, (t, first, params) in types.items():
+        t0 = time.perf_counter()
+        arrays, rows = _states(t, cfg, method, reps, made.pop(name), params, errors[name])
+        wall[first] += time.perf_counter() - t0
+        for algo in cfg.algos:
+            if _sketch_type(algo) is not t:
                 continue
+            t0 = time.perf_counter()
+            est = None
+            if rows:
+                est = t.estimates(arrays, cfg.level, params, median=algo == "median")
+            cols[algo] = _columns(est, rows, c_exact)
+            if cols[algo]["c_hat"]:  # the size of any row's state
+                state_bytes[algo] = t.from_state(
+                    cfg.m, 0, [a[0] for a in arrays], params).state_bytes()
             wall[algo] += time.perf_counter() - t0
-            state_bytes[algo] = sk.state_bytes()
-            cols[algo]["c_hat"].append(c_hat)
-            cols[algo]["pct_error"].append(100.0 * abs(c_hat - c_exact) / c_exact)
-            lo, hi = ci if ci is not None else (None, None)
-            cols[algo]["ci_lo"].append(lo)
-            cols[algo]["ci_hi"].append(hi)
-            cols[algo]["covered"].append(None if ci is None else lo <= c_exact <= hi)
-            if pivot is not None:
-                cols[algo]["pivot"].append(pivot * c_exact)
+    return cols, c_exact, state_bytes
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    method = cfg.resolved_method()
+    # each sketch type once, with the first algorithm that reads it: that
+    # algorithm names its hash salt, and its wall time pays for the states
+    types = {}
+    for algo in cfg.algos:
+        t = _sketch_type(algo)
+        types.setdefault(t.name, (t, algo, _params(t, cfg)))
+    wall = {a: 0.0 for a in cfg.algos}
+    cols = {a: {"c_hat": [], "pct_error": [], "ci_lo": [], "ci_hi": [], "covered": [],
+                "pivot": [], "errors": 0} for a in cfg.algos}
+    state_bytes = {a: None for a in cfg.algos}
+    step = max(1, _BLOCK_ENTRIES // cfg.m)
+    for lo in range(0, cfg.replicates, step):
+        reps = range(lo, min(cfg.replicates, lo + step))
+        block, c_exact, sizes = _block(cfg, method, types, reps, wall)
+        for algo, col in block.items():
+            for key, values in col.items():
+                cols[algo][key] += values
+        state_bytes.update(sizes)
+    c_exact = int(c_exact[-1])
 
     summary = {}
     for algo in cfg.algos:

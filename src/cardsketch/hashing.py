@@ -7,7 +7,8 @@ is the finalizer applied at counter j.  This is order-invariant, needs no
 per-item state, and is reproducible across runs.
 
 ``item_key`` folds one item.  ``fold_spans`` is the one FNV-1a kernel for
-many: it folds byte spans of one uint8 buffer, a byte column at a time.
+many: it folds byte spans of one uint8 buffer, a byte column at a time,
+and the last few long spans one by one.
 ``keys_array`` folds its str/bytes items as spans of their joined bytes,
 and the CLI folds its ids in place, as spans of the input it read; both
 give the keys ``item_key`` gives.
@@ -122,13 +123,22 @@ def item_key(item) -> int:
     if not isinstance(item, (bytes, bytearray)):
         raise TypeError("item must be an int in [0, 2**64), str or bytes, "
                         f"got {type(item).__name__}")
-    h = _FNV_OFFSET
-    for byte in item:
+    return _fnv1a(_FNV_OFFSET, item)
+
+
+def _fnv1a(h: int, data) -> int:
+    """FNV-1a of the bytes data, continued from the hash h."""
+    for byte in data:
         h = ((h ^ byte) * _FNV_PRIME) & _MASK64
     return h
 
 
 _TEXT = (str, bytes, bytearray)
+
+# fold_spans folds the spans one by one once this few are left: a byte
+# folded in Python costs some forty times less than a numpy round over a
+# column
+_FEW_SPANS = 32
 
 
 def keys_array(items) -> np.ndarray:
@@ -168,7 +178,10 @@ def fold_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndar
     starts and lens are int64 arrays.  Spans may be empty, repeated or
     overlap; they must lie inside buf.  The spans are sorted by length,
     longest first, and byte column j is folded into the prefix of spans
-    longer than j with one gather, one xor and one multiply.
+    longer than j with one gather, one xor and one multiply.  Once at most
+    _FEW_SPANS spans are left, each costs less folded alone, byte by byte,
+    than a round of numpy calls per column of the longest: one long id
+    among many short ones does not set the time of all.
     """
     order = np.argsort(-lens, kind="stable")
     starts = starts[order]
@@ -176,6 +189,11 @@ def fold_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndar
     longer = len(lens) - np.cumsum(np.bincount(lens))
     h = np.full(len(lens), _FNV_OFFSET, dtype=np.uint64)
     for j, k in enumerate(longer[:-1].tolist()):
+        if k <= _FEW_SPANS:
+            ends = starts[:k] + lens[order[:k]]
+            h[:k] = [_fnv1a(v, buf[a + j:b].tobytes())
+                     for v, a, b in zip(h[:k].tolist(), starts[:k].tolist(), ends.tolist())]
+            break
         h[:k] ^= buf[starts[:k] + j]
         h[:k] *= _U_FNV_PRIME
     keys = np.empty_like(h)

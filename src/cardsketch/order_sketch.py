@@ -30,6 +30,13 @@ arrivals.  A state decoded from a version-1 document (one hash column per
 stream) keeps version 1; it can be estimated and merged with other
 version-1 states, and refuses new items.
 
+Each class estimates a stack of states, one row per sketch, with its
+classmethod ``estimates``; ``estimate`` is a one-row call of it.  The
+geometric MLE and the k-th root are Newton iterations over all rows at
+once, each row stopping at its own convergence, with every term that does
+not depend on c computed before the loop; a row gets the estimate, or
+the error, that it gets alone.
+
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
 concurrently once writers have stopped.
@@ -48,8 +55,10 @@ from .errors import (
     EstimationNumericError,
     InsufficientDataError,
     SaturatedSketchError,
+    SketchError,
 )
-from .estimate import Estimate, gamma_estimate, normal_estimate
+from .estimate import (Estimate, Estimates, fail, gamma_estimates, normal_estimates,
+                       normal_interval)
 from .inference import psi_infinity
 
 _LOG_HALF = math.log(0.5)
@@ -118,12 +127,22 @@ class ContinuousMaxSketch(state.Sketch):
         with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
             return float(-self.slots.sum())
 
+    @classmethod
+    def estimates(cls, slots, level: float, kind: str) -> Estimates:
+        """MLEs m/S with the exact Gamma-pivot interval, one per row of the
+        (sketches, m) slots."""
+        errors = [None] * len(slots)
+        fail(errors, np.minimum.reduce(slots, axis=1) == -np.inf,
+             lambda i: EmptySketchError("some hash streams saw no items"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = -np.add.reduce(slots, axis=1)
+        fail(errors, s <= 0.0,
+             lambda i: DegenerateSketchError("all slots at the distribution supremum"))
+        return gamma_estimates(s, slots.shape[1], level, f"max-{kind}", errors)
+
     def estimate(self, level: float = 0.95) -> Estimate:
         """MLE m/S with the exact Gamma-pivot confidence interval."""
-        s = self.pivot_sum()
-        if s <= 0.0:
-            raise DegenerateSketchError("all slots at the distribution supremum")
-        return gamma_estimate(s, self.m, level, f"max-{self.kind}")
+        return self.estimates(self.slots[None], level, self.kind).estimate()
 
 
 class GeometricMaxSketch(state.Sketch):
@@ -151,14 +170,22 @@ class GeometricMaxSketch(state.Sketch):
         hit = earliest < reach
         self.slots[hit] = np.maximum(self.slots[hit], geometric_slots(-earliest[hit], self.q))
 
+    @classmethod
+    def estimates(cls, slots, level: float, q: float) -> Estimates:
+        """Maximum-likelihood estimates, one per row of the (sketches, m)
+        slots, with Fisher-information standard errors."""
+        errors = [None] * len(slots)
+        fail(errors, np.minimum.reduce(slots, axis=1) == 0,
+             lambda i: EmptySketchError("some hash streams saw no items"))
+        c_hat, _ = geometric_mles(slots, q, errors)
+        m = slots.shape[1]
+        se = c_hat / math.sqrt(m * psi_infinity(q))
+        return normal_estimates(c_hat, se, level, "max-geometric", m, errors)
+
     def estimate(self, level: float = 0.95) -> Estimate:
         """Maximum-likelihood estimate via the score equation of the
         max-of-c-geometrics law, solved by damped Newton-Raphson."""
-        if np.any(self.slots == 0):
-            raise EmptySketchError("some hash streams saw no items")
-        c_hat, c0 = solve_geometric_mle(self.slots, self.q)
-        se = c_hat / math.sqrt(self.m * psi_infinity(self.q))
-        return normal_estimate(c_hat, se, level, "max-geometric", self.m)
+        return self.estimates(self.slots[None], level, self.q).estimate()
 
     def recursive_estimate(self, continuity_correction: bool = False) -> float:
         """Exponential-approximation estimator -m / log prod(1 - q**Y_j).
@@ -195,11 +222,23 @@ def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
     hashed slot cannot (see _Q_MAX), but a sampled continuous one can:
     log u = log(U) / c comes as close to 0 as c is large.
     """
+    slots, errors = geometric_slot_rows(np.asarray(log_u)[None], q)
+    if errors[0] is not None:
+        raise errors[0]
+    return slots[0]
+
+
+def geometric_slot_rows(log_u: np.ndarray, q: float):
+    """``geometric_slots`` of each row of log_u: the slots, with 1 in a
+    row that passes the u32 maximum, and per row None or that row's
+    SaturatedSketchError."""
     y = np.ceil(np.log(-np.expm1(log_u)) / math.log(q))
-    if y.max(initial=0.0) > state.U32_MAX:
-        raise SaturatedSketchError(
-            f"a geometric slot of {y.max():.4g} passes the u32 maximum at q = {q}")
-    return np.maximum(y, 1.0).astype(np.uint32)
+    top = y.max(axis=tuple(range(1, y.ndim)), initial=0.0)
+    errors = [None] * len(y)
+    fail(errors, top > state.U32_MAX, lambda i: SaturatedSketchError(
+        f"a geometric slot of {top[i]:.4g} passes the u32 maximum at q = {q}"))
+    y[top > state.U32_MAX] = 1.0
+    return np.maximum(y, 1.0).astype(np.uint32), errors
 
 
 def _log1m_qpow(y: np.ndarray, q: float) -> np.ndarray:
@@ -216,87 +255,159 @@ def _exponential_approximation(m: int, log_s: float) -> float:
     return c
 
 
-def geometric_score(y: np.ndarray, counts: np.ndarray, q: float, c: float):
-    """Score and its derivative for the max-of-c-geometrics likelihood.
-
-    Each slot value y contributes
-        (a*A**c - b*B**c) / (A**c - B**c),  A = 1-q**y, B = 1-q**(y-1),
-        a = log A, b = log B,
-    which is evaluated as (a - b*e**d) / (-expm1(d)) with d = c*(b-a) <= 0,
-    so terms where A**c or B**c underflow stay finite.  Its derivative in c
-    is -((a-b) / expm1(d))**2 * e**d: the ratio is squared, not (a-b) and
-    expm1(d) apart, which underflow once q**y < ~1e-154.  y = 1 contributes
-    the constant log(1-q).  A slot so large that its term leaves double
-    range (d and em1 round to 0, so 0/0) gives a NaN score or derivative,
-    on which ``solve_geometric_mle`` raises.
-    """
-    a = _log1m_qpow(y, q)
-    score = np.where(y == 1, math.log1p(-q), 0.0)
-    dscore = np.zeros_like(a)
-    mask = y > 1
-    if np.any(mask):
-        b = _log1m_qpow(y[mask] - 1, q)
-        d = c * (b - a[mask])
-        ed = np.exp(d)
-        em1 = np.expm1(d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            score[mask] = (a[mask] - b * ed) / -em1
-            dscore[mask] = -((a[mask] - b) / em1) ** 2 * ed
-    return float((score * counts).sum()), float((dscore * counts).sum())
-
-
 # Newton's relative step tolerance and iteration limit for each root
 _GEOM_TOL, _GEOM_MAX_ITER = 1e-9, 50
 _KTH_TOL, _KTH_MAX_ITER = 1e-12, 100
 
 
 def solve_geometric_mle(slots: np.ndarray, q: float) -> tuple[float, float]:
-    """Newton-Raphson on the geometric score equation.
+    """Newton-Raphson on the geometric score equation: a one-row
+    ``geometric_mles``.  Returns (root, initializer)."""
+    errors = [None]
+    roots, initials = geometric_mles(np.asarray(slots)[None], q, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(roots[0]), float(initials[0])
 
-    Starts from the consistent estimator log(r/m)/log(1-q**n) with
-    n = floor(log_q(1/2)) and r = #{y_j <= n}; when r is 0 or m that
+
+def geometric_mles(slots: np.ndarray, q: float, errors: list):
+    """Roots of the score equation of the max-of-c-geometrics likelihood,
+    one per row of the (sketches, m) slots, and their initializers.
+
+    Each row starts from the consistent estimator log(r/m)/log(1-q**n)
+    with n = floor(log_q(1/2)) and r = #{y_j <= n}; when r is 0 or m that
     initializer is undefined and the exponential-approximation estimator
-    seeds the iteration instead.  Returns (root, initializer).
+    seeds the iteration instead.  A row of slots all 1 has no interior
+    root: the likelihood is maximised at the small-c boundary, and the row
+    gets the exponential-approximation value -1/log(1-q).
+
+    The score is a sum over a row's distinct slot values y, each counted
+    as often as it occurs, of
+        (a*A**c - b*B**c) / (A**c - B**c),  A = 1-q**y, B = 1-q**(y-1),
+        a = log A, b = log B,
+    evaluated as (a - b*e**d) / (-expm1(d)) with d = c*(b-a) <= 0, so terms
+    where A**c or B**c underflow stay finite; y = 1 contributes the
+    constant log(1-q).  Its derivative in c is -((a-b) / expm1(d))**2 * e**d:
+    the ratio is squared, not (a-b) and expm1(d) apart, which underflow
+    once q**y < ~1e-154.  A slot so large that its term leaves double range
+    gives a NaN score, and its row an EstimationNumericError.
+
+    The terms are evaluated for every row at once; each row still
+    iterating then takes its damped Newton step.  A row that fails gets
+    its EstimationNumericError (carrying the initializer once the
+    iteration ran) in errors, where a row that already holds an error
+    keeps it; the values of such rows mean nothing.
     """
-    m = len(slots)
-    y, counts = np.unique(slots, return_counts=True)
-    y = y.astype(np.float64)
-    counts = counts.astype(np.float64)
-
+    m = slots.shape[1]
+    y, counts, distinct = _distinct_rows(slots)
     n = math.floor(_LOG_HALF / math.log(q))
-    r = float(counts[y <= n].sum())
-    if r in (0.0, float(m)):
-        c0 = _exponential_approximation(m, float((_log1m_qpow(y, q) * counts).sum()))
-    else:
-        c0 = math.log(r / m) / math.log1p(-(q ** n))
-    c0 = max(c0, 1e-12)
+    log_1mq = math.log1p(-q)
+    one = y == 1.0
+    with np.errstate(all="ignore"):  # rows that already failed may hold anything
+        log_s = _row_sums(_log1m_qpow(y, q) * counts, distinct)
+        # y = 1 (and the padding) reads as slot 2 in the terms below, which
+        # take it with weight 0; it adds the constant log(1-q) instead
+        safe = y + one
+        a = _log1m_qpow(safe, q)
+        b = _log1m_qpow(safe - 1.0, q)
+    b_minus_a, a_minus_b = b - a, a - b
+    weight = counts * ~one
+    constant = log_1mq * counts * one
+    r = (slots <= n).sum(axis=1).tolist()
+    top = y.max(axis=1).tolist()
 
-    if y.max() == 1.0:
-        # score is the constant m*log(1-q): no interior root, the likelihood
-        # is maximised at the small-c boundary; report the exponential-
-        # approximation value
-        return -1.0 / math.log1p(-q), c0
+    c0, c = [], []
+    for i, (ri, li) in enumerate(zip(r, log_s)):
+        try:
+            if ri in (0, m):
+                start = _exponential_approximation(m, li)
+            else:
+                start = math.log(ri / m) / math.log1p(-(q ** n))
+        except EstimationNumericError as exc:
+            if errors[i] is None:
+                errors[i] = exc
+            start = math.nan
+        start = max(start, 1e-12)
+        c0.append(start)
+        c.append(-1.0 / log_1mq if top[i] == 1.0 else start)
+    live = [i for i in range(len(c)) if errors[i] is None and top[i] > 1.0]
+    rows = len(c)
+    lengths = np.concatenate([distinct, distinct])
+    terms = np.empty((2 * rows, y.shape[1]))
+    score, slope = terms[:rows], terms[rows:]
+    with np.errstate(all="ignore"):
+        for _ in range(_GEOM_MAX_ITER):
+            if not live:
+                break
+            d = np.array(c)[:, None] * b_minus_a
+            ed = np.exp(d)
+            em1 = np.expm1(d)
+            # (a - b e**d) / -expm1(d), negated twice exactly
+            np.multiply(b, ed, out=score)
+            score -= a
+            score /= em1
+            score *= weight
+            score += constant
+            # minus the derivative, negated back after its sum
+            np.divide(a_minus_b, em1, out=slope)
+            slope *= slope
+            slope *= ed
+            slope *= weight
+            sums = _row_sums(terms, lengths)
+            still = []
+            for i in live:
+                ci, si, dsi = c[i], sums[i], -sums[rows + i]
+                if not (math.isfinite(si) and math.isfinite(dsi)):
+                    errors[i] = EstimationNumericError(
+                        f"geometric score is not finite at c={ci}: the likelihood term "
+                        f"of slot {top[i]:.0f} leaves double range", initial=c0[i])
+                    continue
+                if dsi == 0.0:
+                    errors[i] = _geometric_unconverged(c0[i])
+                    continue
+                step = si / dsi
+                nxt = ci - step
+                while nxt <= 0.0:
+                    step *= 0.5
+                    nxt = ci - step
+                c[i] = nxt
+                if not abs(nxt - ci) < _GEOM_TOL * max(ci, 1.0):
+                    still.append(i)
+            live = still
+    for i in live:
+        errors[i] = _geometric_unconverged(c0[i])
+    return np.array(c), np.array(c0)
 
-    c = c0
-    for _ in range(_GEOM_MAX_ITER):
-        s, ds = geometric_score(y, counts, q, c)
-        if not (math.isfinite(s) and math.isfinite(ds)):
-            raise EstimationNumericError(
-                f"geometric score is not finite at c={c}: the likelihood term "
-                f"of slot {y.max():.0f} leaves double range", initial=c0)
-        if ds == 0.0:
-            break
-        step = s / ds
-        nxt = c - step
-        while nxt <= 0.0:
-            step *= 0.5
-            nxt = c - step
-        if abs(nxt - c) < _GEOM_TOL * max(c, 1.0):
-            return float(nxt), float(c0)
-        c = nxt
-    raise EstimationNumericError(
-        f"geometric MLE did not converge within {_GEOM_MAX_ITER} iterations", initial=c0
-    )
+
+def _geometric_unconverged(c0: float) -> EstimationNumericError:
+    return EstimationNumericError(
+        f"geometric MLE did not converge within {_GEOM_MAX_ITER} iterations", initial=c0)
+
+
+def _distinct_rows(slots: np.ndarray):
+    """Each row's distinct values, ascending, as float64, with how often
+    each occurs, packed to the left of a (rows, most distinct) array (the
+    padding is 1 with count 0), and the number of distinct values per row."""
+    rows, m = slots.shape
+    srt = np.sort(slots, axis=1)
+    new = np.empty(srt.shape, dtype=bool)
+    new[:, 0] = True
+    np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
+    starts = new.ravel().nonzero()[0]  # each row starts a run, so no run spans two
+    row = starts // m
+    distinct = np.bincount(row, minlength=rows)
+    col = np.arange(len(starts)) - (np.cumsum(distinct) - distinct)[row]
+    y = np.ones((rows, distinct.max()))
+    y[row, col] = srt.ravel()[starts]
+    counts = np.zeros(y.shape)
+    counts[row, col] = np.diff(starts, append=srt.size)
+    return y, counts, distinct
+
+
+def _row_sums(v: np.ndarray, n: np.ndarray) -> list:
+    """sum(v[i, :n[i]]) for each row i, as floats: numpy's own sum of each
+    row's values, as the one-row path takes it."""
+    return [float(v[i, :k].sum()) for i, k in enumerate(n.tolist())]
 
 
 class KthOrderSketch(state.Sketch):
@@ -334,10 +445,20 @@ class KthOrderSketch(state.Sketch):
             )
         return y
 
+    @classmethod
+    def estimates(cls, topk, level: float, k: int) -> Estimates:
+        """Root estimates, one per (m, k) matrix of the (sketches, m, k)
+        stack, with standard errors c_hat / sqrt(k m)."""
+        y = topk[:, :, k - 1]
+        errors = [None] * len(y)
+        fail(errors, np.isnan(y).any(axis=1), lambda i: InsufficientDataError(
+            f"some streams hold fewer than k={k} values (cardinality < k?)"))
+        c_hat = kth_roots(y, k, errors)
+        m = y.shape[1]
+        return normal_estimates(c_hat, c_hat / math.sqrt(k * m), level, "max-kth", m, errors)
+
     def estimate(self, level: float = 0.95) -> Estimate:
-        c_hat = kth_root_estimate(self.kth_values(), self.k)
-        se = c_hat / math.sqrt(self.k * self.m)
-        return normal_estimate(c_hat, se, level, "max-kth", self.m)
+        return self.estimates(self.topk[None], level, self.k).estimate()
 
 
 def _kth_reach(kth: np.ndarray) -> np.ndarray:
@@ -361,40 +482,71 @@ def _register_rows(regs: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
 def kth_closed_form(y: np.ndarray, k: int) -> float:
     """Large-c starting point k / (1 - prod(y_j)**(1/m)).  Every y_j at 1,
     the uniforms' supremum, raises DegenerateSketchError."""
-    log_prod = float(np.log(y).sum())
-    t = -math.expm1(log_prod / len(y))
-    if t == 0.0:
-        raise DegenerateSketchError("every k-th value at the supremum 1")
+    y = np.asarray(y, dtype=np.float64)[None]
+    errors = [None]
+    with np.errstate(divide="ignore"):
+        start = _kth_starts(np.log(y).sum(axis=1), y.shape[1], k, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(start[0])
+
+
+def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarray:
+    """``kth_closed_form`` per row, from the rows' sums of log y_j."""
+    t = np.array([-math.expm1(v / m) for v in log_prod.tolist()])
+    fail(errors, t == 0.0, lambda i: DegenerateSketchError("every k-th value at the supremum 1"))
     return k / t
 
 
 def kth_root_estimate(y: np.ndarray, k: int) -> float:
-    """Unique root c > k-1 of  sum_j log y_j + m * sum_{i=1..k} 1/(c-i+1) = 0.
+    """Unique root c > k-1 of  sum_j log y_j + m * sum_{i=1..k} 1/(c-i+1) = 0:
+    a one-row ``kth_roots``."""
+    errors = [None]
+    root = kth_roots(np.asarray(y, dtype=np.float64)[None], k, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    return float(root[0])
+
+
+def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
+    """``kth_root_estimate`` of each row of the (sketches, m) k-th values.
 
     The left side is strictly decreasing in c, from +inf at c -> (k-1)+ to
     the negative value sum log y_j; Newton from the closed-form start (which
     always exceeds k) converges monotonically in practice and is damped
-    against overshooting the pole.
+    against overshooting the pole.  The sums are taken for every row at
+    once; each row still iterating then takes its step.  A row that fails
+    gets its error in errors (a row that already holds one keeps it).
     """
-    y = np.asarray(y, dtype=np.float64)
-    m = len(y)
-    log_prod = float(np.log(y).sum())
+    m = y.shape[1]
     offsets = np.arange(k, dtype=np.float64) - (k - 1)  # c-i+1 = c + offsets
-    c = kth_closed_form(y, k)
-    for _ in range(_KTH_MAX_ITER):
-        denom = c + offsets
-        f = log_prod + m * float((1.0 / denom).sum())
-        df = -m * float((1.0 / denom**2).sum())
-        step = f / df
-        nxt = c - step
-        while nxt <= k - 1:
-            step *= 0.5
-            nxt = c - step
-        if abs(nxt - c) < _KTH_TOL * max(c, 1.0):
-            return float(nxt)
-        c = nxt
-    raise EstimationNumericError("k-th order-statistic root search did not converge",
-                                 initial=kth_closed_form(y, k))
+    with np.errstate(all="ignore"):  # rows that already failed may hold NaN
+        log_prod = np.log(y).sum(axis=1)
+        c0 = _kth_starts(log_prod, m, k, errors).tolist()
+        c = list(c0)
+        live = [i for i, e in enumerate(errors) if e is None]
+        for _ in range(_KTH_MAX_ITER):
+            if not live:
+                break
+            denom = np.array(c)[:, None] + offsets
+            f = (log_prod + m * (1.0 / denom).sum(axis=1)).tolist()
+            df = (-m * (1.0 / denom**2).sum(axis=1)).tolist()
+            still = []
+            for i in live:
+                ci = c[i]
+                step = f[i] / df[i]
+                nxt = ci - step
+                while nxt <= k - 1:
+                    step *= 0.5
+                    nxt = ci - step
+                c[i] = nxt
+                if not abs(nxt - ci) < _KTH_TOL * max(ci, 1.0):
+                    still.append(i)
+            live = still
+    for i in live:
+        errors[i] = EstimationNumericError(
+            "k-th order-statistic root search did not converge", initial=c0[i])
+    return np.array(c)
 
 
 def combine_kth(c1: float, m1: int, c2: float, m2: int, k: int) -> float:
@@ -445,8 +597,14 @@ class BernoulliSketch(state.Sketch):
     def ones(self) -> int:
         return int(self.bits.sum())
 
+    @classmethod
+    def estimates(cls, bits, level: float, p: float) -> Estimates:
+        """``bernoulli_estimates`` of the set bits of each row of the
+        (sketches, m) bits."""
+        return bernoulli_estimates(bits.sum(axis=1), bits.shape[1], p, level)
+
     def estimate(self, level: float = 0.95) -> Estimate:
-        return bernoulli_estimate(self.ones(), self.m, self.p, level)
+        return self.estimates(self.bits[None], level, self.p).estimate()
 
     def state_bytes(self) -> int:
         return (self.m + 7) // 8
@@ -460,16 +618,47 @@ def bernoulli_fisher_info(c: float, m: int, p: float) -> float:
 
 
 def bernoulli_estimate(ones: int, m: int, p: float, level: float = 0.95) -> Estimate:
-    """MLE log(1 - ones/m)/log(1-p) with Fisher-information standard error.
+    """MLE log(1 - ones/m)/log(1-p) with Fisher-information standard error:
+    a one-row ``bernoulli_estimates``.
 
     ones == 0 returns the boundary estimate 0 with a one-sided upper bound;
     ones == m raises SaturatedSketchError carrying the exact one-sided lower
     confidence bound (the MLE is infinite).
     """
-    if not 0 <= ones <= m:
-        raise ValueError(f"ones must lie in [0, m], got {ones}")
+    return bernoulli_estimates(np.array([ones]), m, p, level).estimate()
+
+
+def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimates:
+    """``bernoulli_estimate`` of each count of set bits in ones.  A state is
+    its count alone, so each distinct count is estimated once."""
+    ones = np.asarray(ones)
+    out_of_range = (ones < 0) | (ones > m)
+    if out_of_range.any():
+        raise ValueError(f"ones must lie in [0, m], got {ones[out_of_range][0]}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0,1)")
+    counts = ones.tolist()
+    found = {}
+    for v in set(counts):
+        try:
+            e = _bernoulli_count(v, m, p, level)
+        except (SketchError, ValueError):  # raised afresh below for each row of the count
+            found[v] = (math.nan,) * 4
+        else:
+            found[v] = (e.c_hat, e.std_error, *e.ci)
+    c_hat, se, lo, hi = np.array([found[v] for v in counts]).T
+    errors = [None] * len(counts)
+    for i, v in enumerate(counts):
+        if math.isnan(found[v][0]):
+            try:
+                _bernoulli_count(v, m, p, level)
+            except (SketchError, ValueError) as exc:
+                errors[i] = exc
+    return Estimates(c_hat, errors, "bernoulli", m, level, se, lo, hi)
+
+
+def _bernoulli_count(ones: int, m: int, p: float, level: float) -> Estimate:
+    """The estimate at one count of set bits, or its error raised."""
     logq = math.log1p(-p)
     if ones == m:
         # smallest c with P(all bits set | c) >= 1-level
@@ -487,7 +676,7 @@ def bernoulli_estimate(ones: int, m: int, p: float, level: float = 0.95) -> Esti
     if not info > 0.0:
         raise EstimationNumericError(f"Fisher information underflows at p={p}")
     se = 1.0 / math.sqrt(info)
-    return normal_estimate(c_hat, se, level, "bernoulli", m)
+    return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, "bernoulli", m)
 
 
 def merge(*sketches):

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import hashing, state
 from .errors import DegenerateSketchError, EstimationNumericError, UnsupportedDeletionError
-from .estimate import Estimate, gamma_estimate
+from .estimate import Estimate, Estimates, fail, gamma_estimates
 from .state import signed_add
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -98,11 +98,9 @@ class ProjectionSketch(state.Sketch):
     # -- estimation -------------------------------------------------------
 
     def _require_positive(self) -> None:
-        if np.any(self.signs <= 0):
-            raise DegenerateSketchError(
-                "estimation needs every accumulator positive (nonnegative "
-                "cumulative quantities at query time)"
-            )
+        errors = _positive_rows(self.signs[None])
+        if errors[0] is not None:
+            raise errors[0]
 
     def pivot_sum(self) -> float:
         """S = sum_j V_j**(-alpha); c*S is an approximate Gamma(m,1) pivot
@@ -111,15 +109,37 @@ class ProjectionSketch(state.Sketch):
         with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
             return float(np.exp(-self.alpha * self.logmag).sum())
 
+    @classmethod
+    def estimates(cls, signs, logmag, level: float, alpha: float) -> Estimates:
+        """m / sum V_j**(-alpha) per row of the (sketches, m) accumulators,
+        with the approximate Gamma-pivot interval."""
+        if alpha > 0.1:
+            warnings.warn(
+                f"alpha={alpha} is large; the estimator and its interval "
+                "are derived in the small-alpha limit",
+                stacklevel=3,
+            )
+        errors = _positive_rows(signs)
+        with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
+            s = np.exp(-alpha * logmag).sum(axis=1)
+        return gamma_estimates(s, signs.shape[1], level, "projection", errors)
+
     def estimate(self, level: float = 0.95) -> Estimate:
         """m / sum V_j**(-alpha), with the approximate Gamma-pivot interval."""
-        if self.alpha > 0.1:
-            warnings.warn(
-                f"alpha={self.alpha} is large; the estimator and its interval "
-                "are derived in the small-alpha limit",
-                stacklevel=2,
-            )
-        return gamma_estimate(self.pivot_sum(), self.m, level, "projection")
+        return self.estimates(self.signs[None], self.logmag[None], level, self.alpha).estimate()
+
+    @classmethod
+    def median_estimates(cls, signs, logmag, alpha: float) -> Estimates:
+        """``median_estimate`` of each row of the (sketches, m) accumulators."""
+        errors = _positive_rows(signs)
+        with np.errstate(invalid="ignore"):
+            log_c = alpha * (np.median(logmag, axis=1) - stable_median_log(alpha))
+        fail(errors, ~((-_LOG_MAX < log_c) & (log_c < _LOG_MAX)),
+             lambda i: EstimationNumericError(
+                 f"median estimate exp({float(log_c[i])}) is outside double range"))
+        c_hat = np.array([math.exp(v) if e is None else math.nan
+                          for v, e in zip(log_c.tolist(), errors)])
+        return Estimates(c_hat, errors, "projection-median", signs.shape[1])
 
     def median_estimate(self) -> float:
         """(sample median of V / median of the stable law)**alpha.
@@ -128,13 +148,17 @@ class ProjectionSketch(state.Sketch):
         interpolating between two stream values.  An estimate outside
         double range raises EstimationNumericError.
         """
-        self._require_positive()
-        med_log_v = float(np.median(self.logmag))
-        log_c = self.alpha * (med_log_v - stable_median_log(self.alpha))
-        if not -_LOG_MAX < log_c < _LOG_MAX:
-            raise EstimationNumericError(
-                f"median estimate exp({log_c}) is outside double range")
-        return math.exp(log_c)
+        return self.median_estimates(self.signs[None], self.logmag[None], self.alpha).value()
+
+
+def _positive_rows(signs) -> list:
+    """Per row of stacked signs None, or the error of a row with an
+    accumulator that is not positive."""
+    errors = [None] * len(signs)
+    fail(errors, (signs <= 0).any(axis=1), lambda i: DegenerateSketchError(
+        "estimation needs every accumulator positive (nonnegative "
+        "cumulative quantities at query time)"))
+    return errors
 
 
 # -- the stable law's median --------------------------------------------

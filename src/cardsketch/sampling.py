@@ -8,12 +8,27 @@ from honest ingestion (the equivalence is pinned by two-sample tests in the
 suite).  Replication experiments at c*m beyond desk scale use these; every
 correctness test of ingestion itself runs the real hash path.
 
-All samplers consume a numpy Generator, so a seeded run is reproducible.
+Each sampler is two steps (a ``Steps`` pair):
+
+- ``draw(c, m, rng, **params)`` makes one replicate's generator calls, in
+  a fixed order, and returns its raw variates as a tuple of arrays.  A
+  state that cannot be drawn raises after exactly the calls made so far
+  (MinCount refuses after its multinomial, before its beta draw), so the
+  replicates after it draw what they would have drawn anyway;
+- ``shape(c, m, *draws, **params)`` turns a stack of draws, one row per
+  replicate, into a stack of state arrays, and returns them with, per
+  row, None or the error that keeps the row from being a state.  The
+  projection's c may be an array, one value per row.
+
+The experiment runner draws per replicate and shapes per block;
+``sample_*`` is a one-row call of both.  All samplers consume a numpy
+Generator, so a seeded run is reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,52 +41,164 @@ from .order_sketch import (
     GeometricMaxSketch,
     KthOrderSketch,
     check_geometric_q,
-    geometric_slots,
+    geometric_slot_rows,
 )
 from .projection import ProjectionSketch
 
 
-def continuous_slots(c: int, m: int, rng) -> np.ndarray:
-    """log of the maximum of c uniforms per stream: log(U)/c exactly."""
-    return np.log(rng.random(m)) / c
+class Steps(NamedTuple):
+    draw: Callable
+    shape: Callable
+
+
+def _fine(rows: int) -> list:
+    return [None] * rows
+
+
+# -- continuous and geometric: log of the maximum of c uniforms, log(U)/c
+
+def _uniforms(c, m: int, rng) -> tuple:
+    return (rng.random(m),)
+
+
+def _continuous_shape(c, m: int, u) -> tuple:
+    return (np.log(u) / c,), _fine(len(u))
+
+
+def _geometric_draw(c, m: int, rng, q: float) -> tuple:
+    check_geometric_q(q)  # before the draw, which a refused q must not use
+    return _uniforms(c, m, rng)
+
+
+def _geometric_shape(c, m: int, u, q: float) -> tuple:
+    slots, errors = geometric_slot_rows(np.log(u) / c, check_geometric_q(q))
+    return (slots,), errors
+
+
+CONTINUOUS = Steps(_uniforms, _continuous_shape)
+GEOMETRIC = Steps(_geometric_draw, _geometric_shape)
+
+
+# -- top-k: the descending beta recursion U_(c-i) = U_(c-i+1) * B**(1/(c-i))
+
+def _kth_draw(c, m: int, rng, k: int) -> tuple:
+    if c < k:
+        raise InsufficientDataError(f"need c >= k, got c={c}, k={k}")
+    return (rng.random((m, k)),)
+
+
+def _kth_shape(c, m: int, u, k: int) -> tuple:
+    tops = np.log(u)
+    tops /= c - np.arange(k, dtype=np.float64)
+    np.cumsum(tops, axis=-1, out=tops)
+    return (np.exp(tops, out=tops),), _fine(len(u))
+
+
+KTH = Steps(_kth_draw, _kth_shape)
+
+
+# -- Bernoulli: the number of set bits is Binomial(m, 1 - (1 - p)**c)
+
+def _bernoulli_draw(c, m: int, rng, p: float) -> tuple:
+    hit = -math.expm1(c * math.log1p(-p))
+    return (np.array(int(rng.binomial(m, hit))),)
+
+
+def _bernoulli_shape(c, m: int, ones, p: float) -> tuple:
+    return ((np.arange(m) < ones[:, None]).astype(np.uint8),), _fine(len(ones))
+
+
+BERNOULLI = Steps(_bernoulli_draw, _bernoulli_shape)
+
+
+# -- projection: log V_j for a stream with sum_i D_i**alpha = c, D_i the
+# total quantity of item i; stability collapses the sum to c**(1/alpha)
+# times one stable draw
+
+def _projection_draw(c, m: int, rng, alpha: float) -> tuple:
+    return rng.random(m), rng.exponential(size=m)
+
+
+def _projection_shape(c, m: int, u, w, alpha: float) -> tuple:
+    scale = np.array([math.log(x) for x in np.broadcast_to(c, len(u)).tolist()]) / alpha
+    logmag = scale[:, None] + hashing.stable_log_variate(u, w, alpha)
+    return (np.ones(logmag.shape, dtype=np.int8), logmag), _fine(len(u))
+
+
+PROJECTION = Steps(_projection_draw, _projection_shape)
+
+
+# -- the bucket baselines: multinomial bucket loads
+
+def _bucket_counts(c, m: int, rng) -> np.ndarray:
+    return rng.multinomial(c, np.full(m, 1.0 / m))
+
+
+def _ranks_draw(c, m: int, rng) -> tuple:
+    return _bucket_counts(c, m, rng), rng.random(m)
+
+
+def _ranks_shape(c, m: int, n, u) -> tuple:
+    """Per-bucket maxima of first-1-bit ranks: the max of n geometric(1/2)
+    ranks inverts (1 - 2**-r)**n."""
+    top = max_rank(m)
+    out = np.zeros(n.shape, dtype=np.uint8)
+    live = n > 0
+    t = -np.expm1(np.log(u[live]) / n[live])  # smallest 2**-r below this
+    r = np.ceil(-np.log2(np.maximum(t, 2.0 ** -(top + 1))))
+    out[live] = np.clip(r, 1, top).astype(np.uint8)
+    return (out,), _fine(len(n))
+
+
+def _mincount_draw(c, m: int, rng) -> tuple:
+    """Third minima of per-bucket uniforms: Beta(3, n-2) exactly."""
+    n = _bucket_counts(c, m, rng)
+    if np.any(n < MINCOUNT_K):
+        raise InsufficientDataError(
+            f"a bucket drew fewer than {MINCOUNT_K} items (c too small for m)")
+    return (rng.beta(MINCOUNT_K, n - MINCOUNT_K + 1),)
+
+
+def _mincount_shape(c, m: int, third) -> tuple:
+    state = np.empty(third.shape + (MINCOUNT_K,))
+    state[..., MINCOUNT_K - 1] = third
+    # lower minima are never read by the estimator; fill with a valid chain
+    state[..., 0] = third / 3.0
+    state[..., 1] = 2.0 * third / 3.0
+    return (state,), _fine(len(third))
+
+
+RANKS = Steps(_ranks_draw, _ranks_shape)
+MINCOUNT = Steps(_mincount_draw, _mincount_shape)
+
+
+# -- one-row samplers ----------------------------------------------------
+
+def _one_row(steps: Steps, cls, c, m: int, rng, fixed=None, **params):
+    """The sketch of one replicate: a one-row draw and shape."""
+    draws = steps.draw(c, m, rng, **params)
+    arrays, errors = steps.shape(c, m, *(d[None] for d in draws), **params)
+    if errors[0] is not None:
+        raise errors[0]
+    return cls.from_arrays(m, 0, [a[0] for a in arrays], {**(fixed or {}), **params},
+                           copy=False)
 
 
 def sample_continuous(c: int, m: int, rng, kind: str = "uniform") -> ContinuousMaxSketch:
-    return ContinuousMaxSketch.from_state(m, 0, continuous_slots(c, m, rng), kind)
+    return _one_row(CONTINUOUS, ContinuousMaxSketch, c, m, rng, {"kind": kind})
 
 
 def sample_geometric(c: int, m: int, q: float, rng) -> GeometricMaxSketch:
-    q = check_geometric_q(q)  # before the draw, which a refused q must not use
-    slots = geometric_slots(continuous_slots(c, m, rng), q)
-    return GeometricMaxSketch.from_state(m, 0, slots, q)
+    return _one_row(GEOMETRIC, GeometricMaxSketch, c, m, rng, q=q)
 
 
 def sample_kth(c: int, k: int, m: int, rng) -> KthOrderSketch:
-    """Top-k order statistics of c uniforms per stream via the descending
-    beta recursion U_(c-i) = U_(c-i+1) * B**(1/(c-i))."""
-    if c < k:
-        raise InsufficientDataError(f"need c >= k, got c={c}, k={k}")
-    log_u = np.log(rng.random((m, k)))
-    denom = c - np.arange(k, dtype=np.float64)
-    log_tops = np.cumsum(log_u / denom, axis=1)
-    return KthOrderSketch.from_state(m, 0, np.exp(log_tops), k)
+    """Top-k order statistics of c uniforms per stream."""
+    return _one_row(KTH, KthOrderSketch, c, m, rng, k=k)
 
 
 def sample_bernoulli(c: int, m: int, p: float, rng) -> BernoulliSketch:
-    hit = -math.expm1(c * math.log1p(-p))  # 1-(1-p)^c
-    ones = int(rng.binomial(m, hit))
-    bits = np.zeros(m, dtype=np.uint8)
-    bits[:ones] = 1
-    return BernoulliSketch.from_state(m, 0, bits, p)
-
-
-def projection_logmag(c: float, m: int, alpha: float, rng) -> np.ndarray:
-    """log V_j for a stream with sum_i D_i**alpha = c, D_i the total
-    quantity of item i: stability collapses the sum to c**(1/alpha) times
-    one stable draw."""
-    u = rng.random(m)
-    w = rng.exponential(size=m)
-    return math.log(c) / alpha + hashing.stable_log_variate(u, w, alpha)
+    return _one_row(BERNOULLI, BernoulliSketch, c, m, rng, p=p)
 
 
 def sample_projection(c: float, m: int, alpha: float, rng) -> ProjectionSketch:
@@ -79,46 +206,16 @@ def sample_projection(c: float, m: int, alpha: float, rng) -> ProjectionSketch:
     quantities D_i with sum_i D_i**alpha = c: c distinct items of unit
     quantity give c, and R repeats of each give c * R**alpha.  An item
     inserted and deleted again has D_i = 0 and adds nothing."""
-    logmag = projection_logmag(c, m, alpha, rng)
-    return ProjectionSketch.from_state(m, 0, np.ones(m, dtype=np.int8), logmag, alpha)
-
-
-def _bucket_counts(c: int, m: int, rng) -> np.ndarray:
-    return rng.multinomial(c, np.full(m, 1.0 / m))
-
-
-def rank_registers(c: int, m: int, rng) -> np.ndarray:
-    """Per-bucket maxima of first-1-bit ranks: bucket loads are multinomial
-    and the max of n geometric(1/2) ranks inverts (1 - 2**-r)**n."""
-    top = max_rank(m)
-    n = _bucket_counts(c, m, rng)
-    u = rng.random(m)
-    out = np.zeros(m, dtype=np.uint8)
-    live = n > 0
-    t = -np.expm1(np.log(u[live]) / n[live])  # smallest 2**-r below this
-    r = np.ceil(-np.log2(np.maximum(t, 2.0 ** -(top + 1))))
-    out[live] = np.clip(r, 1, top).astype(np.uint8)
-    return out
+    return _one_row(PROJECTION, ProjectionSketch, c, m, rng, alpha=alpha)
 
 
 def sample_loglog(c: int, m: int, rng) -> LogLogSketch:
-    return LogLogSketch.from_state(m, 0, rank_registers(c, m, rng))
+    return _one_row(RANKS, LogLogSketch, c, m, rng)
 
 
 def sample_hll(c: int, m: int, rng) -> HyperLogLogSketch:
-    return HyperLogLogSketch.from_state(m, 0, rank_registers(c, m, rng))
+    return _one_row(RANKS, HyperLogLogSketch, c, m, rng)
 
 
 def sample_mincount(c: int, m: int, rng) -> MinCountSketch:
-    """Third minima of per-bucket uniforms: Beta(3, n-2) exactly."""
-    n = _bucket_counts(c, m, rng)
-    if np.any(n < MINCOUNT_K):
-        raise InsufficientDataError(
-            f"a bucket drew fewer than {MINCOUNT_K} items (c too small for m)")
-    third = rng.beta(MINCOUNT_K, n - MINCOUNT_K + 1)
-    state = np.zeros((m, MINCOUNT_K))
-    state[:, MINCOUNT_K - 1] = third
-    # lower minima are never read by the estimator; fill with a valid chain
-    state[:, 0] = third / 3.0
-    state[:, 1] = 2.0 * third / 3.0
-    return MinCountSketch.from_state(m, 0, state)
+    return _one_row(MINCOUNT, MinCountSketch, c, m, rng)

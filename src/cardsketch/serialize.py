@@ -62,7 +62,7 @@ def _built(t, version, m, salt, arrays, params):
     """The sketch of a decoded state, refusing a version its type never had."""
     if type(version) is not int or version not in (1, t.cls.version):
         raise SerializationError(f"unsupported version {version!r} for a {t.name} sketch")
-    sk = t.from_state(m, salt, arrays, params)
+    sk = t.from_state(m, salt, arrays, params, copy=False)  # the decoder made them
     if version != sk.version:
         sk.version = version
     return sk

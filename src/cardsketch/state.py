@@ -12,7 +12,14 @@ A class's layout is the one description of its arrays: ``names`` in
 ``from_state`` order, ``empty(m, **params)`` (the state of no items),
 ``checked(m, *arrays, **params)`` (the arrays checked against m and the
 parameters), ``joined(*mine, *theirs)`` (the combine rule, as new arrays)
-and the JSON and binary encodings.
+and the JSON and binary encodings.  ``checked`` also takes a stack of
+states, each array with a leading axis of ``reps`` rows, and copies only
+when asked: ``from_state`` copies the arrays its caller still holds, the
+decoders and the experiment runner hand over arrays they made.
+
+A class estimates a stack of states at once, one row per sketch, with
+its classmethod ``estimates(*arrays, level, **params)`` (an
+``estimate.Estimates``); its ``estimate`` is a one-row call of it.
 
 The checks are the gate between outside data and a sketch: both decoders
 build every sketch through ``from_state``, and check sizes first, so no
@@ -64,8 +71,9 @@ class Sketch:
     A subclass declares ``params``, its parameter names in ``from_state``
     order, ``layout``, the layout of its state arrays, ``deletes`` if it
     takes quantities <= 0, and ``version`` if its hash scheme is not the
-    first, and writes ``_absorb``.  Its constructor checks and sets the
-    parameters, then calls this one, which sets the empty state.
+    first, and writes ``_absorb``, ``estimates`` and ``estimate``.  Its
+    constructor checks and sets the parameters, then calls this one, which
+    sets the empty state.
     """
 
     params: tuple = ()
@@ -83,18 +91,26 @@ class Sketch:
 
     @classmethod
     def from_state(cls, m, seed, *args, **params):
-        """The sketch holding the given state arrays, then parameters by
-        position or by name.  The arrays are checked before the sketch is
-        built, so nothing is sized from an unchecked declaration."""
+        """The sketch holding a copy of the given state arrays, then
+        parameters by position or by name.  The arrays are checked before
+        the sketch is built, so nothing is sized from an unchecked
+        declaration."""
         n = len(cls.layout.names)
         named = dict(zip(cls.params, args[n:]))
         if not n <= len(args) <= n + len(cls.params) or named.keys() & params.keys():
             raise TypeError(f"{cls.__name__}.from_state takes m, seed, the arrays "
                             f"{cls.layout.names} and the parameters {cls.params}")
         params.update(named)
+        return cls.from_arrays(m, seed, args[:n], params)
+
+    @classmethod
+    def from_arrays(cls, m, seed, arrays, params: dict, copy: bool = True):
+        """``from_state`` with the arrays as a sequence and the parameters
+        as a dict.  With copy=False the sketch may keep the given arrays,
+        which the caller must not hold on to."""
         m, salt = header(m, seed)
         sk = cls.__new__(cls)
-        sk._checked_state = cls.layout.checked(m, *args[:n], **params)
+        sk._checked_state = cls.layout.checked(m, *arrays, copy=copy, **params)
         sk.__init__(m, seed=salt, **params)
         return sk
 
@@ -189,7 +205,10 @@ def header(m, seed) -> tuple[int, int]:
     return m, salt
 
 
-def _shaped(a: np.ndarray, shape: tuple, what: str) -> np.ndarray:
+def _shaped(a: np.ndarray, shape: tuple, what: str, reps=None) -> np.ndarray:
+    """a, if it has the shape (reps, *shape), or shape when reps is None."""
+    if reps is not None:
+        shape = (reps, *shape)
     if a.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {a.shape}")
     return a
@@ -227,6 +246,11 @@ def signed_add(s1, l1, s2, l2):
     return np.where(mag == -np.inf, 0, sign).astype(np.int8), mag
 
 
+def _floats(x, copy: bool) -> np.ndarray:
+    """x as a float64 array: a copy, or x itself if it is one and copy is False."""
+    return np.array(x, dtype=np.float64) if copy else np.asarray(x, dtype=np.float64)
+
+
 # --- encodings ----------------------------------------------------------
 
 def _f2s(x: float) -> str:
@@ -260,15 +284,23 @@ class Reader:
         self.data = data
         self.pos = pos
 
-    def take(self, n: int) -> bytes:
+    def _skip(self, n: int) -> int:
+        """Where the next n bytes start; moves past them."""
         if self.pos + n > len(self.data):
             raise SerializationError("truncated binary sketch")
         self.pos += n
-        return self.data[self.pos - n:self.pos]
+        return self.pos - n
 
-    def array(self, dtype: str, count: int) -> np.ndarray:
+    def take(self, n: int) -> bytes:
+        start = self._skip(n)
+        return self.data[start:start + n]
+
+    def array(self, dtype: str, count: int, copy: bool = True) -> np.ndarray:
+        """The next count values, a copy or, with copy=False, a read-only
+        view of the frame."""
         dt = np.dtype(dtype)
-        return np.frombuffer(self.take(dt.itemsize * count), dtype=dt).copy()
+        a = np.frombuffer(self.data, dtype=dt, count=count, offset=self._skip(dt.itemsize * count))
+        return a.copy() if copy else a
 
 
 class Scalar:
@@ -311,19 +343,19 @@ class Vector:
         self.hi = hi
         self.what = what
 
-    def checked(self, m: int, x, **params) -> tuple:
+    def checked(self, m: int, x, reps=None, copy=True, **params) -> tuple:
         hi = self.hi(m) if callable(self.hi) else self.hi
         if self.real:
-            a = _shaped(np.array(x, dtype=np.float64), (m,), self.what)
+            a = _shaped(_floats(x, copy), (m,), self.what, reps)
             if np.isnan(a).any() or (a > hi).any():
                 raise ValueError(f"{self.what} must be numbers <= {hi}")
             return (a,)
-        a = _shaped(np.asarray(x), (m,), self.what)
+        a = _shaped(np.asarray(x), (m,), self.what, reps)
         if a.dtype.kind not in "biu":
             raise ValueError(f"{self.what} must be integers, got {a.dtype}")
-        if a.min() < 0 or a.max() > hi:
+        if a.size and (a.min() < 0 or a.max() > hi):
             raise ValueError(f"{self.what} must lie in [0, {hi}]")
-        return (a.astype(self.dtype.type),)
+        return (a.astype(self.dtype.type, copy=copy),)
 
     @staticmethod
     def joined(a, b) -> tuple:
@@ -355,7 +387,7 @@ class Bits(Vector):
         return np.packbits(a).tobytes()
 
     def unpack(self, r: Reader, m: int, params: dict) -> tuple:
-        bits = np.unpackbits(r.array("<u1", (m + 7) // 8))
+        bits = np.unpackbits(r.array("<u1", (m + 7) // 8, copy=False))
         if bits[m:].any():
             raise SerializationError("nonzero padding bits after the last bit")
         return (bits[:m],)
@@ -376,15 +408,15 @@ class SignedLog:
     def empty(m: int, **params) -> tuple:
         return np.zeros(m, dtype=np.int8), np.full(m, -np.inf)
 
-    def checked(self, m: int, signs, logmag, **params) -> tuple:
-        s = _shaped(np.asarray(signs), (m,), "projection signs")
+    def checked(self, m: int, signs, logmag, reps=None, copy=True, **params) -> tuple:
+        s = _shaped(np.asarray(signs), (m,), "projection signs", reps)
         if s.dtype.kind not in "biu" or not np.isin(s, (-1, 0, 1)).all():
             raise ValueError("projection signs must lie in {-1, 0, +1}")
-        (lm,) = self._logmag.checked(m, logmag)
+        (lm,) = self._logmag.checked(m, logmag, reps, copy)
         if ((s == 0) != np.isneginf(lm)).any():
             raise ValueError("a projection sign must be 0 exactly where its "
                              "log-magnitude is -inf")
-        return s.astype(np.int8), lm
+        return s.astype(np.int8, copy=copy), lm
 
     def to_json(self, signs, logmag) -> list:
         return [[s, _f2s(lm)] for s, lm in zip(signs.tolist(), logmag.tolist())]
@@ -428,8 +460,8 @@ class Rows:
     def empty(self, m: int, **params) -> tuple:
         return (np.full((m, self._k(params)), self.pad),)
 
-    def checked(self, m: int, x, **params) -> tuple:
-        a = _shaped(np.array(x, dtype=np.float64), (m, self._k(params)), self.what)
+    def checked(self, m: int, x, reps=None, copy=True, **params) -> tuple:
+        a = _shaped(_floats(x, copy), (m, self._k(params)), self.what, reps)
         pad = np.isnan(a) if self.descending else np.isposinf(a)
         # boolean temporaries only, so a large state is not copied again
         ok = a <= 1.0
@@ -438,9 +470,9 @@ class Rows:
         if not ok.all():
             raise ValueError(f"{self.what} values must lie in (0, 1]")
         del ok
-        if (pad[:, :-1] & ~pad[:, 1:]).any():
+        if (pad[..., :-1] & ~pad[..., 1:]).any():
             raise ValueError(f"{self.what} padding must come after every value")
-        lo, hi = (a[:, 1:], a[:, :-1]) if self.descending else (a[:, :-1], a[:, 1:])
+        lo, hi = (a[..., 1:], a[..., :-1]) if self.descending else (a[..., :-1], a[..., 1:])
         if (lo > hi).any():  # NaN and inf padding compare False
             order = "descending" if self.descending else "ascending"
             raise ValueError(f"{self.what} must be sorted {order}")
@@ -480,7 +512,8 @@ class Rows:
 
     def unpack(self, r: Reader, m: int, params: dict) -> tuple:
         counts = r.array("<u2", m)
-        values = r.array("<f8", int(counts.sum()))
+        # a view of the frame: _matrix copies the values into the matrix
+        values = r.array("<f8", int(counts.sum()), copy=False)
         return (self._matrix(counts, values, m, params),)
 
 

@@ -344,3 +344,16 @@ def test_stdin_stays_open_in_process(monkeypatch, tmp_path):
     assert main(["sketch", "--type", "hll", "--m", "16", "--in", str(lf),
                  "--out", str(again)]) == 0
     assert out.read_text() == again.read_text()
+
+
+def test_parser_is_built_once(monkeypatch, tmp_path):
+    # main reuses the process's parser; parsing leaves it unchanged
+    cli._parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    grid = tmp_path / "g.json"
+    grid.write_text(json.dumps({"q": [0.5]}))
+    assert main(["analyze", "--grid", str(grid)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sketch", "--type", "nope", "--m", "4"])
+    assert exc.value.code == 2
+    assert main(["analyze", "--grid", str(grid)]) == 0

@@ -168,6 +168,19 @@ class TestDeterminism:
         empty = hashing.fold_spans(buf, starts[:0], lens[:0])
         assert empty.dtype == np.uint64 and len(empty) == 0
 
+    def test_fold_spans_of_very_long_and_short_ids(self):
+        # a few ids of thousands of bytes, some of one length and more of
+        # them than are folded one by one, among many short ones
+        rng = np.random.default_rng(16)
+        ids = [rng.bytes(int(n)) for n in rng.integers(0, 12, size=2000)]
+        ids += [rng.bytes(5000) for _ in range(hashing._FEW_SPANS + 3)]
+        ids += [b"x" * 20000, rng.bytes(7001), "é€😀".encode() * 900]
+        ids = [ids[i] for i in rng.permutation(len(ids))]
+        lens = np.array([len(b) for b in ids])
+        buf = np.frombuffer(b"".join(ids), dtype=np.uint8)
+        keys = hashing.fold_spans(buf, np.cumsum(lens) - lens, lens)
+        assert keys.tolist() == [item_key(b) for b in ids]
+
 
 class TestUnitArray:
     TOP = np.array([2**64 - 1, 2**64 - 2048], dtype=np.uint64)

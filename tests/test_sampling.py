@@ -133,3 +133,35 @@ def test_samplers_are_deterministic_given_seed():
     a = sampling.sample_projection(100, 8, 0.05, np.random.default_rng(5))
     b = sampling.sample_projection(100, 8, 0.05, np.random.default_rng(5))
     np.testing.assert_array_equal(a.logmag, b.logmag)
+
+
+# estimates of the states two rounds of samplers draw from one generator,
+# as recorded under numpy 2.4: a sampler that changes its generator calls,
+# or their order, moves them far beyond rounding (so would a numpy release
+# that changes how Generator draws one of these distributions)
+PINNED = [6570.089220898556, 4553.809637833549, 2902.729432123824, 4821.613212016611,
+          5250.030073865228, 3507.4907670210423, 5180.695302407907, 6386.349755656109,
+          3899.4884191347046, 6545.27636315526, 3895.1176169009746, 6150.026418122771,
+          3612.1230681862307, 5635.119290361271, 5250.030073865228, 5678.21894562,
+          5180.695302407907, 4582.413298701299, 3150.166745283387, 5471.5584825806445]
+
+
+def test_samplers_keep_their_generator_draws():
+    rng = np.random.default_rng(2024)
+    c, m = 5000, 16
+    got = []
+    for _ in range(2):
+        proj = sampling.sample_projection(c, m, 0.05, rng)
+        sketches = [
+            sampling.sample_continuous(c, m, rng, "uniform"),
+            sampling.sample_continuous(c, m, rng, "exponential"),
+            sampling.sample_geometric(c, m, 10 / 11, rng),
+            sampling.sample_kth(c, 3, m, rng),
+            sampling.sample_bernoulli(c, m, 1.594 / c, rng),
+            proj,
+            sampling.sample_loglog(c, m, rng),
+            sampling.sample_hll(c, m, rng),
+            sampling.sample_mincount(c, m, rng),
+        ]
+        got += [sk.estimate().c_hat for sk in sketches] + [proj.median_estimate()]
+    np.testing.assert_allclose(got, PINNED, rtol=1e-9)

@@ -1,6 +1,7 @@
 """Bit-exact round-trips through the JSON envelope and the binary frame."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,3 +168,19 @@ def test_merge_after_roundtrip():
     whole.add_batch(keys)
     merged = serialize.unpack(serialize.pack(a)).merge(serialize.loads(serialize.dumps(b)))
     np.testing.assert_array_equal(merged.slots, whole.slots)
+
+
+def test_unpack_builds_a_large_state_about_once():
+    # a 2 MiB top-k state: the frame's values are read in place and the
+    # matrix they fill is checked without a second copy
+    rng = np.random.default_rng(3)
+    rows = -np.sort(-rng.random((1024, 256)), axis=1)
+    frame = serialize.pack(KthOrderSketch.from_state(1024, 7, rows, 256))
+    tracemalloc.start()
+    try:
+        back = serialize.unpack(frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(back.topk, rows)
+    assert peak < 1.5 * rows.nbytes
