@@ -218,8 +218,8 @@ def _cmd_equivalence(args) -> int:
     if not alphas:
         raise SerializationError("--alphas must list at least one value")
     out = {"c": args.c, "m": args.m, "seed": args.seed, "runs": {}}
+    stream = generate_stream(args.c, seed=args.seed)
     for alpha in alphas:
-        stream = generate_stream(args.c, seed=args.seed)
         run = coupled_residuals(stream.keys, args.m, alpha, seed=args.seed)
         out["runs"][repr(alpha)] = {
             "median_abs_residual": float(np.median(np.abs(run.residuals))),

@@ -170,9 +170,13 @@ def gamma_pivot_interval(pivot_sum, m: int, level: float):
     _check_level(level)
     if np.min(pivot_sum) <= 0.0:
         raise ValueError("pivot sum must be positive")
-    g_lo = gamma_quantile(m, (1.0 - level) / 2.0)
-    g_hi = gamma_quantile(m, (1.0 + level) / 2.0)
-    return (g_lo / pivot_sum, g_hi / pivot_sum)
+    return _gamma_bounds(pivot_sum, m, level)
+
+
+def _gamma_bounds(pivot_sum, m: int, level: float):
+    """``gamma_pivot_interval`` unchecked."""
+    return (gamma_quantile(m, (1.0 - level) / 2.0) / pivot_sum,
+            gamma_quantile(m, (1.0 + level) / 2.0) / pivot_sum)
 
 
 @functools.lru_cache(maxsize=256)
@@ -211,15 +215,13 @@ def gamma_estimates(pivot_sum, m: int, level: float, estimator: str,
     fail(errors, ~(pivot_sum > 0.0) | (pivot_sum == math.inf),
          lambda i: EstimationNumericError(
              f"pivot sum {float(pivot_sum[i])} is outside double range"))
-    s = pivot_sum
-    if errors.count(None) < len(errors):
-        s = np.where([e is None for e in errors], pivot_sum, 1.0)
     if _level_failed(errors, level):
-        return Estimates(s, errors, estimator, m, level, pivot=pivot_sum)
-    with np.errstate(over="ignore"):  # the Estimate checks refuse what overflows
-        c_hat = m / s
+        return Estimates(pivot_sum, errors, estimator, m, level, pivot=pivot_sum)
+    # failed rows may divide by 0; the Estimate checks refuse what overflows
+    with np.errstate(all="ignore"):
+        c_hat = m / pivot_sum
         std_error = c_hat / math.sqrt(m)
-        ci = gamma_pivot_interval(s, m, level)
+        ci = _gamma_bounds(pivot_sum, m, level)
     return Estimates(c_hat, errors, estimator, m, level, std_error, *ci, pivot=pivot_sum)
 
 

@@ -9,6 +9,12 @@ its exact sampling distribution under the truly-random-hash idealization
 configurations affordable.  "auto" picks hash while c*m*replicates stays
 small.  Either way a (config, seed) pair fixes the report bytes.
 
+Before its first replicate the runner builds one empty sketch of each
+type, in either mode: its constructor checks m and the parameters, so a
+refused value raises that ValueError before any draw or hash, and its
+``state_bytes`` is the state size of the type's algorithms, a function
+of the type, m and the parameters alone.
+
 The runner loops over replicates only to make their states: to draw
 them (sampled mode: each replicate's generator calls, type by type in
 the order of the algorithms) or to build and hash them.  It then works
@@ -16,11 +22,11 @@ per block of replicates: each sketch type's states are stacked, one row
 per replicate, shaped from the draws, checked once, and every algorithm
 of the type is estimated and recorded in one call.  A block holds at
 most _BLOCK_ENTRIES state entries, so memory does not grow with the
-number of replicates.  A row gets the values,
-or the error, that its replicate gets alone through ``sampling.sample_*``
-(or ``build`` and ``add_batch``) and ``estimate``.  A replicate whose
-state cannot be made, or whose estimate raises a SketchError, counts as
-failed for each algorithm of that type.
+number of replicates.  A row gets the values, or the error, that its
+replicate gets alone through ``sampling.sample_*`` (or ``build`` and
+``add_batch``) and ``estimate``.  A replicate whose state cannot be
+made, or whose estimate raises a SketchError, counts as failed for each
+algorithm of that type.
 
 With more than seven pivots an algorithm's summary carries the
 Kolmogorov-Smirnov statistic of its pivots c * S against Gamma(m) and the
@@ -147,11 +153,6 @@ class ExperimentReport:
         return buf.getvalue()
 
 
-def _plain(values, cast) -> list:
-    """JSON-ready column: each value cast, None kept as null."""
-    return [None if v is None else cast(v) for v in values]
-
-
 def _rep_rng(seed: int, rep: int):
     return np.random.default_rng((int(seed) & 0xFFFFFFFFFFFFFFFF, 0xC0DE, rep))
 
@@ -240,8 +241,8 @@ _BLOCK_ENTRIES = 1 << 16
 
 
 def _block(cfg: ExperimentConfig, method: str, types: dict, reps: range, wall: dict):
-    """The report columns, per algorithm, of the replicates reps, their
-    exact counts, and the state size of each algorithm that estimated."""
+    """The report columns, per algorithm, of the replicates reps, and
+    their exact counts."""
     n = len(reps)
     c_exact = np.full(n, cfg.c)
     # per type, its draws (sampled) or state arrays (hash), stacked as they
@@ -274,7 +275,7 @@ def _block(cfg: ExperimentConfig, method: str, types: dict, reps: range, wall: d
                     stack[j] = p
             wall[first] += time.perf_counter() - t0
 
-    cols, state_bytes = {}, {}
+    cols = {}
     for name, (t, first, params) in types.items():
         t0 = time.perf_counter()
         arrays, rows = _states(t, cfg, method, reps, made.pop(name), params, errors[name])
@@ -287,33 +288,32 @@ def _block(cfg: ExperimentConfig, method: str, types: dict, reps: range, wall: d
             if rows:
                 est = t.estimates(arrays, cfg.level, params, median=algo == "median")
             cols[algo] = _columns(est, rows, c_exact)
-            if cols[algo]["c_hat"]:  # the size of any row's state
-                state_bytes[algo] = t.from_state(
-                    cfg.m, 0, [a[0] for a in arrays], params).state_bytes()
             wall[algo] += time.perf_counter() - t0
-    return cols, c_exact, state_bytes
+    return cols, c_exact
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     method = cfg.resolved_method()
     # each sketch type once, with the first algorithm that reads it: that
-    # algorithm names its hash salt, and its wall time pays for the states
-    types = {}
+    # algorithm names its hash salt, and its wall time pays for the states;
+    # an empty sketch checks m and the parameters and gives the state size
+    types, size = {}, {}
     for algo in cfg.algos:
         t = _sketch_type(algo)
-        types.setdefault(t.name, (t, algo, _params(t, cfg)))
+        if t.name not in types:
+            params = _params(t, cfg)
+            size[t.name] = t.build(cfg.m, 0, params).state_bytes()
+            types[t.name] = (t, algo, params)
     wall = {a: 0.0 for a in cfg.algos}
     cols = {a: {"c_hat": [], "pct_error": [], "ci_lo": [], "ci_hi": [], "covered": [],
                 "pivot": [], "errors": 0} for a in cfg.algos}
-    state_bytes = {a: None for a in cfg.algos}
     step = max(1, _BLOCK_ENTRIES // cfg.m)
     for lo in range(0, cfg.replicates, step):
         reps = range(lo, min(cfg.replicates, lo + step))
-        block, c_exact, sizes = _block(cfg, method, types, reps, wall)
+        block, c_exact = _block(cfg, method, types, reps, wall)
         for algo, col in block.items():
             for key, values in col.items():
                 cols[algo][key] += values
-        state_bytes.update(sizes)
     c_exact = int(c_exact[-1])
 
     summary = {}
@@ -329,7 +329,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             "sd_pct_error": float(pe.std(ddof=1)) if len(pe) > 1 else None,
             "empirical_var": float(ch.var(ddof=1)) if len(ch) > 1 else None,
             "coverage": float(np.mean(covered)) if covered else None,
-            "state_bytes": state_bytes[algo],
+            "state_bytes": size[_sketch_type(algo).name] if len(ch) else None,
             "wall_s": round(wall[algo], 6),
         }
         if entry["empirical_var"]:
@@ -351,11 +351,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         summary=summary, variance_ratios=ratios,
     )
     for algo in cfg.algos:
-        report.replicates[algo] = {
-            k: _plain(v, bool if k == "covered" else float)
-            for k, v in cols[algo].items()
-            if k in ("c_hat", "pct_error", "ci_lo", "ci_hi", "covered", "pivot")
-        }
+        report.replicates[algo] = {k: v for k, v in cols[algo].items() if k != "errors"}
     return report
 
 

@@ -157,7 +157,9 @@ class GeometricMaxSketch(state.Sketch):
     version = 2
 
     def __init__(self, m: int, q: float, seed: int = 0):
-        self.q = check_geometric_q(q)
+        if not 0.0 < q <= _Q_MAX:
+            raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
+        self.q = float(q)
         super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
@@ -204,13 +206,6 @@ class GeometricMaxSketch(state.Sketch):
         if continuity_correction:
             y = y - 0.5
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
-
-
-def check_geometric_q(q: float) -> float:
-    """q as a float; ValueError unless 0 < q <= 1 - 2**-26."""
-    if not 0.0 < q <= _Q_MAX:
-        raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
-    return float(q)
 
 
 def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
@@ -638,22 +633,16 @@ def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimate
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0,1)")
     counts = ones.tolist()
-    found = {}
+    found = {}  # count -> (c_hat, se, lo, hi) and None, or NaNs and its error
     for v in set(counts):
         try:
             e = _bernoulli_count(v, m, p, level)
-        except (SketchError, ValueError):  # raised afresh below for each row of the count
-            found[v] = (math.nan,) * 4
+        except (SketchError, ValueError) as exc:
+            found[v] = (math.nan,) * 4, exc
         else:
-            found[v] = (e.c_hat, e.std_error, *e.ci)
-    c_hat, se, lo, hi = np.array([found[v] for v in counts]).T
-    errors = [None] * len(counts)
-    for i, v in enumerate(counts):
-        if math.isnan(found[v][0]):
-            try:
-                _bernoulli_count(v, m, p, level)
-            except (SketchError, ValueError) as exc:
-                errors[i] = exc
+            found[v] = (e.c_hat, e.std_error, *e.ci), None
+    c_hat, se, lo, hi = np.array([found[v][0] for v in counts]).T
+    errors = [found[v][1] for v in counts]
     return Estimates(c_hat, errors, "bernoulli", m, level, se, lo, hi)
 
 

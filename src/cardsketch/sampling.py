@@ -20,8 +20,12 @@ Each sampler is two steps (a ``Steps`` pair):
   row, None or the error that keeps the row from being a state.  The
   projection's c may be an array, one value per row.
 
-The experiment runner draws per replicate and shapes per block;
-``sample_*`` is a one-row call of both.  All samplers consume a numpy
+Neither step checks m or the parameters: the sketch's constructor does,
+before the first draw.  ``sample_*`` builds an empty sketch first, so a
+refused m or parameter raises its constructor's ValueError with the
+generator untouched, and then makes a one-row call of both steps; the
+experiment runner builds one per type before its first replicate, then
+draws per replicate and shapes per block.  All samplers consume a numpy
 Generator, so a seeded run is reproducible.
 """
 
@@ -40,7 +44,6 @@ from .order_sketch import (
     ContinuousMaxSketch,
     GeometricMaxSketch,
     KthOrderSketch,
-    check_geometric_q,
     geometric_slot_rows,
 )
 from .projection import ProjectionSketch
@@ -66,12 +69,11 @@ def _continuous_shape(c, m: int, u) -> tuple:
 
 
 def _geometric_draw(c, m: int, rng, q: float) -> tuple:
-    check_geometric_q(q)  # before the draw, which a refused q must not use
     return _uniforms(c, m, rng)
 
 
 def _geometric_shape(c, m: int, u, q: float) -> tuple:
-    slots, errors = geometric_slot_rows(np.log(u) / c, check_geometric_q(q))
+    slots, errors = geometric_slot_rows(np.log(u) / c, q)
     return (slots,), errors
 
 
@@ -175,13 +177,15 @@ MINCOUNT = Steps(_mincount_draw, _mincount_shape)
 # -- one-row samplers ----------------------------------------------------
 
 def _one_row(steps: Steps, cls, c, m: int, rng, fixed=None, **params):
-    """The sketch of one replicate: a one-row draw and shape."""
+    """The sketch of one replicate: a one-row draw and shape, once the
+    constructor has accepted m and the parameters."""
+    args = {**(fixed or {}), **params}
+    cls(m, **args)
     draws = steps.draw(c, m, rng, **params)
     arrays, errors = steps.shape(c, m, *(d[None] for d in draws), **params)
     if errors[0] is not None:
         raise errors[0]
-    return cls.from_arrays(m, 0, [a[0] for a in arrays], {**(fixed or {}), **params},
-                           copy=False)
+    return cls.from_arrays(m, 0, [a[0] for a in arrays], args, copy=False)
 
 
 def sample_continuous(c: int, m: int, rng, kind: str = "uniform") -> ContinuousMaxSketch:
