@@ -6,101 +6,77 @@ signed random-projection sketches with positive alpha-stable hashing.
 Plus closed-form inference (Fisher information, relative efficiencies,
 Chernoff tail bounds, sketch sizing), the classic baselines (LogLog,
 HyperLogLog, MinCount) and a replicated simulation harness.
+
+Names load on first use (PEP 562): ``import cardsketch`` runs none of the
+package's modules, and ``cardsketch.ProjectionSketch`` imports
+``projection`` and the modules it needs, no others.  A submodule, such as
+``cardsketch.sampling``, is imported when first read as an attribute.
 """
 
-from .baselines import HyperLogLogSketch, LogLogSketch, MinCountSketch
-from .errors import (
-    DegenerateSketchError,
-    EmptySketchError,
-    EstimationNumericError,
-    IncompatibleSketchError,
-    InsufficientDataError,
-    SaturatedSketchError,
-    SerializationError,
-    SketchError,
-    StreamIntegrityError,
-    UnsupportedDeletionError,
-)
-from .estimate import Estimate, gamma_pivot_interval
-from .experiment import ExperimentConfig, ExperimentReport, run_experiment
-from .hashing import item_key, stable_log_variate
-from .inference import (
-    TailBound,
-    are_bernoulli,
-    chernoff_bounds,
-    fisher_info_geometric,
-    optimal_lambda,
-    psi_infinity,
-    required_m,
-    sketch_storage_bits,
-)
-from .order_sketch import (
-    BernoulliSketch,
-    ContinuousMaxSketch,
-    GeometricMaxSketch,
-    KthOrderSketch,
-    bernoulli_estimate,
-    combine_kth,
-    kth_root_estimate,
-    merge,
-)
-from .projection import (
-    CoupledRun,
-    ProjectionSketch,
-    coupled_residuals,
-    stable_median_log,
-)
-from .serialize import dumps, loads, pack, unpack
-from .streams import Stream, exact_count, generate_stream
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BernoulliSketch",
-    "ContinuousMaxSketch",
-    "CoupledRun",
-    "DegenerateSketchError",
-    "EmptySketchError",
-    "Estimate",
-    "EstimationNumericError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "GeometricMaxSketch",
-    "HyperLogLogSketch",
-    "IncompatibleSketchError",
-    "InsufficientDataError",
-    "KthOrderSketch",
-    "LogLogSketch",
-    "MinCountSketch",
-    "ProjectionSketch",
-    "SaturatedSketchError",
-    "SerializationError",
-    "SketchError",
-    "Stream",
-    "StreamIntegrityError",
-    "TailBound",
-    "UnsupportedDeletionError",
-    "are_bernoulli",
-    "bernoulli_estimate",
-    "chernoff_bounds",
-    "combine_kth",
-    "coupled_residuals",
-    "dumps",
-    "exact_count",
-    "fisher_info_geometric",
-    "gamma_pivot_interval",
-    "generate_stream",
-    "item_key",
-    "kth_root_estimate",
-    "loads",
-    "merge",
-    "optimal_lambda",
-    "pack",
-    "psi_infinity",
-    "required_m",
-    "run_experiment",
-    "sketch_storage_bits",
-    "stable_log_variate",
-    "stable_median_log",
-    "unpack",
-]
+# each public name, once, under the module that defines it
+_PUBLIC = {
+    "baselines": ("HyperLogLogSketch", "LogLogSketch", "MinCountSketch"),
+    "errors": (
+        "DegenerateSketchError",
+        "EmptySketchError",
+        "EstimationNumericError",
+        "IncompatibleSketchError",
+        "InsufficientDataError",
+        "SaturatedSketchError",
+        "SerializationError",
+        "SketchError",
+        "StreamIntegrityError",
+        "UnsupportedDeletionError",
+    ),
+    "estimate": ("Estimate", "gamma_pivot_interval"),
+    "experiment": ("ExperimentConfig", "ExperimentReport", "run_experiment"),
+    "hashing": ("item_key", "stable_log_variate"),
+    "inference": (
+        "TailBound",
+        "are_bernoulli",
+        "chernoff_bounds",
+        "fisher_info_geometric",
+        "optimal_lambda",
+        "psi_infinity",
+        "required_m",
+        "sketch_storage_bits",
+    ),
+    "order_sketch": (
+        "BernoulliSketch",
+        "ContinuousMaxSketch",
+        "GeometricMaxSketch",
+        "KthOrderSketch",
+        "bernoulli_estimate",
+        "combine_kth",
+        "kth_root_estimate",
+        "merge",
+    ),
+    "projection": ("CoupledRun", "ProjectionSketch", "coupled_residuals", "stable_median_log"),
+    "serialize": ("dumps", "loads", "pack", "unpack"),
+    "streams": ("Stream", "exact_count", "generate_stream"),
+}
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    if not name.startswith("_"):
+        try:
+            return importlib.import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -9,6 +9,12 @@ the locale: LF, CRLF and a lone CR each end a line, and an id keys as its
 bytes.  Input that is not UTF-8 is a data error.  The ids are keyed as
 byte spans of the input buffer, with no Python object per line, and a
 quantity is parsed, as a Python int, only on a line that has a tab.
+UTF-8 is checked slice by slice, so no str of the whole input is built.
+
+Modules and names that only one subcommand uses (``experiment`` for
+simulate, ``inference`` for analyze, ``streams`` and ``coupled_residuals``
+for equivalence) are imported when that command runs: sketch, merge and
+estimate never load ``experiment`` or ``streams``.
 
 Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 """
@@ -25,17 +31,8 @@ import numpy as np
 from . import hashing, serialize
 from .errors import (IncompatibleSketchError, SerializationError, SketchError,
                      UnsupportedDeletionError)
-from .experiment import ExperimentConfig, run_experiment
-from .inference import (
-    are_bernoulli,
-    chernoff_bounds,
-    optimal_lambda,
-    psi_infinity,
-    required_m,
-    sketch_storage_bits,
-)
 from .order_sketch import merge as merge_sketches
-from .projection import ProjectionSketch, coupled_residuals
+from .projection import ProjectionSketch
 from .serialize import json_dumps
 from .sketch_types import TYPES
 
@@ -43,6 +40,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+_UTF8_SLICE = 1 << 16  # bytes decoded at a time by _check_utf8
 
 
 def _make_sketch(args) -> object:
@@ -55,6 +54,36 @@ def _make_sketch(args) -> object:
     return t.build(args.m, args.seed, params)
 
 
+def _check_utf8(data: bytes) -> None:
+    """Raise the UnicodeDecodeError that ``data.decode("utf-8")`` raises,
+    decoding _UTF8_SLICE bytes at a time and dropping each str.
+
+    A slice ends before the first byte of a character that starts in its
+    last three bytes, so no valid character spans two slices, and each
+    slice starts where the whole decode would be between characters.  A
+    slice's first error is then the whole input's; its end and reason are
+    read again from the four bytes there, which a slice may have cut short.
+    """
+    view = memoryview(data)
+    start = 0
+    while start < len(data):
+        end = min(start + _UTF8_SLICE, len(data))
+        for cut in range(end, max(end - 4, start), -1):
+            if cut == len(data) or data[cut] & 0xC0 != 0x80:
+                end = cut
+                break
+        try:
+            str(view[start:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            at = start + exc.start
+            try:
+                data[at:at + 4].decode("utf-8")
+            except UnicodeDecodeError as bad:
+                raise UnicodeDecodeError("utf-8", data, at + bad.start, at + bad.end,
+                                         bad.reason) from None
+        start = end
+
+
 def _read_elements(path: str):
     """One element per line: <item_id>[<TAB><d>], missing d = 1.  Returns
     the ids' uint64 keys, folded as byte spans of the input, and the int64
@@ -64,7 +93,7 @@ def _read_elements(path: str):
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    data.decode("utf-8")  # UnicodeDecodeError, a ValueError, on a bad byte
+    _check_utf8(data)  # UnicodeDecodeError, a ValueError, on a bad byte
     if b"\r" in data:  # the two-byte search is slow: skip it when there is no CR
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf = np.frombuffer(data, dtype=np.uint8)
@@ -154,6 +183,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .experiment import ExperimentConfig, run_experiment
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -177,6 +207,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .inference import (are_bernoulli, chernoff_bounds, optimal_lambda, psi_infinity,
+                            required_m, sketch_storage_bits)
     with open(args.grid, "r", encoding="utf-8") as fh:
         try:
             grid = json.load(fh)
@@ -213,6 +245,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_equivalence(args) -> int:
+    from .projection import coupled_residuals
     from .streams import generate_stream
     alphas = [float(a) for a in args.alphas.split(",") if a]
     if not alphas:

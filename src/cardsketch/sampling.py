@@ -23,7 +23,8 @@ Each sampler is two steps (a ``Steps`` pair):
 Neither step checks m or the parameters: the sketch's constructor does,
 before the first draw.  ``sample_*`` builds an empty sketch first, so a
 refused m or parameter raises its constructor's ValueError with the
-generator untouched, and then makes a one-row call of both steps; the
+generator untouched; it refuses a c that is not a finite number > 0 the
+same way, and then makes a one-row call of both steps; the
 experiment runner builds one per type before its first replicate, then
 draws per replicate and shapes per block.  All samplers consume a numpy
 Generator, so a seeded run is reproducible.
@@ -178,9 +179,16 @@ MINCOUNT = Steps(_mincount_draw, _mincount_shape)
 
 def _one_row(steps: Steps, cls, c, m: int, rng, fixed=None, **params):
     """The sketch of one replicate: a one-row draw and shape, once the
-    constructor has accepted m and the parameters."""
+    constructor has accepted m and the parameters, and c is a finite
+    number > 0."""
     args = {**(fixed or {}), **params}
     cls(m, **args)
+    try:
+        valid = math.isfinite(c) and c > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ValueError(f"c must be a finite number > 0, got {c!r}")
     draws = steps.draw(c, m, rng, **params)
     arrays, errors = steps.shape(c, m, *(d[None] for d in draws), **params)
     if errors[0] is not None:

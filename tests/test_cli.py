@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -357,3 +358,66 @@ def test_parser_is_built_once(monkeypatch, tmp_path):
         main(["sketch", "--type", "nope", "--m", "4"])
     assert exc.value.code == 2
     assert main(["analyze", "--grid", str(grid)]) == 0
+
+
+def _decode_error(data: bytes):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return str(exc)
+    return None
+
+
+def test_bad_byte_beyond_the_first_utf8_slice(tmp_path, capsys):
+    data = b"ok\n" * cli._UTF8_SLICE + "café\n".encode() + b"\xff\n"
+    path = tmp_path / "in.txt"
+    path.write_bytes(data)
+    assert main(["sketch", "--type", "hll", "--m", "16", "--in", str(path)]) == 3
+    out, err = capsys.readouterr()
+    at = 3 * cli._UTF8_SLICE + 6
+    message = f"'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"
+    assert message == _decode_error(data)
+    assert (out, err) == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("char", ["é", "€", "😀"])
+def test_character_split_across_utf8_slices(char, tmp_path):
+    encoded = char.encode()
+    for shift in range(len(encoded) + 1):
+        data = b"x" * (cli._UTF8_SLICE - shift) + encoded + b"\t2\nafter\n"
+        path = tmp_path / "in.txt"
+        path.write_bytes(data)
+        keys, ds = cli._read_elements(str(path))
+        assert (keys.tolist(), ds.tolist()) == _text_reader_oracle(data), shift
+
+
+def test_sliced_utf8_check_raises_what_the_whole_decode_raises(monkeypatch):
+    # every cut of short inputs mixing valid characters, stray continuation
+    # bytes, truncated and overlong sequences and surrogates
+    pieces = [b"a", b"\n", "é".encode(), "€".encode(), "😀".encode(), b"\x80", b"\xff",
+              b"\xc3", b"\xe2\x82", b"\xf0\x9f\x98", b"\xed\xa0\x80", b"\xc0\xaf",
+              b"\xf4\x90\x80\x80", b"\xbf\xbf\xbf\xbf"]
+    rng = np.random.default_rng(5)
+    for _ in range(1500):
+        data = b"".join(pieces[i] for i in rng.integers(0, len(pieces), rng.integers(1, 12)))
+        want = _decode_error(data)
+        for size in range(4, 10):
+            monkeypatch.setattr(cli, "_UTF8_SLICE", size)
+            try:
+                cli._check_utf8(data)
+                got = None
+            except UnicodeDecodeError as exc:
+                got = str(exc)
+            assert got == want, (data, size)
+
+
+def test_utf8_check_holds_one_slice_of_text():
+    # 5.1 MB, whose whole decode peaks at 29 MiB
+    data = "ünïcødé-€-😀-ид\n".encode() * (3 << 16)
+    tracemalloc.start()
+    try:
+        cli._check_utf8(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * cli._UTF8_SLICE

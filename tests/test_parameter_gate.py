@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -90,3 +91,28 @@ def test_hash_report_state_bytes_are_the_built_sketches():
         sk.add_batch(stream.keys, stream.d)
         assert summary[name]["failed"] == 0, name
         assert summary[name]["state_bytes"] == sk.state_bytes(), name
+
+
+SAMPLERS = {
+    "continuous": lambda c, rng: sampling.sample_continuous(c, 16, rng),
+    "geometric": lambda c, rng: sampling.sample_geometric(c, 16, 0.5, rng),
+    "kth": lambda c, rng: sampling.sample_kth(c, 3, 16, rng),
+    "bernoulli": lambda c, rng: sampling.sample_bernoulli(c, 16, 0.05, rng),
+    "projection": lambda c, rng: sampling.sample_projection(c, 16, 0.05, rng),
+    "loglog": lambda c, rng: sampling.sample_loglog(c, 16, rng),
+    "hll": lambda c, rng: sampling.sample_hll(c, 16, rng),
+    "mincount": lambda c, rng: sampling.sample_mincount(c, 16, rng),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("c", [0, -1, 0.0, -2.5, float("nan"), float("inf"), None, "5"])
+def test_samplers_refuse_a_bad_c_before_drawing(name, c):
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            SAMPLERS[name](c, rng)
+    assert str(info.value) == f"c must be a finite number > 0, got {c!r}"
+    assert rng.bit_generator.state == before

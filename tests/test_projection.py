@@ -441,3 +441,34 @@ def _elementwise_coupled_run(items, m, alpha, seed=0, d=None):
         residuals=np.exp(-alpha * log_v) - np.exp(-alpha * max_lx),
         ratio_log=alpha * (log_v - max_lx),
         sandwich_low=worst_low * alpha, sandwich_high=worst_high * alpha)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", [2, 8, 64, 512, 1024])
+    def test_matches_numpy_and_integrates_polynomials(self, n):
+        nodes, weights = projection._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        # numpy's weights are off by up to ~1e-9 relative near +-1: it reads
+        # P_n' at the eigenvalues before its Newton step
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=3e-16)
+        np.testing.assert_allclose(weights, ref_weights, rtol=1e-8)
+        assert (np.diff(nodes) > 0).all()
+        for j in range(n):  # exact up to degree 2n - 1
+            assert weights @ nodes ** (2 * j) == pytest.approx(2.0 / (2 * j + 1), rel=1e-11)
+
+
+class TestDeletionDefect:
+    @pytest.mark.xfail(strict=True, raises=DegenerateSketchError,
+                       reason="float log-space accumulators lose the live residue "
+                              "when most of a stream is deleted")
+    def test_mass_deletion_leaves_the_live_keys_sketch(self):
+        # 3000 keys in, 2995 of them out again: an exact accumulator leaves
+        # the sketch of the 5 live keys, so both estimate alike
+        keys = np.arange(3000, dtype=np.uint64)
+        for salt in range(20):
+            sk = ProjectionSketch(16, alpha=0.05, seed=salt)
+            sk.add_batch(keys)
+            sk.add_batch(keys[5:], -np.ones(2995))
+            live = ProjectionSketch(16, alpha=0.05, seed=salt)
+            live.add_batch(keys[:5])
+            assert sk.estimate().c_hat == pytest.approx(live.estimate().c_hat, rel=1e-9), salt
