@@ -11,6 +11,9 @@ Names load on first use (PEP 562): ``import cardsketch`` runs none of the
 package's modules, and ``cardsketch.ProjectionSketch`` imports
 ``projection`` and the modules it needs, no others.  A submodule, such as
 ``cardsketch.sampling``, is imported when first read as an attribute.
+The codecs and the CLI load a sketch family (``baselines``,
+``order_sketch`` or ``projection``) only when a sketch of it is first
+built or decoded, and ``inference`` only for a max-geom estimate.
 """
 
 import importlib
@@ -53,10 +56,10 @@ _PUBLIC = {
         "bernoulli_estimate",
         "combine_kth",
         "kth_root_estimate",
-        "merge",
     ),
     "projection": ("CoupledRun", "ProjectionSketch", "coupled_residuals", "stable_median_log"),
     "serialize": ("dumps", "loads", "pack", "unpack"),
+    "state": ("merge",),
     "streams": ("Stream", "exact_count", "generate_stream"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -11,10 +11,14 @@ byte spans of the input buffer, with no Python object per line, and a
 quantity is parsed, as a Python int, only on a line that has a tab.
 UTF-8 is checked slice by slice, so no str of the whole input is built.
 
-Modules and names that only one subcommand uses (``experiment`` for
-simulate, ``inference`` for analyze, ``streams`` and ``coupled_residuals``
-for equivalence) are imported when that command runs: sketch, merge and
-estimate never load ``experiment`` or ``streams``.
+A command loads only the sketch family it touches: the type table names
+each type's class, and its module is imported when a sketch of that type
+is first built or decoded, so ``sketch --type hll`` and the merge and
+estimate of its output load ``baselines``, never ``order_sketch``,
+``projection``, ``sampling`` or ``inference``.  Modules and names that
+only one subcommand uses (``experiment`` for simulate, ``inference`` for
+analyze, ``streams`` and ``coupled_residuals`` for equivalence) are
+imported when that command runs.
 
 Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 """
@@ -28,13 +32,11 @@ import sys
 
 import numpy as np
 
-from . import hashing, serialize
+from . import hashing, serialize, state
 from .errors import (IncompatibleSketchError, SerializationError, SketchError,
                      UnsupportedDeletionError)
-from .order_sketch import merge as merge_sketches
-from .projection import ProjectionSketch
 from .serialize import json_dumps
-from .sketch_types import TYPES
+from .sketch_types import TYPES, type_of
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -164,7 +166,7 @@ def _cmd_sketch(args) -> int:
 
 def _cmd_merge(args) -> int:
     sketches = [_read_sketch(p) for p in args.sketches]
-    merged = merge_sketches(*sketches)
+    merged = state.merge(*sketches)
     _write_sketch(merged, args.out, args.binary)
     return EXIT_OK
 
@@ -172,7 +174,7 @@ def _cmd_merge(args) -> int:
 def _cmd_estimate(args) -> int:
     sk = _read_sketch(args.sketch)
     if args.median:
-        if not isinstance(sk, ProjectionSketch):
+        if type_of(sk).name != "projection":
             raise SerializationError("--median applies to projection sketches only")
         doc = {"c_hat": sk.median_estimate(), "estimator": "projection-median",
                "m": sk.m}

@@ -65,6 +65,7 @@ _U_MIX1 = np.uint64(_MIX1)
 _U_MIX2 = np.uint64(_MIX2)
 _U_FNV_PRIME = np.uint64(_FNV_PRIME)
 _UNIT_MAX = 1.0 - 2.0**-53  # the largest double below 1
+_U_UNIT_SHIFT = np.uint64(11)  # a uniform keeps a word's top 53 bits
 
 
 def mix64(z: int) -> int:
@@ -219,7 +220,11 @@ def unit_array(words: np.ndarray) -> np.ndarray:
     The top 53 bits, offset by half a step; the largest of them rounds up
     to 1.0, so it is clamped to the largest double below 1.
     """
-    u = (words >> np.uint64(11)).astype(np.float64)
+    return _unit((words >> _U_UNIT_SHIFT).astype(np.float64))
+
+
+def _unit(u: np.ndarray) -> np.ndarray:
+    """``unit_array``, in place, of a float64 array of the words' top 53 bits."""
     u += 0.5
     u *= 2.0**-53
     return np.minimum(u, _UNIT_MAX, out=u)
@@ -403,10 +408,19 @@ def kanter_sines(u, alpha: float) -> np.ndarray:
     it took most of a tile's time, and sin(pi*u) of the rounded product
     pi*u loses the relative precision near u = 1 that the reflection keeps.
     """
-    r = np.multiply.outer((1.0, alpha, 1.0 - alpha), np.asarray(u, dtype=np.float64))
-    np.minimum(r, 1.0 - r, out=r)
-    r2 = r * r
-    p = r2 * _SIN_PI_TAYLOR[-1]
+    u = np.asarray(u, dtype=np.float64)
+    return _kanter_sines(u, alpha, np.empty((3, 3, *u.shape)))
+
+
+def _kanter_sines(u: np.ndarray, alpha: float, planes: np.ndarray) -> np.ndarray:
+    """``kanter_sines`` of float64 u in planes, a (3, 3, *u.shape) float64
+    array: the sines are written to planes[0], the other two are scratch."""
+    p, r, r2 = planes
+    np.multiply.outer((1.0, alpha, 1.0 - alpha), u, out=r)
+    np.subtract(1.0, r, out=p)
+    np.minimum(r, p, out=r)
+    np.multiply(r, r, out=r2)
+    np.multiply(r2, _SIN_PI_TAYLOR[-1], out=p)
     for c in _SIN_PI_TAYLOR[-2:0:-1]:
         p += c
         p *= r2
@@ -415,10 +429,14 @@ def kanter_sines(u, alpha: float) -> np.ndarray:
     return p
 
 
-def _stable_log(u: np.ndarray, w: np.ndarray, alpha: float) -> np.ndarray:
+def _stable_log(u: np.ndarray, w: np.ndarray, alpha: float,
+                planes: np.ndarray | None = None) -> np.ndarray:
     """Kanter's log X of ``stable_log_variate`` for float64 u in (0,1) and
-    w > 0 of one shape, unchecked."""
-    s = kanter_sines(u, alpha)
+    w > 0 of one shape, unchecked, as a fresh array; planes, if given, is
+    the scratch of ``_kanter_sines``."""
+    if planes is None:
+        planes = np.empty((3, 3, *u.shape))
+    s = _kanter_sines(u, alpha, planes)
     np.divide(s[1:], s[0], out=s[1:])
     s[2, ...] /= w
     lg = np.log(s[1:], out=s[1:])
@@ -460,10 +478,27 @@ def stable_log_tiles(keys: np.ndarray, salt: int, m: int, alpha: float):
     keys, top to bottom.  Stream j takes u from counter 2j and the
     Exponential(1) w = -log(1 - u') from counter 2j+1; ``unit_array``
     keeps u inside (0,1) and w positive, so the checks of
-    ``stable_log_variate`` are skipped."""
+    ``stable_log_variate`` are skipped.
+
+    Each tile's variates are a fresh array.  Its float temporaries (u, w
+    and the sines' planes) live in buffers allocated once per call, sized
+    by the first tile, the largest: allocated afresh per tile, they were
+    returned to the kernel and faulted back in by every tile of a process
+    whose allocator trims them.
+    """
     lo = 0
     for words in word_tiles(keys, salt, 2 * m):
-        u = unit_array(words[:, 0::2])
-        w = -np.log1p(-unit_array(words[:, 1::2]))
-        yield slice(lo, lo + len(words)), _stable_log(u, w, alpha)
-        lo += len(words)
+        n = len(words)
+        if lo == 0:
+            uw = np.empty((2, n, m))
+            planes = np.empty((3, 3, n, m))
+        np.right_shift(words, _U_UNIT_SHIFT, out=words)  # word_tiles refills it next tile
+        u, w = uw[:, :n]
+        u[...] = words[:, 0::2]
+        w[...] = words[:, 1::2]
+        _unit(u)
+        np.negative(_unit(w), out=w)
+        np.log1p(w, out=w)
+        np.negative(w, out=w)
+        yield slice(lo, lo + n), _stable_log(u, w, alpha, planes[:, :, :n])
+        lo += n

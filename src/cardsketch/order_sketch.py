@@ -59,7 +59,7 @@ from .errors import (
 )
 from .estimate import (Estimate, Estimates, fail, gamma_estimates, normal_estimates,
                        normal_interval)
-from .inference import psi_infinity
+from .state import merge  # noqa: F401  (defined with the sketch base, importable here)
 
 _LOG_HALF = math.log(0.5)
 
@@ -179,6 +179,7 @@ class GeometricMaxSketch(state.Sketch):
         errors = [None] * len(slots)
         fail(errors, np.minimum.reduce(slots, axis=1) == 0,
              lambda i: EmptySketchError("some hash streams saw no items"))
+        from .inference import psi_infinity  # loaded by max-geom estimates alone
         c_hat, _ = geometric_mles(slots, q, errors)
         m = slots.shape[1]
         se = c_hat / math.sqrt(m * psi_infinity(q))
@@ -666,13 +667,3 @@ def _bernoulli_count(ones: int, m: int, p: float, level: float) -> Estimate:
         raise EstimationNumericError(f"Fisher information underflows at p={p}")
     se = 1.0 / math.sqrt(info)
     return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, "bernoulli", m)
-
-
-def merge(*sketches):
-    """Fold any number of same-configuration sketches into one."""
-    if not sketches:
-        raise ValueError("nothing to merge")
-    out = sketches[0]
-    for other in sketches[1:]:
-        out = out.merge(other)
-    return out

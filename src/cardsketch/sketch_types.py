@@ -1,40 +1,54 @@
 """The sketch-type table: one entry per sketch type, the single list of
 the nine types the CLI, the experiment runner and the codecs accept.
 
-An entry gives a type's name and binary tag, its class with any fixed
-constructor argument, its parameters and its exact sampler (the draw and
-shape steps of the sampling module).  The state arrays are described
-once, by the layout the class declares (see the state module): their
-names, invariants, combine rule and encodings.  The CLI's ``--type``
-choices and constructor, the experiment runner's algorithms, hash-mode
-build, sampled-mode draw and shape and block estimates, and both codecs
-are derived from the entry and that layout.
+An entry gives a type's name and binary tag, its parameters, and the
+names of its class, with any fixed constructor argument, and of its
+exact sampler (the draw and shape steps of the sampling module).  The
+state arrays are described once, by the layout the class declares (see
+the state module): their names, invariants, combine rule and encodings.
+The CLI's ``--type`` choices and constructor, the experiment runner's
+algorithms, hash-mode build, sampled-mode draw and shape and block
+estimates, and both codecs are derived from the entry and that layout.
+
+An entry's ``cls`` and ``sampler`` import their module on first read,
+and the entry keeps what they found for the rest of the process: reading
+the table loads no sketch family, so a process that builds, decodes or
+estimates only HLL sketches never imports ``order_sketch``,
+``projection`` or ``sampling``.
+``describes`` and ``type_of`` import nothing, as a sketch's own class is
+loaded already.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
+import sys
 from dataclasses import dataclass, field
 
-from . import sampling, state
-from .baselines import HyperLogLogSketch, LogLogSketch, MinCountSketch
+from . import state
 from .errors import SerializationError
-from .order_sketch import (
-    BernoulliSketch,
-    ContinuousMaxSketch,
-    GeometricMaxSketch,
-    KthOrderSketch,
-)
-from .projection import ProjectionSketch
 
 
 @dataclass(frozen=True)
 class SketchType:
     name: str
     tag: int                  # binary frame type tag
-    cls: type                 # a state.Sketch; cls.layout describes its arrays
-    sampler: sampling.Steps   # draws and shapes the exact state
+    home: str                 # "module.Class" of its state.Sketch, read as cls
+    steps: str                # the name of its sampling.Steps, read as sampler
     params: tuple = ()        # (name, state.REAL or state.U16) pairs
     fixed: dict = field(default_factory=dict)  # fixed constructor arguments
+
+    @functools.cached_property
+    def cls(self) -> type:
+        """The state.Sketch class; cls.layout describes its arrays."""
+        module, name = self.home.split(".")
+        return getattr(importlib.import_module(f".{module}", __package__), name)
+
+    @functools.cached_property
+    def sampler(self):
+        """The sampling.Steps that draw and shape the exact state."""
+        return getattr(importlib.import_module(".sampling", __package__), self.steps)
 
     @property
     def param_names(self) -> tuple:
@@ -63,25 +77,29 @@ class SketchType:
         return self.cls.estimates(*arrays, level=level, **self.fixed, **params)
 
     def describes(self, sk) -> bool:
-        return type(sk) is self.cls and all(
+        """Whether sk is a sketch of this type: its class is this entry's,
+        found among the loaded modules, and its fixed arguments match."""
+        module, name = self.home.split(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        return type(sk) is getattr(loaded, name, None) and all(
             getattr(sk, k) == v for k, v in self.fixed.items())
 
 
 TYPES = {t.name: t for t in (
-    SketchType("max-uniform", 1, ContinuousMaxSketch, sampling.CONTINUOUS,
+    SketchType("max-uniform", 1, "order_sketch.ContinuousMaxSketch", "CONTINUOUS",
                fixed={"kind": "uniform"}),
-    SketchType("max-exp", 2, ContinuousMaxSketch, sampling.CONTINUOUS,
+    SketchType("max-exp", 2, "order_sketch.ContinuousMaxSketch", "CONTINUOUS",
                fixed={"kind": "exponential"}),
-    SketchType("max-geom", 3, GeometricMaxSketch, sampling.GEOMETRIC,
+    SketchType("max-geom", 3, "order_sketch.GeometricMaxSketch", "GEOMETRIC",
                params=(("q", state.REAL),)),
-    SketchType("kth", 4, KthOrderSketch, sampling.KTH, params=(("k", state.U16),)),
-    SketchType("bernoulli", 5, BernoulliSketch, sampling.BERNOULLI,
+    SketchType("kth", 4, "order_sketch.KthOrderSketch", "KTH", params=(("k", state.U16),)),
+    SketchType("bernoulli", 5, "order_sketch.BernoulliSketch", "BERNOULLI",
                params=(("p", state.REAL),)),
-    SketchType("projection", 6, ProjectionSketch, sampling.PROJECTION,
+    SketchType("projection", 6, "projection.ProjectionSketch", "PROJECTION",
                params=(("alpha", state.REAL),)),
-    SketchType("loglog", 7, LogLogSketch, sampling.RANKS),
-    SketchType("hll", 8, HyperLogLogSketch, sampling.RANKS),
-    SketchType("mincount", 9, MinCountSketch, sampling.MINCOUNT),
+    SketchType("loglog", 7, "baselines.LogLogSketch", "RANKS"),
+    SketchType("hll", 8, "baselines.HyperLogLogSketch", "RANKS"),
+    SketchType("mincount", 9, "baselines.MinCountSketch", "MINCOUNT"),
 )}
 BY_TAG = {t.tag: t for t in TYPES.values()}
 

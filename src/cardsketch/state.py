@@ -52,12 +52,13 @@ U64_MAX = 0xFFFFFFFFFFFFFFFF
 
 _LOG2 = math.log(2.0)
 
-# A decoded Rows matrix holds at most _ROWS_PER_STORED entries per row or
-# value its payload stores, or _ROWS_FLOOR entries (8 MiB) in all: padding
-# is not stored, so without this bound a few KB declaring many empty rows
-# and a large k would allocate an (m, k) matrix of gigabytes.  A sparser
-# state (above 2**20 entries and eight per stored row or value) does not
-# decode.
+# A Rows matrix is encoded and decoded only if it holds at most
+# _ROWS_PER_STORED entries per row or value its payload stores, or
+# _ROWS_FLOOR entries (8 MiB) in all: padding is not stored, so without
+# this bound a few KB declaring many empty rows and a large k would
+# allocate an (m, k) matrix of gigabytes.  A sparser state (above 2**20
+# entries and eight per stored row or value) is refused by both encoders,
+# so every state written can be read back.
 _ROWS_PER_STORED = 8
 _ROWS_FLOOR = 1 << 20
 
@@ -172,6 +173,16 @@ class Sketch:
 
     def state_bytes(self) -> int:
         return sum(a.nbytes for a in self.state_arrays())
+
+
+def merge(*sketches):
+    """Fold any number of same-configuration sketches into one."""
+    if not sketches:
+        raise ValueError("nothing to merge")
+    out = sketches[0]
+    for other in sketches[1:]:
+        out = out.merge(other)
+    return out
 
 
 # --- checks and combine rules -------------------------------------------
@@ -481,13 +492,21 @@ class Rows:
     def joined(self, a, b) -> tuple:
         return (merge_rows(a, b, self.descending),)
 
+    @staticmethod
+    def _dense_enough(m: int, k: int, stored: int) -> None:
+        """Refuse an (m, k) matrix that is mostly padding for its stored
+        values: such a state is neither encoded nor decoded."""
+        if m * k > max(_ROWS_FLOOR, _ROWS_PER_STORED * (m + stored)):
+            raise SerializationError(
+                f"an (m={m}, k={k}) matrix is mostly padding for {stored} stored values; "
+                f"the codecs take at most max({_ROWS_FLOOR}, {_ROWS_PER_STORED} * (m + "
+                "stored values)) entries")
+
     def _matrix(self, counts: np.ndarray, values, m: int, params: dict) -> np.ndarray:
         k = self._k(params)
         if (counts > k).any():
             raise SerializationError(f"a row holds more than k={k} values")
-        if m * k > max(_ROWS_FLOOR, _ROWS_PER_STORED * (m + len(values))):
-            raise SerializationError(
-                f"an (m={m}, k={k}) matrix is mostly padding for {len(values)} stored values")
+        self._dense_enough(m, k, len(values))
         values = np.asarray(values, dtype=np.float64)
         if not np.isfinite(values).all():  # padding is never stored
             raise SerializationError("stored row values must be finite")
@@ -496,6 +515,7 @@ class Rows:
         return out
 
     def to_json(self, a) -> list:
+        self._dense_enough(*a.shape, int(np.count_nonzero(np.isfinite(a))))
         return [[_f2s(v) for v in row[np.isfinite(row)].tolist()] for row in a]
 
     def from_json(self, state, m: int, params: dict) -> tuple:
@@ -508,6 +528,7 @@ class Rows:
 
     def pack(self, a) -> bytes:
         filled = np.isfinite(a)
+        self._dense_enough(*a.shape, int(np.count_nonzero(filled)))
         return filled.sum(axis=1).astype("<u2").tobytes() + a[filled].astype("<f8").tobytes()
 
     def unpack(self, r: Reader, m: int, params: dict) -> tuple:

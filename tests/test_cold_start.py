@@ -1,6 +1,7 @@
 """A fresh interpreter loads only the modules its caller uses: the package
-resolves its public names on first use, the CLI imports a one-command
-module inside that command, and the stable median needs no
+resolves its public names on first use, the type table imports a sketch
+family when a sketch of it is first built or decoded, the CLI imports a
+one-command module inside that command, and the stable median needs no
 numpy.polynomial."""
 
 import importlib
@@ -119,3 +120,126 @@ def test_unknown_names_raise_attribute_error(name):
     with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
         getattr(cardsketch, name)
     assert not hasattr(cardsketch, name)
+
+
+CLI_MODULES = ["cardsketch", "cardsketch.cli", "cardsketch.errors", "cardsketch.hashing",
+               "cardsketch.serialize", "cardsketch.sketch_types", "cardsketch.state"]
+
+# the module of each sketch family and the types it holds
+FAMILIES = {"baselines": ("loglog", "hll", "mincount"),
+            "order_sketch": ("max-uniform", "max-exp", "max-geom", "kth", "bernoulli"),
+            "projection": ("projection",)}
+
+
+def test_cli_import_loads_no_sketch_family():
+    out = _fresh("import cardsketch.cli")
+    assert out["cardsketch"] == CLI_MODULES
+
+
+def _cli_run(tmp_path, kind: str) -> list:
+    """The modules a fresh interpreter holds after ``cardsketch`` sketch,
+    merge and estimate of one type, in JSON and in binary."""
+    for part in range(2):
+        (tmp_path / f"{part}.txt").write_text("".join(f"id-{i}\n" for i in range(part * 500,
+                                                                                 part * 500 + 800)))
+    return _fresh("""
+        import contextlib, io, json, os
+        from cardsketch.cli import main
+        work, kind = sys.argv[1], sys.argv[2]
+        path = lambda name: os.path.join(work, name)
+        c_hat = []
+        for binary in ([], ["--binary"]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                for part in range(2):
+                    assert main(["sketch", "--type", kind, "--m", "64", *binary,
+                                 "--in", path(f"{part}.txt"), "--out", path(f"{part}")]) == 0
+                assert main(["merge", path("0"), path("1"), *binary, "--out", path("all")]) == 0
+                assert main(["estimate", path("all")]) == 0
+            c_hat.append(json.loads(out.getvalue())["c_hat"])
+        extra = {"c_hat": c_hat}
+    """, tmp_path, kind)
+
+
+def test_cli_hll_loads_only_baselines(tmp_path):
+    out = _cli_run(tmp_path, "hll")
+    assert out["cardsketch"] == sorted(CLI_MODULES + ["cardsketch.baselines",
+                                                      "cardsketch.estimate"])
+    assert len(out["c_hat"]) == 2 and all(1000 < c < 1700 for c in out["c_hat"])
+
+
+def test_cli_max_uniform_loads_only_order_sketch(tmp_path):
+    out = _cli_run(tmp_path, "max-uniform")
+    assert out["cardsketch"] == sorted(CLI_MODULES + ["cardsketch.estimate",
+                                                      "cardsketch.order_sketch"])
+    assert len(out["c_hat"]) == 2 and all(600 < c < 2500 for c in out["c_hat"])
+
+
+def test_max_geom_estimate_alone_loads_inference():
+    out = _fresh("""
+        from cardsketch.sketch_types import TYPES
+        sk = TYPES["max-geom"].build(32, 1, {"q": 0.5})
+        sk.add_batch(list(range(2000)))
+        built = sorted(m for m in sys.modules if m.startswith("cardsketch"))
+        sk.estimate()
+        extra = {"built": built}
+    """)
+    assert "cardsketch.inference" not in out["built"]
+    assert "cardsketch.inference" in out["cardsketch"]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_decoding_a_fixture_loads_only_its_family(family):
+    data = os.path.join(os.path.dirname(__file__), "data")
+    out = _fresh("""
+        import json, os
+        from cardsketch import serialize
+        data, names = sys.argv[1], sys.argv[2:]
+        decoded = 0
+        for fixtures in ("codec_fixtures.json", "codec_fixtures_v2.json"):
+            with open(os.path.join(data, fixtures)) as fh:
+                for doc in json.load(fh).values():
+                    if json.loads(doc["json"])["type"] in names:
+                        serialize.loads(doc["json"])
+                        serialize.unpack(bytes.fromhex(doc["binary"]))
+                        decoded += 1
+        extra = {"decoded": decoded}
+    """, data, *FAMILIES[family])
+    assert out["decoded"] >= len(FAMILIES[family])
+    assert out["cardsketch"] == sorted(["cardsketch", "cardsketch.errors", "cardsketch.estimate",
+                                        "cardsketch.hashing", "cardsketch.serialize",
+                                        "cardsketch.sketch_types", "cardsketch.state",
+                                        f"cardsketch.{family}"])
+
+
+def test_type_of_imports_nothing():
+    out = _fresh("""
+        from cardsketch.baselines import HyperLogLogSketch
+        from cardsketch.errors import SerializationError
+        from cardsketch.sketch_types import TYPES, type_of
+        before = sorted(sys.modules)
+        named = type_of(HyperLogLogSketch(16)).name
+        try:
+            type_of(object())
+        except SerializationError:
+            refused = True
+        extra = {"named": named, "refused": refused, "same": sorted(sys.modules) == before,
+                 "described": [t.name for t in TYPES.values() if t.describes(object())]}
+    """)
+    assert out["named"] == "hll" and out["refused"] and out["same"]
+    assert out["described"] == []
+    for module in ("order_sketch", "projection", "sampling", "inference"):
+        assert f"cardsketch.{module}" not in out["cardsketch"]
+
+
+def test_type_entries_resolve_once_per_process():
+    from cardsketch import sampling
+    from cardsketch.sketch_types import TYPES
+    values = {"q": 0.5, "k": 2, "p": 0.1, "alpha": 0.05}
+    for t in TYPES.values():
+        cls, sampler = t.cls, t.sampler
+        # kept on the entry: a second read resolves nothing
+        assert vars(t)["cls"] is cls and vars(t)["sampler"] is sampler
+        assert f"{t.cls.__module__}.{t.cls.__name__}" == f"cardsketch.{t.home}"
+        assert t.sampler is getattr(sampling, t.steps)
+        sk = t.build(16, 0, {n: values[n] for n in t.param_names})
+        assert [u.name for u in TYPES.values() if u.describes(sk)] == [t.name]

@@ -254,3 +254,56 @@ def test_empty_kth_at_the_padding_floor_still_loads():
     sk = KthOrderSketch(1024, k=1024, seed=3)
     for data in (serialize.dumps(sk).encode(), serialize.pack(sk)):
         np.testing.assert_array_equal(serialize.load_any(data).topk, sk.topk)
+
+
+def _sparse_kth():
+    # three items fill 3 of each row's 1000 slots: 12288 stored values for
+    # a 4096 x 1000 matrix, which the decoders refuse as mostly padding
+    sk = KthOrderSketch(4096, 1000, 1)
+    sk.add_batch(["a", "b", "c"])
+    return sk
+
+
+@pytest.mark.parametrize("encode", [serialize.pack, serialize.dumps])
+def test_a_state_that_would_not_decode_is_refused_when_written(encode):
+    with pytest.raises(SerializationError, match="mostly padding for 12288 stored values"):
+        encode(_sparse_kth())
+
+
+@pytest.mark.parametrize("binary", [[], ["--binary"]])
+def test_cli_sketch_refuses_a_state_that_would_not_decode(tmp_path, capsys, binary):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("a\nb\nc\n")
+    out = tmp_path / "kth.sk"
+    assert main(["sketch", "--type", "kth", "--k", "1000", "--m", "4096", *binary,
+                 "--in", str(ids), "--out", str(out)]) == 3
+    assert "mostly padding" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m, k, per_row", [(1024, 1024, 0), (1024, 1025, 0), (4096, 1000, 3),
+                                           (256, 4200, 600), (256, 4200, 500)])
+def test_the_encoders_write_exactly_the_kth_states_the_decoders_read(m, k, per_row):
+    values = -np.sort(-np.random.default_rng(m + k).random((m, per_row)), axis=1)
+    rows = np.hstack([values, np.full((m, k - per_row), np.nan)])
+    sk = KthOrderSketch.from_state(m, 2, rows, k)
+    by_hand = _frame(4, m, _u2(k) + _u2(*[per_row] * m) + values.astype("<f8").tobytes(), salt=2)
+    by_hand = by_hand[:4] + bytes([sk.version]) + by_hand[5:]
+    try:
+        written = [serialize.pack(sk), serialize.dumps(sk).encode()]
+    except SerializationError as exc:
+        assert "padding" in str(exc)
+        with pytest.raises(SerializationError, match="padding"):
+            serialize.unpack(by_hand)
+        return
+    assert written[0] == by_hand
+    for data in written:
+        np.testing.assert_array_equal(serialize.load_any(data).topk, rows)
+
+
+def test_a_large_mincount_state_round_trips():
+    # m * 3 entries pass the 2**20 floor, but never eight per stored row
+    sk = MinCountSketch(2**19, seed=1)
+    sk.add_batch(range(1000))
+    for data in (serialize.pack(sk), serialize.dumps(sk).encode()):
+        np.testing.assert_array_equal(serialize.load_any(data).smallest, sk.smallest)
