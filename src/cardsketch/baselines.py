@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hashing, state
 from .errors import DegenerateSketchError, InsufficientDataError
-from .estimate import Estimate, Estimates, fail, normal_estimates
+from .estimate import Estimates, fail, normal_estimates
 
 # Asymptotic relative efficiencies (ratio of c^2/m to the estimator's
 # asymptotic variance), used for reported standard errors.
@@ -76,11 +76,9 @@ def _loglog_alpha(m: int) -> float:
     return (math.gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)) ** (-m)
 
 
-def _registers_set(registers) -> list:
-    """Per row of stacked registers None, or the error of an all-empty row."""
-    errors = [None] * len(registers)
-    fail(errors, ~registers.any(axis=1), lambda i: DegenerateSketchError("all registers empty"))
-    return errors
+def _registers_set(empty, errors: list) -> None:
+    """Give each row flagged in empty (all registers 0) its error."""
+    fail(errors, empty, lambda i: DegenerateSketchError("all registers empty"))
 
 
 class LogLogSketch(_RankSketch):
@@ -89,15 +87,15 @@ class LogLogSketch(_RankSketch):
     @classmethod
     def estimates(cls, registers, level: float) -> Estimates:
         """Estimates of each row of the (sketches, m) registers."""
-        errors = _registers_set(registers)
+        errors = [None] * len(registers)
+        mean = registers.mean(axis=1)
+        _registers_set(mean == 0.0, errors)
         m = registers.shape[1]
-        powers = np.array([2.0 ** v for v in registers.mean(axis=1).tolist()])
+        powers = np.array([2.0 ** v for v in mean.tolist()])
         c_hat = _loglog_alpha(m) * m * powers
         se = c_hat / math.sqrt(BASELINE_ARE["loglog"] * m)
-        return normal_estimates(c_hat, se, level, "loglog", m, errors)
-
-    def estimate(self, level: float = 0.95) -> Estimate:
-        return self.estimates(self.registers[None], level).estimate()
+        with np.errstate(all="ignore"):
+            return normal_estimates(c_hat, se, level, "loglog", m, errors)
 
 
 def _hll_alpha(m: int) -> float:
@@ -117,18 +115,17 @@ class HyperLogLogSketch(_RankSketch):
     @classmethod
     def estimates(cls, registers, level: float) -> Estimates:
         """Estimates of each row of the (sketches, m) registers."""
-        errors = _registers_set(registers)
+        errors = [None] * len(registers)
         m = registers.shape[1]
-        raw = _hll_alpha(m) * m * m / (2.0 ** -registers.astype(np.float64)).sum(axis=1)
         zeros = (registers == 0).sum(axis=1)
+        _registers_set(zeros == m, errors)
+        raw = _hll_alpha(m) * m * m / (2.0 ** -registers.astype(np.float64)).sum(axis=1)
         linear = np.flatnonzero((raw <= 2.5 * m) & (zeros > 0))
         c_hat = raw.copy()
         c_hat[linear] = [m * math.log(m / z) for z in zeros[linear].tolist()]
         se = c_hat / math.sqrt(BASELINE_ARE["hll"] * m)
-        return normal_estimates(c_hat, se, level, "hll", m, errors)
-
-    def estimate(self, level: float = 0.95) -> Estimate:
-        return self.estimates(self.registers[None], level).estimate()
+        with np.errstate(all="ignore"):
+            return normal_estimates(c_hat, se, level, "hll", m, errors)
 
 
 class MinCountSketch(_BucketSketch):
@@ -160,14 +157,11 @@ class MinCountSketch(_BucketSketch):
         fail(errors, ~np.isfinite(third).all(axis=1), lambda i: InsufficientDataError(
             f"every bucket needs at least {MINCOUNT_K} items for the "
             f"{MINCOUNT_K}rd-order-statistic estimator"))
-        with np.errstate(over="ignore"):  # Estimate refuses an infinite c_hat
-            c_hat = ((MINCOUNT_K - 1) / third).sum(axis=1)
         m = third.shape[1]
-        se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * m)
-        return normal_estimates(c_hat, se, level, "mincount", m, errors)
-
-    def estimate(self, level: float = 0.95) -> Estimate:
-        return self.estimates(self.smallest[None], level).estimate()
+        with np.errstate(all="ignore"):  # Estimate refuses an infinite c_hat
+            c_hat = ((MINCOUNT_K - 1) / third).sum(axis=1)
+            se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * m)
+            return normal_estimates(c_hat, se, level, "mincount", m, errors)
 
     def state_bytes(self) -> int:
         # the stored sketch is one float (the third minimum) per bucket

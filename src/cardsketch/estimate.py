@@ -6,7 +6,9 @@ standard error and interval bounds, and per row the exception that row's
 one-row call raises, or None.  ``gamma_estimates`` and
 ``normal_estimates`` finish the two interval kinds for a stack, with
 each quantile computed once per (m, level); a single ``Estimate`` is row
-``i`` of such a block.
+``i`` of such a block.  ``block_row`` reads a row, or raises its error;
+per-row steps record errors with ``fail`` in a list their caller passes,
+under the one ``np.errstate(all="ignore")`` their entry point opens.
 
 The exact interval of the maximal-term sketches needs quantiles of the
 Gamma(m) law, the inverse in x of the regularized incomplete gamma
@@ -122,16 +124,12 @@ class Estimates:
 
     def value(self, i: int = 0) -> float:
         """Row i's estimate, or its exception raised."""
-        if self.errors[i] is not None:
-            raise self.errors[i]
-        return float(self.c_hat[i])
+        return float(block_row(self.c_hat, self.errors, i))
 
     def estimate(self, i: int = 0) -> Estimate:
         """Row i as an Estimate, or its exception raised (the Estimate's
         own checks raise what ``errors`` records for them)."""
-        if self._errors[i] is not None:
-            raise self._errors[i]
-        return Estimate(float(self.c_hat[i]), float(self.std_error[i]),
+        return Estimate(float(block_row(self.c_hat, self._errors, i)), float(self.std_error[i]),
                         (float(self.ci_lo[i]), float(self.ci_hi[i])),
                         self.level, self.estimator, self.m)
 
@@ -142,6 +140,13 @@ def fail(errors: list, rows, error) -> None:
     for i in rows.nonzero()[0].tolist():
         if errors[i] is None:
             errors[i] = error(i)
+
+
+def block_row(block, errors: list, i: int = 0):
+    """Row i (by default of a one-row call) of a block, or its error raised."""
+    if errors[i] is not None:
+        raise errors[i]
+    return block[i]
 
 
 def _check_level(level: float) -> None:
@@ -199,30 +204,27 @@ def normal_interval(c_hat, std_error, level: float):
 def normal_estimates(c_hat, std_error, level: float, estimator: str, m: int,
                      errors: list) -> Estimates:
     """Rows c_hat with standard errors std_error and the clipped normal
-    interval."""
+    interval, under the caller's np.errstate: failed rows hold inf or NaN."""
     if _level_failed(errors, level):
         return Estimates(c_hat, errors, estimator, m, level)
-    with np.errstate(all="ignore"):  # failed rows may hold inf or NaN
-        ci = normal_interval(c_hat, std_error, level)
-    return Estimates(c_hat, errors, estimator, m, level, std_error, *ci)
+    return Estimates(c_hat, errors, estimator, m, level, std_error,
+                     *normal_interval(c_hat, std_error, level))
 
 
 def gamma_estimates(pivot_sum, m: int, level: float, estimator: str,
                     errors: list) -> Estimates:
     """Rows of MLEs m/S with the exact Gamma-pivot interval and std error
     c_hat/sqrt(m), S the rows' pivot sums.  A pivot sum that underflowed
-    to 0 or overflowed to inf gives its row an EstimationNumericError."""
-    fail(errors, ~(pivot_sum > 0.0) | (pivot_sum == math.inf),
+    to 0 or overflowed to inf gives its row an EstimationNumericError; under
+    the caller's np.errstate, what else overflows the Estimate checks refuse."""
+    fail(errors, ~((pivot_sum > 0.0) & (pivot_sum < math.inf)),
          lambda i: EstimationNumericError(
              f"pivot sum {float(pivot_sum[i])} is outside double range"))
     if _level_failed(errors, level):
         return Estimates(pivot_sum, errors, estimator, m, level, pivot=pivot_sum)
-    # failed rows may divide by 0; the Estimate checks refuse what overflows
-    with np.errstate(all="ignore"):
-        c_hat = m / pivot_sum
-        std_error = c_hat / math.sqrt(m)
-        ci = _gamma_bounds(pivot_sum, m, level)
-    return Estimates(c_hat, errors, estimator, m, level, std_error, *ci, pivot=pivot_sum)
+    c_hat = m / pivot_sum
+    return Estimates(c_hat, errors, estimator, m, level, c_hat / math.sqrt(m),
+                     *_gamma_bounds(pivot_sum, m, level), pivot=pivot_sum)
 
 
 # -- the incomplete gamma function and its inverse -------------------------

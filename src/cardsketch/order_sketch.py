@@ -31,7 +31,8 @@ stream) keeps version 1; it can be estimated and merged with other
 version-1 states, and refuses new items.
 
 Each class estimates a stack of states, one row per sketch, with its
-classmethod ``estimates``; ``estimate`` is a one-row call of it.  The
+classmethod ``estimates``; ``state.Sketch.estimate``, and each accessor or
+function here that reads one sketch, is a one-row call of it or its steps.  The
 geometric MLE and the k-th root are Newton iterations over all rows at
 once, each row stopping at its own convergence, with every term that does
 not depend on c computed before the loop; a row gets the estimate, or
@@ -45,6 +46,7 @@ concurrently once writers have stopped.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -57,8 +59,8 @@ from .errors import (
     SaturatedSketchError,
     SketchError,
 )
-from .estimate import (Estimate, Estimates, fail, gamma_estimates, normal_estimates,
-                       normal_interval)
+from .estimate import (Estimate, Estimates, block_row, fail, gamma_estimates,
+                       normal_estimates, normal_interval)
 from .state import merge  # noqa: F401  (defined with the sketch base, importable here)
 
 _LOG_HALF = math.log(0.5)
@@ -122,27 +124,32 @@ class ContinuousMaxSketch(state.Sketch):
 
     def pivot_sum(self) -> float:
         """S = -sum_j log F(M_j); c*S is a Gamma(m,1) pivot."""
-        if np.any(np.isneginf(self.slots)):
-            raise EmptySketchError("some hash streams saw no items")
-        with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
-            return float(-self.slots.sum())
+        errors = [None]
+        with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
+            return float(block_row(_pivot_sums(self.slots[None], errors), errors))
 
     @classmethod
     def estimates(cls, slots, level: float, kind: str) -> Estimates:
-        """MLEs m/S with the exact Gamma-pivot interval, one per row of the
-        (sketches, m) slots."""
+        """MLEs m/S with the exact Gamma-pivot confidence interval, one per
+        row of the (sketches, m) slots."""
         errors = [None] * len(slots)
-        fail(errors, np.minimum.reduce(slots, axis=1) == -np.inf,
-             lambda i: EmptySketchError("some hash streams saw no items"))
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = -np.add.reduce(slots, axis=1)
-        fail(errors, s <= 0.0,
-             lambda i: DegenerateSketchError("all slots at the distribution supremum"))
-        return gamma_estimates(s, slots.shape[1], level, f"max-{kind}", errors)
+        with np.errstate(all="ignore"):
+            s = _pivot_sums(slots, errors)
+            fail(errors, s <= 0.0,
+                 lambda i: DegenerateSketchError("all slots at the distribution supremum"))
+            return gamma_estimates(s, slots.shape[1], level, f"max-{kind}", errors)
 
-    def estimate(self, level: float = 0.95) -> Estimate:
-        """MLE m/S with the exact Gamma-pivot confidence interval."""
-        return self.estimates(self.slots[None], level, self.kind).estimate()
+
+def _filled(slots: np.ndarray, empty, errors: list) -> np.ndarray:
+    """The rows of slots, each holding the empty value given its error."""
+    fail(errors, np.minimum.reduce(slots, axis=1) == empty,
+         lambda i: EmptySketchError("some hash streams saw no items"))
+    return slots
+
+
+def _pivot_sums(slots: np.ndarray, errors: list) -> np.ndarray:
+    """-sum(slots) of each row of continuous slots, checked filled."""
+    return -np.add.reduce(_filled(slots, -np.inf, errors), axis=1)
 
 
 class GeometricMaxSketch(state.Sketch):
@@ -159,6 +166,10 @@ class GeometricMaxSketch(state.Sketch):
     def __init__(self, m: int, q: float, seed: int = 0):
         if not 0.0 < q <= _Q_MAX:
             raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
+        # the max-geom standard error's psi_infinity(q) takes exp(-2 log q),
+        # which overflows unless log q >= -log(DBL_MAX)/2, q about 7.46e-155
+        if math.log(q) < -0.5 * math.log(sys.float_info.max):
+            raise ValueError(f"q must lie at or above about 7.46e-155, got {q}")
         self.q = float(q)
         super().__init__(m, seed)
 
@@ -175,20 +186,15 @@ class GeometricMaxSketch(state.Sketch):
     @classmethod
     def estimates(cls, slots, level: float, q: float) -> Estimates:
         """Maximum-likelihood estimates, one per row of the (sketches, m)
-        slots, with Fisher-information standard errors."""
+        slots, via the score equation of the max-of-c-geometrics law solved
+        by damped Newton-Raphson, with Fisher-information standard errors."""
         errors = [None] * len(slots)
-        fail(errors, np.minimum.reduce(slots, axis=1) == 0,
-             lambda i: EmptySketchError("some hash streams saw no items"))
         from .inference import psi_infinity  # loaded by max-geom estimates alone
-        c_hat, _ = geometric_mles(slots, q, errors)
         m = slots.shape[1]
-        se = c_hat / math.sqrt(m * psi_infinity(q))
-        return normal_estimates(c_hat, se, level, "max-geometric", m, errors)
-
-    def estimate(self, level: float = 0.95) -> Estimate:
-        """Maximum-likelihood estimate via the score equation of the
-        max-of-c-geometrics law, solved by damped Newton-Raphson."""
-        return self.estimates(self.slots[None], level, self.q).estimate()
+        with np.errstate(all="ignore"):
+            c_hat, _ = geometric_mles(_filled(slots, 0, errors), q, errors)
+            se = c_hat / math.sqrt(m * psi_infinity(q))
+            return normal_estimates(c_hat, se, level, "max-geometric", m, errors)
 
     def recursive_estimate(self, continuity_correction: bool = False) -> float:
         """Exponential-approximation estimator -m / log prod(1 - q**Y_j).
@@ -201,9 +207,8 @@ class GeometricMaxSketch(state.Sketch):
         evaluates the statistic at Y_j - 1/2, which cancels that bias while
         remaining a function of the merged state.
         """
-        if np.any(self.slots == 0):
-            raise EmptySketchError("some hash streams saw no items")
-        y = self.slots.astype(np.float64)
+        errors = [None]
+        y = block_row(_filled(self.slots[None], 0, errors), errors).astype(np.float64)
         if continuity_correction:
             y = y - 0.5
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
@@ -218,23 +223,19 @@ def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
     hashed slot cannot (see _Q_MAX), but a sampled continuous one can:
     log u = log(U) / c comes as close to 0 as c is large.
     """
-    slots, errors = geometric_slot_rows(np.asarray(log_u)[None], q)
-    if errors[0] is not None:
-        raise errors[0]
-    return slots[0]
+    errors = [None]
+    return block_row(geometric_slot_rows(np.asarray(log_u)[None], q, errors), errors)
 
 
-def geometric_slot_rows(log_u: np.ndarray, q: float):
-    """``geometric_slots`` of each row of log_u: the slots, with 1 in a
-    row that passes the u32 maximum, and per row None or that row's
-    SaturatedSketchError."""
+def geometric_slot_rows(log_u: np.ndarray, q: float, errors: list) -> np.ndarray:
+    """``geometric_slots`` of each row of log_u, with 1 in a row that
+    passes the u32 maximum and its SaturatedSketchError in errors."""
     y = np.ceil(np.log(-np.expm1(log_u)) / math.log(q))
     top = y.max(axis=tuple(range(1, y.ndim)), initial=0.0)
-    errors = [None] * len(y)
     fail(errors, top > state.U32_MAX, lambda i: SaturatedSketchError(
         f"a geometric slot of {top[i]:.4g} passes the u32 maximum at q = {q}"))
     y[top > state.U32_MAX] = 1.0
-    return np.maximum(y, 1.0).astype(np.uint32), errors
+    return np.maximum(y, 1.0).astype(np.uint32)
 
 
 def _log1m_qpow(y: np.ndarray, q: float) -> np.ndarray:
@@ -260,10 +261,9 @@ def solve_geometric_mle(slots: np.ndarray, q: float) -> tuple[float, float]:
     """Newton-Raphson on the geometric score equation: a one-row
     ``geometric_mles``.  Returns (root, initializer)."""
     errors = [None]
-    roots, initials = geometric_mles(np.asarray(slots)[None], q, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(roots[0]), float(initials[0])
+    with np.errstate(all="ignore"):
+        roots, initials = geometric_mles(np.asarray(slots)[None], q, errors)
+    return float(block_row(roots, errors)), float(initials[0])
 
 
 def geometric_mles(slots: np.ndarray, q: float, errors: list):
@@ -292,20 +292,20 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     iterating then takes its damped Newton step.  A row that fails gets
     its EstimationNumericError (carrying the initializer once the
     iteration ran) in errors, where a row that already holds an error
-    keeps it; the values of such rows mean nothing.
+    keeps it; the values of such rows mean nothing, and as they may hold
+    anything this runs under its caller's ``np.errstate(all="ignore")``.
     """
     m = slots.shape[1]
     y, counts, distinct = _distinct_rows(slots)
     n = math.floor(_LOG_HALF / math.log(q))
     log_1mq = math.log1p(-q)
     one = y == 1.0
-    with np.errstate(all="ignore"):  # rows that already failed may hold anything
-        log_s = _row_sums(_log1m_qpow(y, q) * counts, distinct)
-        # y = 1 (and the padding) reads as slot 2 in the terms below, which
-        # take it with weight 0; it adds the constant log(1-q) instead
-        safe = y + one
-        a = _log1m_qpow(safe, q)
-        b = _log1m_qpow(safe - 1.0, q)
+    log_s = _row_sums(_log1m_qpow(y, q) * counts, distinct)
+    # y = 1 (and the padding) reads as slot 2 in the terms below, which
+    # take it with weight 0; it adds the constant log(1-q) instead
+    safe = y + one
+    a = _log1m_qpow(safe, q)
+    b = _log1m_qpow(safe - 1.0, q)
     b_minus_a, a_minus_b = b - a, a - b
     weight = counts * ~one
     constant = log_1mq * counts * one
@@ -315,13 +315,14 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     c0, c = [], []
     for i, (ri, li) in enumerate(zip(r, log_s)):
         try:
-            if ri in (0, m):
+            if errors[i] is not None:  # an empty stream has none at n = 0
+                start = math.nan
+            elif ri in (0, m):
                 start = _exponential_approximation(m, li)
             else:
                 start = math.log(ri / m) / math.log1p(-(q ** n))
         except EstimationNumericError as exc:
-            if errors[i] is None:
-                errors[i] = exc
+            errors[i] = exc
             start = math.nan
         start = max(start, 1e-12)
         c0.append(start)
@@ -331,45 +332,44 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     lengths = np.concatenate([distinct, distinct])
     terms = np.empty((2 * rows, y.shape[1]))
     score, slope = terms[:rows], terms[rows:]
-    with np.errstate(all="ignore"):
-        for _ in range(_GEOM_MAX_ITER):
-            if not live:
-                break
-            d = np.array(c)[:, None] * b_minus_a
-            ed = np.exp(d)
-            em1 = np.expm1(d)
-            # (a - b e**d) / -expm1(d), negated twice exactly
-            np.multiply(b, ed, out=score)
-            score -= a
-            score /= em1
-            score *= weight
-            score += constant
-            # minus the derivative, negated back after its sum
-            np.divide(a_minus_b, em1, out=slope)
-            slope *= slope
-            slope *= ed
-            slope *= weight
-            sums = _row_sums(terms, lengths)
-            still = []
-            for i in live:
-                ci, si, dsi = c[i], sums[i], -sums[rows + i]
-                if not (math.isfinite(si) and math.isfinite(dsi)):
-                    errors[i] = EstimationNumericError(
-                        f"geometric score is not finite at c={ci}: the likelihood term "
-                        f"of slot {top[i]:.0f} leaves double range", initial=c0[i])
-                    continue
-                if dsi == 0.0:
-                    errors[i] = _geometric_unconverged(c0[i])
-                    continue
-                step = si / dsi
+    for _ in range(_GEOM_MAX_ITER):
+        if not live:
+            break
+        d = np.array(c)[:, None] * b_minus_a
+        ed = np.exp(d)
+        em1 = np.expm1(d)
+        # (a - b e**d) / -expm1(d), negated twice exactly
+        np.multiply(b, ed, out=score)
+        score -= a
+        score /= em1
+        score *= weight
+        score += constant
+        # minus the derivative, negated back after its sum
+        np.divide(a_minus_b, em1, out=slope)
+        slope *= slope
+        slope *= ed
+        slope *= weight
+        sums = _row_sums(terms, lengths)
+        still = []
+        for i in live:
+            ci, si, dsi = c[i], sums[i], -sums[rows + i]
+            if not (math.isfinite(si) and math.isfinite(dsi)):
+                errors[i] = EstimationNumericError(
+                    f"geometric score is not finite at c={ci}: the likelihood term "
+                    f"of slot {top[i]:.0f} leaves double range", initial=c0[i])
+                continue
+            if dsi == 0.0:
+                errors[i] = _geometric_unconverged(c0[i])
+                continue
+            step = si / dsi
+            nxt = ci - step
+            while nxt <= 0.0:
+                step *= 0.5
                 nxt = ci - step
-                while nxt <= 0.0:
-                    step *= 0.5
-                    nxt = ci - step
-                c[i] = nxt
-                if not abs(nxt - ci) < _GEOM_TOL * max(ci, 1.0):
-                    still.append(i)
-            live = still
+            c[i] = nxt
+            if not abs(nxt - ci) < _GEOM_TOL * max(ci, 1.0):
+                still.append(i)
+        live = still
     for i in live:
         errors[i] = _geometric_unconverged(c0[i])
     return np.array(c), np.array(c0)
@@ -434,27 +434,26 @@ class KthOrderSketch(state.Sketch):
 
     def kth_values(self) -> np.ndarray:
         """The k-th largest value per stream; errors if any stream has fewer."""
-        y = self.topk[:, self.k - 1]
-        if np.any(np.isnan(y)):
-            raise InsufficientDataError(
-                f"some streams hold fewer than k={self.k} values (cardinality < k?)"
-            )
-        return y
+        errors = [None]
+        return block_row(_kth_rows(self.topk[None], self.k, errors), errors)
 
     @classmethod
     def estimates(cls, topk, level: float, k: int) -> Estimates:
-        """Root estimates, one per (m, k) matrix of the (sketches, m, k)
-        stack, with standard errors c_hat / sqrt(k m)."""
-        y = topk[:, :, k - 1]
-        errors = [None] * len(y)
-        fail(errors, np.isnan(y).any(axis=1), lambda i: InsufficientDataError(
-            f"some streams hold fewer than k={k} values (cardinality < k?)"))
-        c_hat = kth_roots(y, k, errors)
-        m = y.shape[1]
-        return normal_estimates(c_hat, c_hat / math.sqrt(k * m), level, "max-kth", m, errors)
+        """Root estimates (``kth_roots``), one per (m, k) matrix of the
+        (sketches, m, k) stack, with standard errors c_hat / sqrt(k m)."""
+        errors = [None] * len(topk)
+        m = topk.shape[1]
+        with np.errstate(all="ignore"):
+            c_hat = kth_roots(_kth_rows(topk, k, errors), k, errors)
+            return normal_estimates(c_hat, c_hat / math.sqrt(k * m), level, "max-kth", m, errors)
 
-    def estimate(self, level: float = 0.95) -> Estimate:
-        return self.estimates(self.topk[None], level, self.k).estimate()
+
+def _kth_rows(topk: np.ndarray, k: int, errors: list) -> np.ndarray:
+    """The k-th values of each (m, k) matrix of a stack, checked present."""
+    y = topk[:, :, k - 1]
+    fail(errors, np.isnan(y).any(axis=1), lambda i: InsufficientDataError(
+        f"some streams hold fewer than k={k} values (cardinality < k?)"))
+    return y
 
 
 def _kth_reach(kth: np.ndarray) -> np.ndarray:
@@ -480,11 +479,9 @@ def kth_closed_form(y: np.ndarray, k: int) -> float:
     the uniforms' supremum, raises DegenerateSketchError."""
     y = np.asarray(y, dtype=np.float64)[None]
     errors = [None]
-    with np.errstate(divide="ignore"):
-        start = _kth_starts(np.log(y).sum(axis=1), y.shape[1], k, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(start[0])
+    with np.errstate(divide="ignore"):  # log(0) = -inf
+        starts = _kth_starts(np.log(y).sum(axis=1), y.shape[1], k, errors)
+    return float(block_row(starts, errors))
 
 
 def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarray:
@@ -498,10 +495,9 @@ def kth_root_estimate(y: np.ndarray, k: int) -> float:
     """Unique root c > k-1 of  sum_j log y_j + m * sum_{i=1..k} 1/(c-i+1) = 0:
     a one-row ``kth_roots``."""
     errors = [None]
-    root = kth_roots(np.asarray(y, dtype=np.float64)[None], k, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    return float(root[0])
+    with np.errstate(all="ignore"):
+        roots = kth_roots(np.asarray(y, dtype=np.float64)[None], k, errors)
+    return float(block_row(roots, errors))
 
 
 def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
@@ -512,33 +508,33 @@ def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
     always exceeds k) converges monotonically in practice and is damped
     against overshooting the pole.  The sums are taken for every row at
     once; each row still iterating then takes its step.  A row that fails
-    gets its error in errors (a row that already holds one keeps it).
+    gets its error in errors (a row that already holds one keeps it); this
+    runs under its caller's ``np.errstate(all="ignore")``.
     """
     m = y.shape[1]
     offsets = np.arange(k, dtype=np.float64) - (k - 1)  # c-i+1 = c + offsets
-    with np.errstate(all="ignore"):  # rows that already failed may hold NaN
-        log_prod = np.log(y).sum(axis=1)
-        c0 = _kth_starts(log_prod, m, k, errors).tolist()
-        c = list(c0)
-        live = [i for i, e in enumerate(errors) if e is None]
-        for _ in range(_KTH_MAX_ITER):
-            if not live:
-                break
-            denom = np.array(c)[:, None] + offsets
-            f = (log_prod + m * (1.0 / denom).sum(axis=1)).tolist()
-            df = (-m * (1.0 / denom**2).sum(axis=1)).tolist()
-            still = []
-            for i in live:
-                ci = c[i]
-                step = f[i] / df[i]
+    log_prod = np.log(y).sum(axis=1)
+    c0 = _kth_starts(log_prod, m, k, errors).tolist()
+    c = list(c0)
+    live = [i for i, e in enumerate(errors) if e is None]
+    for _ in range(_KTH_MAX_ITER):
+        if not live:
+            break
+        denom = np.array(c)[:, None] + offsets
+        f = (log_prod + m * (1.0 / denom).sum(axis=1)).tolist()
+        df = (-m * (1.0 / denom**2).sum(axis=1)).tolist()
+        still = []
+        for i in live:
+            ci = c[i]
+            step = f[i] / df[i]
+            nxt = ci - step
+            while nxt <= k - 1:
+                step *= 0.5
                 nxt = ci - step
-                while nxt <= k - 1:
-                    step *= 0.5
-                    nxt = ci - step
-                c[i] = nxt
-                if not abs(nxt - ci) < _KTH_TOL * max(ci, 1.0):
-                    still.append(i)
-            live = still
+            c[i] = nxt
+            if not abs(nxt - ci) < _KTH_TOL * max(ci, 1.0):
+                still.append(i)
+        live = still
     for i in live:
         errors[i] = EstimationNumericError(
             "k-th order-statistic root search did not converge", initial=c0[i])
@@ -599,9 +595,6 @@ class BernoulliSketch(state.Sketch):
         (sketches, m) bits."""
         return bernoulli_estimates(bits.sum(axis=1), bits.shape[1], p, level)
 
-    def estimate(self, level: float = 0.95) -> Estimate:
-        return self.estimates(self.bits[None], level, self.p).estimate()
-
     def state_bytes(self) -> int:
         return (self.m + 7) // 8
 
@@ -637,18 +630,17 @@ def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimate
     found = {}  # count -> (c_hat, se, lo, hi) and None, or NaNs and its error
     for v in set(counts):
         try:
-            e = _bernoulli_count(v, m, p, level)
+            found[v] = _bernoulli_count(v, m, p, level), None
         except (SketchError, ValueError) as exc:
             found[v] = (math.nan,) * 4, exc
-        else:
-            found[v] = (e.c_hat, e.std_error, *e.ci), None
     c_hat, se, lo, hi = np.array([found[v][0] for v in counts]).T
     errors = [found[v][1] for v in counts]
     return Estimates(c_hat, errors, "bernoulli", m, level, se, lo, hi)
 
 
-def _bernoulli_count(ones: int, m: int, p: float, level: float) -> Estimate:
-    """The estimate at one count of set bits, or its error raised."""
+def _bernoulli_count(ones: int, m: int, p: float, level: float) -> tuple:
+    """The estimate, standard error and interval bounds at one count of set
+    bits, or its error raised."""
     logq = math.log1p(-p)
     if ones == m:
         # smallest c with P(all bits set | c) >= 1-level
@@ -660,10 +652,10 @@ def _bernoulli_count(ones: int, m: int, p: float, level: float) -> Estimate:
     if ones == 0:
         # largest c with P(no bit set | c) >= 1-level
         upper = math.log1p(-level) / (m * logq)
-        return Estimate(0.0, 0.0, (0.0, upper), level, "bernoulli", m)
+        return 0.0, 0.0, 0.0, upper
     c_hat = math.log1p(-ones / m) / logq
     info = bernoulli_fisher_info(c_hat, m, p)
     if not info > 0.0:
         raise EstimationNumericError(f"Fisher information underflows at p={p}")
     se = 1.0 / math.sqrt(info)
-    return Estimate(c_hat, se, normal_interval(c_hat, se, level), level, "bernoulli", m)
+    return c_hat, se, *normal_interval(c_hat, se, level)

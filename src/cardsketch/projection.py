@@ -38,10 +38,16 @@ import numpy as np
 
 from . import hashing, state
 from .errors import DegenerateSketchError, EstimationNumericError, UnsupportedDeletionError
-from .estimate import Estimate, Estimates, fail, gamma_estimates
+from .estimate import Estimates, block_row, fail, gamma_estimates
 from .state import signed_add
 
 _LOG_MAX = math.log(sys.float_info.max)
+
+# the smallest alpha, about 2.28e-307: a hashed variate's log is (1 - alpha)
+# / alpha times a log spanning -log(53 log 2) to 54 log 2 (at the largest and
+# smallest Exponential(1) draw of hashing.stable_log_tiles), plus about log
+# alpha; a tile's log-space sum subtracts such logs, DBL_MAX apart at most
+_ALPHA_MIN = (54 * math.log(2.0) + math.log(53 * math.log(2.0))) / sys.float_info.max
 
 def _log_sum_rows(total, terms):
     """log(exp(total) + sum of exp(terms) down each column), per stream.
@@ -71,6 +77,8 @@ class ProjectionSketch(state.Sketch):
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
         if not 0.0 < alpha < 1.0:
             raise ValueError("alpha must lie strictly inside (0,1)")
+        if alpha < _ALPHA_MIN:
+            raise ValueError(f"alpha must lie at or above {_ALPHA_MIN!r}, got {alpha}")
         self.alpha = float(alpha)
         super().__init__(m, seed)
 
@@ -97,41 +105,34 @@ class ProjectionSketch(state.Sketch):
 
     # -- estimation -------------------------------------------------------
 
-    def _require_positive(self) -> None:
-        errors = _positive_rows(self.signs[None])
-        if errors[0] is not None:
-            raise errors[0]
-
     def pivot_sum(self) -> float:
         """S = sum_j V_j**(-alpha); c*S is an approximate Gamma(m,1) pivot
         for small alpha."""
-        self._require_positive()
-        with np.errstate(over="ignore"):  # gamma_estimate refuses an infinite sum
-            return float(np.exp(-self.alpha * self.logmag).sum())
+        errors = [None]
+        with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
+            s = _pivot_sums(self.signs[None], self.logmag[None], self.alpha, errors)
+        return float(block_row(s, errors))
 
     @classmethod
     def estimates(cls, signs, logmag, level: float, alpha: float) -> Estimates:
         """m / sum V_j**(-alpha) per row of the (sketches, m) accumulators,
-        with the approximate Gamma-pivot interval."""
+        with the approximate Gamma-pivot interval; an alpha above 0.1 warns."""
         if alpha > 0.1:
             warnings.warn(
                 f"alpha={alpha} is large; the estimator and its interval "
                 "are derived in the small-alpha limit",
                 stacklevel=3,
             )
-        errors = _positive_rows(signs)
-        with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
-            s = np.exp(-alpha * logmag).sum(axis=1)
-        return gamma_estimates(s, signs.shape[1], level, "projection", errors)
-
-    def estimate(self, level: float = 0.95) -> Estimate:
-        """m / sum V_j**(-alpha), with the approximate Gamma-pivot interval."""
-        return self.estimates(self.signs[None], self.logmag[None], level, self.alpha).estimate()
+        errors = [None] * len(signs)
+        with np.errstate(all="ignore"):  # gamma_estimates refuses an infinite sum
+            s = _pivot_sums(signs, logmag, alpha, errors)
+            return gamma_estimates(s, signs.shape[1], level, "projection", errors)
 
     @classmethod
     def median_estimates(cls, signs, logmag, alpha: float) -> Estimates:
         """``median_estimate`` of each row of the (sketches, m) accumulators."""
-        errors = _positive_rows(signs)
+        errors = [None] * len(signs)
+        _positive_rows(signs, errors)
         with np.errstate(invalid="ignore"):
             log_c = alpha * (np.median(logmag, axis=1) - stable_median_log(alpha))
         fail(errors, ~((-_LOG_MAX < log_c) & (log_c < _LOG_MAX)),
@@ -151,14 +152,17 @@ class ProjectionSketch(state.Sketch):
         return self.median_estimates(self.signs[None], self.logmag[None], self.alpha).value()
 
 
-def _positive_rows(signs) -> list:
-    """Per row of stacked signs None, or the error of a row with an
-    accumulator that is not positive."""
-    errors = [None] * len(signs)
+def _positive_rows(signs, errors: list) -> None:
+    """Give each row of stacked signs with an accumulator <= 0 its error."""
     fail(errors, (signs <= 0).any(axis=1), lambda i: DegenerateSketchError(
         "estimation needs every accumulator positive (nonnegative "
         "cumulative quantities at query time)"))
-    return errors
+
+
+def _pivot_sums(signs, logmag, alpha: float, errors: list) -> np.ndarray:
+    """sum_j V_j**(-alpha) of each row of stacked accumulators, checked positive."""
+    _positive_rows(signs, errors)
+    return np.exp(-alpha * logmag).sum(axis=1)
 
 
 # -- the stable law's median --------------------------------------------

@@ -40,6 +40,7 @@ import numpy as np
 from . import hashing
 from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch, max_rank
 from .errors import InsufficientDataError
+from .estimate import block_row
 from .order_sketch import (
     BernoulliSketch,
     ContinuousMaxSketch,
@@ -74,8 +75,8 @@ def _geometric_draw(c, m: int, rng, q: float) -> tuple:
 
 
 def _geometric_shape(c, m: int, u, q: float) -> tuple:
-    slots, errors = geometric_slot_rows(np.log(u) / c, q)
-    return (slots,), errors
+    errors = _fine(len(u))
+    return (geometric_slot_rows(np.log(u) / c, q, errors),), errors
 
 
 CONTINUOUS = Steps(_uniforms, _continuous_shape)
@@ -191,9 +192,7 @@ def _one_row(steps: Steps, cls, c, m: int, rng, fixed=None, **params):
         raise ValueError(f"c must be a finite number > 0, got {c!r}")
     draws = steps.draw(c, m, rng, **params)
     arrays, errors = steps.shape(c, m, *(d[None] for d in draws), **params)
-    if errors[0] is not None:
-        raise errors[0]
-    return cls.from_arrays(m, 0, [a[0] for a in arrays], args, copy=False)
+    return cls.from_arrays(m, 0, [block_row(a, errors) for a in arrays], args, copy=False)
 
 
 def sample_continuous(c: int, m: int, rng, kind: str = "uniform") -> ContinuousMaxSketch:

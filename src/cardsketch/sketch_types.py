@@ -70,8 +70,8 @@ class SketchType:
                                        **self.fixed, **params)
 
     def estimates(self, arrays, level: float, params: dict, median: bool = False):
-        """The block estimates of a checked stack of states; with median,
-        those of the projection's median estimator."""
+        """The block estimates of a checked stack of states, row i what
+        sketch i's ``estimate`` (with median, ``median_estimate``) gives."""
         if median:
             return self.cls.median_estimates(*arrays, **params)
         return self.cls.estimates(*arrays, level=level, **self.fixed, **params)

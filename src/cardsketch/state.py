@@ -19,7 +19,7 @@ decoders and the experiment runner hand over arrays they made.
 
 A class estimates a stack of states at once, one row per sketch, with
 its classmethod ``estimates(*arrays, level, **params)`` (an
-``estimate.Estimates``); its ``estimate`` is a one-row call of it.
+``estimate.Estimates``); ``Sketch.estimate`` is a one-row call of it.
 
 The checks are the gate between outside data and a sketch: both decoders
 build every sketch through ``from_state``, and check sizes first, so no
@@ -72,7 +72,7 @@ class Sketch:
     A subclass declares ``params``, its parameter names in ``from_state``
     order, ``layout``, the layout of its state arrays, ``deletes`` if it
     takes quantities <= 0, and ``version`` if its hash scheme is not the
-    first, and writes ``_absorb``, ``estimates`` and ``estimate``.  Its
+    first, and writes ``_absorb`` and the classmethod ``estimates``.  Its
     constructor checks and sets the parameters, then calls this one, which
     sets the empty state.
     """
@@ -170,6 +170,13 @@ class Sketch:
         for name, a in zip(self.layout.names, joined):
             setattr(out, name, a)
         return out
+
+    def estimate(self, level: float = 0.95):
+        """The estimate, its standard error and its interval at level, as an
+        ``estimate.Estimate``: this state's row of the class's ``estimates``,
+        or that row's error raised."""
+        params = {p: getattr(self, p) for p in self.params}
+        return self.estimates(*[a[None] for a in self.state_arrays()], level, **params).estimate()
 
     def state_bytes(self) -> int:
         return sum(a.nbytes for a in self.state_arrays())

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cardsketch import experiment, sampling
+from cardsketch import experiment, order_sketch, sampling
 from cardsketch.errors import SketchError
 from cardsketch.experiment import ALGOS, ExperimentConfig, run_experiment
 from cardsketch.sketch_types import TYPES
@@ -111,6 +111,124 @@ def test_block_rows_equal_one_row_calls(name, level):
             assert block.pivot[i] == sk.pivot_sum()
     assert 0 < failed
     assert failed < len(rows) or (level > 1 and not median)
+
+
+# -- single-row wrappers against the rows of their blocks -----------------
+
+def _estimates_block(name, median=False):
+    """The block step of an accessor: the estimates block of a stack of
+    states, as its per-row errors and the values the accessor reads."""
+    def block(stacked):
+        kind = "projection" if median else name
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            est = TYPES[kind].estimates(stacked, 0.95, PARAMS[kind], median=median)
+        if median:
+            return est.errors, est.c_hat.tolist()
+        if name == "kth":
+            return est.errors, list(stacked[0][:, :, PARAMS["kth"]["k"] - 1])
+        return est.errors, est.pivot.tolist()
+    return block
+
+
+def _kth_block(stacked, values=True):
+    """``kth_roots`` of the stacked k-th values."""
+    k = PARAMS["kth"]["k"]
+    errors = [None] * len(stacked[0])
+    with np.errstate(all="ignore"):
+        roots = order_sketch.kth_roots(stacked[0][:, :, k - 1], k, errors)
+    return errors, roots.tolist() if values else None
+
+
+def _geometric_block(stacked):
+    """``geometric_mles`` of the stacked slots: roots and initializers."""
+    errors = [None] * len(stacked[0])
+    with np.errstate(all="ignore"):
+        roots, starts = order_sketch.geometric_mles(stacked[0], PARAMS["max-geom"]["q"], errors)
+    return errors, list(zip(roots.tolist(), starts.tolist()))
+
+
+def _built(name, arrays):
+    return TYPES[name].from_state(M, 0, arrays, PARAMS[name])
+
+
+def _kth_y(arrays):
+    return arrays[0][:, PARAMS["kth"]["k"] - 1]
+
+
+# (type, wrapper, its one-row call of a state's arrays, its block step over a
+# stack of states, whether the block step is the wrapper's alone: then a row
+# fails in the block exactly when the wrapper raises)
+WRAPPERS = [
+    ("max-uniform", "pivot_sum", lambda a: _built("max-uniform", a).pivot_sum(),
+     _estimates_block("max-uniform"), False),
+    ("max-exp", "pivot_sum", lambda a: _built("max-exp", a).pivot_sum(),
+     _estimates_block("max-exp"), False),
+    ("projection", "pivot_sum", lambda a: _built("projection", a).pivot_sum(),
+     _estimates_block("projection"), False),
+    ("projection", "median_estimate", lambda a: _built("projection", a).median_estimate(),
+     _estimates_block("projection", median=True), True),
+    ("kth", "kth_values", lambda a: _built("kth", a).kth_values(),
+     _estimates_block("kth"), False),
+    ("kth", "kth_root_estimate",
+     lambda a: order_sketch.kth_root_estimate(_kth_y(a), PARAMS["kth"]["k"]), _kth_block, True),
+    ("kth", "kth_closed_form",
+     lambda a: order_sketch.kth_closed_form(_kth_y(a), PARAMS["kth"]["k"]),
+     lambda stacked: _kth_block(stacked, values=False), False),
+    ("max-geom", "solve_geometric_mle",
+     lambda a: order_sketch.solve_geometric_mle(a[0], PARAMS["max-geom"]["q"]),
+     _geometric_block, True),
+]
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.tobytes() == np.asarray(b).tobytes()
+    return repr(a) == repr(b)
+
+
+def _check_wrapper(rows, call, block, alone):
+    """Each row's one-row call against the block step's row: a raised
+    error is the one the block records, with its message and attributes,
+    and a returned value is the block's."""
+    errors, values = block([np.stack(parts) for parts in zip(*rows)])
+    raised = 0
+    for i, arrays in enumerate(rows):
+        kind, got = _outcome(lambda: call(arrays))
+        error = errors[i]
+        if kind == "error":
+            raised += 1
+            assert error is not None, i
+            # repr: an initial of NaN equals itself
+            assert (type(error), str(error), repr(vars(error))) == (*got[:2], repr(got[2])), i
+            continue
+        assert error is None or not alone, (i, error)
+        if values is not None:
+            assert _same(got, values[i]), i
+    return raised
+
+
+@pytest.mark.parametrize("name, wrapper, call, block, alone", WRAPPERS,
+                         ids=[f"{w[0]}-{w[1]}" for w in WRAPPERS])
+def test_single_row_wrappers_raise_what_their_block_records(name, wrapper, call, block, alone):
+    rows = _rows(name)
+    assert _check_wrapper(rows, call, block, alone) > 0  # a failing state reaches it
+
+
+@pytest.mark.parametrize("q", [0.5, 1 - 2.0**-26])
+def test_geometric_slots_raise_what_their_block_records(q):
+    # log-uniforms of sampled continuous states, and rows whose slots pass
+    # the u32 maximum at the largest q
+    rng = np.random.default_rng(12)
+    rows = [_sampled("max-uniform", rng, c) for c in (200, 10**5)]
+    rows[1:1] = [[np.full(M, -1e-30)], [np.array([-1.0] * (M - 1) + [-1e-40])]]
+
+    def block(stacked):
+        errors = [None] * len(stacked[0])
+        return errors, list(order_sketch.geometric_slot_rows(stacked[0], q, errors))
+
+    raised = _check_wrapper(rows, lambda a: order_sketch.geometric_slots(a[0], q), block, True)
+    assert raised == (2 if q > 0.5 else 0)
 
 
 def test_failing_rows_carry_their_attributes():

@@ -410,6 +410,19 @@ class TestGeometricEstimator:
         c_hat, _ = solve_geometric_mle(slots, 0.5)
         assert c_hat > 0.0
 
+    @pytest.mark.parametrize("q", [0.25, 0.1, 1e-100])
+    def test_partly_empty_state_below_q_half_is_empty(self, q):
+        # below q = 1/2 the initializer's n = floor(log_q(1/2)) is 0, so an
+        # empty slot puts r strictly between 0 and m, where log1p(-q**n)
+        # has no value: the row's EmptySketchError stands, with no
+        # ValueError from the initializer
+        slots = np.array([0] + [3] * 15, dtype=np.uint32)
+        sk = GeometricMaxSketch.from_state(16, 0, slots, q)
+        with pytest.raises(EmptySketchError):
+            sk.estimate()
+        block = GeometricMaxSketch.estimates(np.stack([slots, slots + 1]), 0.95, q)
+        assert isinstance(block.errors[0], EmptySketchError) and block.errors[1] is None
+
 
 class TestPivotLaw:
     def test_gamma_pivot_distribution(self):

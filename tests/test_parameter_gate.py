@@ -4,8 +4,10 @@ an out-of-range value with the constructor's ValueError before they draw
 or hash anything."""
 
 import json
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 import warnings
@@ -13,9 +15,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cardsketch import sampling
+from cardsketch import hashing, sampling, serialize
+from cardsketch.cli import main
+from cardsketch.errors import SerializationError
 from cardsketch.experiment import (ALGOS, ExperimentConfig, _algo_salt, _params, _rep_rng,
                                    run_experiment)
+from cardsketch.inference import psi_infinity
 from cardsketch.sketch_types import TYPES
 from cardsketch.streams import generate_stream
 
@@ -116,3 +121,108 @@ def test_samplers_refuse_a_bad_c_before_drawing(name, c):
             SAMPLERS[name](c, rng)
     assert str(info.value) == f"c must be a finite number > 0, got {c!r}"
     assert rng.bit_generator.state == before
+
+
+# -- parameters whose arithmetic leaves double range ----------------------
+
+# (type, parameter, refused values, the largest first, and accepted values,
+# the smallest first): q is refused where psi_infinity's q**-2 overflows,
+# alpha where two hashed variates' logs lie more than DBL_MAX apart
+RANGE_BOUNDS = [
+    ("max-geom", "q", [7.4583407312000825e-155, 1e-155, 1e-160, 5e-324],
+     [7.458340731200083e-155, 1e-150]),
+    ("projection", "alpha", [2.2825768173359714e-307, 1e-308, 1e-310, 5e-324],
+     [2.2825768173359718e-307, 1e-300]),
+]
+_GATE_IDS = [f"id-{i}" for i in range(300)]
+
+
+def _gate_cli(capsys, *args) -> tuple:
+    """The CLI's exit code, stdout and stderr for args."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(list(args))
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    return code, out, err
+
+
+def test_the_bounds_are_where_the_arithmetic_leaves_double_range():
+    (_, _, (q_out, *_), (q_in, _)), (_, _, (a_out, *_), (a_in, _)) = RANGE_BOUNDS
+    assert math.nextafter(q_in, 0.0) == q_out and math.nextafter(a_in, 0.0) == a_out
+    with pytest.raises(OverflowError):
+        psi_infinity(q_out)
+    assert math.isfinite(psi_infinity(q_in))
+    # the extreme hashed uniforms u and Exponential(1) draws w
+    u = np.array([2.0**-54, 0.5, 1.0 - 2.0**-53])
+    w_low, w_high = np.full(3, 2.0**-54), np.full(3, 53 * math.log(2.0))
+    with np.errstate(over="ignore", under="ignore"):
+        for alpha, finite in ((a_in, True), (a_out, False)):
+            top = hashing.stable_log_variate(u, w_low, alpha).max()
+            bottom = hashing.stable_log_variate(u, w_high, alpha).min()
+            assert math.isfinite(top) and math.isfinite(bottom)
+            assert math.isfinite(bottom - top) is finite
+
+
+@pytest.mark.parametrize("name, param, refused, accepted", RANGE_BOUNDS,
+                         ids=[b[0] for b in RANGE_BOUNDS])
+def test_out_of_range_parameters_are_refused_on_every_path(tmp_path, capsys, name, param,
+                                                           refused, accepted):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\n".join(_GATE_IDS) + "\n")
+    t = TYPES[name]
+    good = t.build(16, 3, {param: accepted[0]})
+    good.add_batch(_GATE_IDS)
+    doc = json.loads(serialize.dumps(good))
+    frame = serialize.pack(good)
+    packed = struct.pack("<d", accepted[0])
+    assert frame.count(packed) == 1
+    for value in refused:
+        with pytest.raises(ValueError, match=f"{param} must lie"):
+            t.build(16, 3, {param: value})
+        bad_json = json.dumps({**doc, "params": {param: repr(value)}})
+        bad_frame = frame.replace(packed, struct.pack("<d", value))
+        for decode, data in ((serialize.loads, bad_json), (serialize.unpack, bad_frame)):
+            with pytest.raises(SerializationError, match=f"{param} must lie"):
+                decode(data)
+        out = tmp_path / "not-written.json"
+        code, _, err = _gate_cli(capsys, "sketch", "--type", name, "--m", "16",
+                                 f"--{param}", repr(value), "--in", str(ids), "--out", str(out))
+        assert code == 3 and f"{param} must lie" in err
+        assert not out.exists()
+        for suffix, data in (("json", bad_json.encode()), ("bin", bad_frame)):
+            path = tmp_path / f"doc.{suffix}"
+            path.write_bytes(data)
+            code, _, err = _gate_cli(capsys, "estimate", str(path))
+            assert code == 3 and f"{param} must lie" in err
+
+
+@pytest.mark.parametrize("name, param, refused, accepted", RANGE_BOUNDS,
+                         ids=[b[0] for b in RANGE_BOUNDS])
+def test_in_range_parameters_round_trip_and_estimate(tmp_path, capsys, name, param,
+                                                     refused, accepted):
+    ids = tmp_path / "ids.txt"
+    ids.write_text("\n".join(_GATE_IDS) + "\n")
+    t = TYPES[name]
+    for value in accepted:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sk = t.build(16, 3, {param: value})
+            sk.add_batch(_GATE_IDS)
+            est = sk.estimate()
+            for back in (serialize.loads(serialize.dumps(sk)),
+                         serialize.unpack(serialize.pack(sk))):
+                assert getattr(back, param) == value
+                for a, b in zip(back.state_arrays(), sk.state_arrays()):
+                    np.testing.assert_array_equal(a, b)
+                assert back.estimate() == est
+        assert math.isfinite(est.c_hat) and est.c_hat > 0
+        out = tmp_path / "sketch.bin"
+        assert _gate_cli(capsys, "sketch", "--type", name, "--m", "16", "--seed", "3",
+                         f"--{param}", repr(value), "--in", str(ids), "--out", str(out),
+                         "--binary")[0] == 0
+        code, text, _ = _gate_cli(capsys, "estimate", str(out))
+        assert code == 0 and json.loads(text)["c_hat"] == est.c_hat
+        if name == "projection":
+            code, text, _ = _gate_cli(capsys, "estimate", "--median", str(out))
+            assert code == 0 and json.loads(text)["c_hat"] == sk.median_estimate()

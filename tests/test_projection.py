@@ -261,6 +261,19 @@ class TestEstimator:
         with pytest.warns(UserWarning):
             sk.estimate()
 
+    def test_large_alpha_warning_names_the_caller(self):
+        # both the one-row estimate and the type table's block estimates
+        # point the warning at the line that asked for the estimate
+        from cardsketch.sketch_types import TYPES
+        sk = ProjectionSketch(4, alpha=0.2, seed=0)
+        sk.add_batch(["a", "b"])
+        with pytest.warns(UserWarning, match="alpha=0.2 is large") as one:
+            sk.estimate()
+        with pytest.warns(UserWarning, match="alpha=0.2 is large") as block:
+            TYPES["projection"].estimates([sk.signs[None], sk.logmag[None]], 0.95,
+                                          {"alpha": 0.2})
+        assert [w.filename for w in one] == [w.filename for w in block] == [__file__]
+
     def test_replicated_error_band(self):
         # c=1e5, alpha=0.05, m=2^10: percent error < 10% in >= 95% of 200 reps
         rng = np.random.default_rng(23)
