@@ -34,8 +34,9 @@ class InsufficientDataError(SketchError):
 
 class SaturatedSketchError(SketchError):
     """A state has reached the end of its range: all Bernoulli bits are set,
-    so only a lower confidence bound exists, or a geometric slot would pass
-    the u32 maximum.
+    so only a lower confidence bound exists, a geometric slot would pass
+    the u32 maximum, or a sampled projection log-magnitude would pass
+    double range.
 
     Attributes:
         lower_bound: one-sided lower confidence bound for the cardinality

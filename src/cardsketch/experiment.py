@@ -10,8 +10,9 @@ configurations affordable.  "auto" picks hash while c*m*replicates stays
 small.  Either way a (config, seed) pair fixes the report bytes.
 
 Before its first replicate the runner builds one empty sketch of each
-type, in either mode: its constructor checks m and the parameters, so a
-refused value raises that ValueError before any draw or hash, and its
+type, in either mode: its constructor checks m and the parameters, and in
+sampled mode its sampler checks c, so a refused value raises that
+ValueError before any draw or hash, and its
 ``state_bytes`` is the state size of the type's algorithms, a function
 of the type, m and the parameters alone.
 
@@ -303,6 +304,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if t.name not in types:
             params = _params(t, cfg)
             size[t.name] = t.build(cfg.m, 0, params).state_bytes()
+            if method == "sampled":
+                t.sampler.check(cfg.c)
             types[t.name] = (t, algo, params)
     wall = {a: 0.0 for a in cfg.algos}
     cols = {a: {"c_hat": [], "pct_error": [], "ci_lo": [], "ci_hi": [], "covered": [],

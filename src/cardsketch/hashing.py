@@ -37,10 +37,11 @@ become variates where they are consumed: the max family's slots in
 
 The stable variate needs three sines per (item, stream).  ``kanter_sines``
 computes them without numpy's sin, whose float64 loop is not vectorized
-on every CPU: it reflects each argument exactly into [0, 1/2] and
-evaluates a Taylor polynomial of sin(pi*r).  Tiles, one-row calls, the
-sampler and the stable law's median all share this one formula, accurate
-to a few ulps even as u -> 1.
+on every CPU: it reflects each argument that can pass 1/2 exactly into
+[0, 1/2] and evaluates an 8-term polynomial fitted to sin(pi*r) for
+relative error.  Tiles, one-row calls, the sampler and the stable law's
+median all share this one formula, within about 2 ulps of the exact sine
+of the rounded argument even as u -> 1.
 
 Do NOT use Python's built-in hash(): it is salted per process.
 """
@@ -391,22 +392,35 @@ def _insert(seen: np.ndarray, seen_t: np.ndarray, code: np.ndarray, when: np.nda
     return codes[order], np.concatenate([seen_t, when])[order]
 
 
-# Taylor coefficients of sin(pi*r)/r in powers of r*r, (-1)**k pi**(2k+1)/(2k+1)!;
-# for r <= 1/2 the first one left out adds about 1e-18
-_SIN_PI_TAYLOR = tuple((-1) ** k * math.pi ** (2 * k + 1) / math.factorial(2 * k + 1)
-                       for k in range(11))
+# sin(pi*r) = r * P(r*r) on r in [0, 1/2], P of degree 7 in r*r: P(0) is
+# the double nearest pi, and the other seven coefficients were fitted in
+# 60-digit arithmetic (mpmath) by least squares on the relative error
+# P(s) sqrt(s) / sin(pi sqrt(s)) - 1 at 400 Chebyshev nodes of s in
+# [0, 1/4], then rounded to the nearest double.  The fit errs by at most
+# 1.55e-16 relative, 0.7 ulp (an ulp here is 2**-52 relative), and the
+# float64 kernel by at most about 2 ulps of the exact sine, at r just
+# below 1/2 (2.01 over 75,000 sampled r).  To regenerate: at mp.dps = 60,
+# solve that linear least-squares problem for the coefficients of
+# s**1..s**7 with P(0) fixed, and print them with repr(float(c)).
+_SIN_PI_POLY = (3.141592653589793, -5.167712780049799, 2.5501640398616847,
+                -0.5992645288109113, 0.08214587859177627, -0.007370362788686614,
+                0.0004659821106044101, -2.1127669416221283e-05)
 
 
 def kanter_sines(u, alpha: float) -> np.ndarray:
     """sin(pi*u), sin(alpha*pi*u) and sin((1-alpha)*pi*u), stacked on a new
     leading axis, for u in [0,1] and alpha in (0,1).
 
-    Each x of the three is reflected to r = min(x, 1-x) <= 1/2, exactly
-    (1-x is exact for x >= 1/2), and sin(pi*r) = r*P(r*r) is evaluated
-    from the Taylor polynomial above, in one pass over all three.  numpy's
-    sin is avoided: its float64 loop is not vectorized on every CPU, where
-    it took most of a tile's time, and sin(pi*u) of the rounded product
-    pi*u loses the relative precision near u = 1 that the reflection keeps.
+    The arguments x = u, alpha*u and (1-alpha)*u are rounded products, and
+    each sine is that of its rounded x.  The two planes whose x can pass
+    1/2, u and the larger of alpha*u and (1-alpha)*u, are reflected to
+    r = min(x, 1-x) <= 1/2, exactly (1-x is exact for x >= 1/2); the third
+    is already there.  Then sin(pi*r) = r*P(r*r), P the 8-term polynomial
+    above, is evaluated by Horner's rule in one pass over all three
+    planes, within about 2 ulps of relative error.  numpy's sin is
+    avoided: its float64 loop is not vectorized on every CPU, where it
+    took most of a tile's time, and sin(pi*u) of the rounded product pi*u
+    loses the relative precision near u = 1 that the reflection keeps.
     """
     u = np.asarray(u, dtype=np.float64)
     return _kanter_sines(u, alpha, np.empty((3, 3, *u.shape)))
@@ -417,14 +431,16 @@ def _kanter_sines(u: np.ndarray, alpha: float, planes: np.ndarray) -> np.ndarray
     array: the sines are written to planes[0], the other two are scratch."""
     p, r, r2 = planes
     np.multiply.outer((1.0, alpha, 1.0 - alpha), u, out=r)
-    np.subtract(1.0, r, out=p)
-    np.minimum(r, p, out=r)
+    # alpha*u passes 1/2 only for alpha > 1/2, (1-alpha)*u only for alpha < 1/2
+    x, y = (r[:2], p[:2]) if alpha > 0.5 else (r[::2], p[::2])
+    np.subtract(1.0, x, out=y)
+    np.minimum(x, y, out=x)
     np.multiply(r, r, out=r2)
-    np.multiply(r2, _SIN_PI_TAYLOR[-1], out=p)
-    for c in _SIN_PI_TAYLOR[-2:0:-1]:
+    np.multiply(r2, _SIN_PI_POLY[-1], out=p)
+    for c in _SIN_PI_POLY[-2:0:-1]:
         p += c
         p *= r2
-    p += _SIN_PI_TAYLOR[0]
+    p += _SIN_PI_POLY[0]
     p *= r
     return p
 
@@ -493,9 +509,12 @@ def stable_log_tiles(keys: np.ndarray, salt: int, m: int, alpha: float):
             uw = np.empty((2, n, m))
             planes = np.empty((3, 3, n, m))
         np.right_shift(words, _U_UNIT_SHIFT, out=words)  # word_tiles refills it next tile
+        # the top 53 bits read as int64, which numpy converts to float64
+        # faster than uint64, to the same values
+        top = words.view(np.int64)
         u, w = uw[:, :n]
-        u[...] = words[:, 0::2]
-        w[...] = words[:, 1::2]
+        u[...] = top[:, 0::2]
+        w[...] = top[:, 1::2]
         _unit(u)
         np.negative(_unit(w), out=w)
         np.log1p(w, out=w)

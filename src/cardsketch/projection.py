@@ -8,14 +8,17 @@ quantities are supported and deletions work: an item inserted then removed
 cancels exactly when the two contributions meet with equal magnitude.
 
 ``state.Sketch.add_batch`` checks a batch's quantities, which here may be
-negative or zero (zero adds nothing).  The batch is hashed in the row
-tiles of ``hashing.stable_log_tiles``.  Its insertion terms and its
-deletion terms are each summed per stream, the running sum carried from
-tile to tile: a tile's terms and the running sum are shifted by their
-largest value, so each term costs one exp and the new sum is that maximum
-plus the log of the shifted sum.  The state is updated once per batch:
+negative or zero (zero adds nothing).  The batch's insertion rows and its
+deletion rows are hashed as two passes of the row tiles of
+``hashing.stable_log_tiles``, so every tile has one sign and is summed as
+it comes, with no copy of its terms per sign.  Each side is summed per
+stream, the running sum carried from tile to tile: a tile's terms and the
+running sum are shifted by their largest value, so each term costs one
+exp and the new sum is that maximum plus the log of the shifted sum.
 ``state.signed_add``, the combine rule of the sketch's layout, adds the
-insertion sum, then the deletion sum (or another sketch), element-wise.
+insertion sum to the state, then the deletion sum (or another sketch),
+element-wise.  A mixed batch thus leaves, bit for bit, the state of its
+insertion rows and then its deletion rows added as two batches.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
@@ -50,13 +53,12 @@ _LOG_MAX = math.log(sys.float_info.max)
 _ALPHA_MIN = (54 * math.log(2.0) + math.log(53 * math.log(2.0))) / sys.float_info.max
 
 def _log_sum_rows(total, terms):
-    """log(exp(total) + sum of exp(terms) down each column), per stream.
+    """log(exp(total) + sum of exp(terms) down each column), per stream, for
+    terms of at least one row.
 
     Each stream is shifted by its maximum, so every term costs one exp and
     the largest shifted value is exactly 1.  ``terms`` is overwritten.
     """
-    if not len(terms):
-        return total
     top = np.maximum(total, terms.max(axis=0))
     terms -= top
     return top + np.log(np.exp(terms, out=terms).sum(axis=0) + np.exp(total - top))
@@ -85,23 +87,19 @@ class ProjectionSketch(state.Sketch):
     # -- ingestion --------------------------------------------------------
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        live = d != 0
-        keys, d = keys[live], d[live]
-        logd = np.log(np.abs(d))
-        pos = d > 0
-        # per-stream sums of the insertion and the deletion terms, each tile
-        # folded onto the running sum; a side with no rows sums to -inf,
-        # which adds nothing, so its update is skipped
-        ins = dels = np.full(self.m, -np.inf)
-        for rows, terms in hashing.stable_log_tiles(keys, self.salt, self.m, self.alpha):
-            terms += logd[rows, None]
-            p = pos[rows]
-            ins = _log_sum_rows(ins, terms[p])
-            dels = _log_sum_rows(dels, terms[~p])
-        if pos.any():
-            self.signs, self.logmag = signed_add(self.signs, self.logmag, 1, ins)
-        if not pos.all():
-            self.signs, self.logmag = signed_add(self.signs, self.logmag, -1, dels)
+        # the insertion rows, then the deletion rows, each hashed in tiles
+        # of one sign and folded onto their side's running sum; d = 0 adds
+        # nothing
+        for sign, side in ((1, d > 0), (-1, d < 0)):
+            if not side.any():
+                continue
+            logd = np.log(np.abs(d[side]))
+            total = np.full(self.m, -np.inf)
+            for rows, terms in hashing.stable_log_tiles(keys[side], self.salt, self.m,
+                                                        self.alpha):
+                terms += logd[rows, None]
+                total = _log_sum_rows(total, terms)
+            self.signs, self.logmag = signed_add(self.signs, self.logmag, sign, total)
 
     # -- estimation -------------------------------------------------------
 

@@ -23,10 +23,12 @@ Each sampler is two steps (a ``Steps`` pair):
 Neither step checks m or the parameters: the sketch's constructor does,
 before the first draw.  ``sample_*`` builds an empty sketch first, so a
 refused m or parameter raises its constructor's ValueError with the
-generator untouched; it refuses a c that is not a finite number > 0 the
-same way, and then makes a one-row call of both steps; the
-experiment runner builds one per type before its first replicate, then
-draws per replicate and shapes per block.  All samplers consume a numpy
+generator untouched; it refuses the same way a c that ``Steps.check``
+refuses (not a finite number > 0, or above the draw's ``c_max``: the
+bucket baselines' multinomial takes c below 2**63), and then makes a
+one-row call of both steps; the experiment runner builds one per type,
+and in sampled mode checks c, before its first replicate, then draws
+per replicate and shapes per block.  All samplers consume a numpy
 Generator, so a seeded run is reproducible.
 """
 
@@ -39,8 +41,8 @@ import numpy as np
 
 from . import hashing
 from .baselines import MINCOUNT_K, HyperLogLogSketch, LogLogSketch, MinCountSketch, max_rank
-from .errors import InsufficientDataError
-from .estimate import block_row
+from .errors import InsufficientDataError, SaturatedSketchError
+from .estimate import block_row, fail
 from .order_sketch import (
     BernoulliSketch,
     ContinuousMaxSketch,
@@ -54,6 +56,18 @@ from .projection import ProjectionSketch
 class Steps(NamedTuple):
     draw: Callable
     shape: Callable
+    c_max: float = math.inf  # the largest c the draw takes
+
+    def check(self, c) -> None:
+        """Raise ValueError unless c is a finite number > 0 and at most c_max."""
+        try:
+            valid = math.isfinite(c) and c > 0
+        except (TypeError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValueError(f"c must be a finite number > 0, got {c!r}")
+        if c > self.c_max:
+            raise ValueError(f"c must be at most {self.c_max} for this sampler, got {c!r}")
 
 
 def _fine(rows: int) -> list:
@@ -124,15 +138,27 @@ def _projection_draw(c, m: int, rng, alpha: float) -> tuple:
 
 
 def _projection_shape(c, m: int, u, w, alpha: float) -> tuple:
-    scale = np.array([math.log(x) for x in np.broadcast_to(c, len(u)).tolist()]) / alpha
-    logmag = scale[:, None] + hashing.stable_log_variate(u, w, alpha)
-    return (np.ones(logmag.shape, dtype=np.int8), logmag), _fine(len(u))
+    """The states, with a SaturatedSketchError and ones in place of a row
+    whose log-magnitudes leave double range: log(c) / alpha does at the
+    smallest alpha once c passes about 6.6e17."""
+    errors = _fine(len(u))
+    scale = np.array([math.log(x) for x in np.broadcast_to(c, len(u)).tolist()])
+    with np.errstate(over="ignore"):
+        scale /= alpha
+        logmag = scale[:, None] + hashing.stable_log_variate(u, w, alpha)
+    out = ~np.isfinite(logmag).all(axis=1)
+    fail(errors, out, lambda i: SaturatedSketchError(
+        f"a projection log-magnitude passes double range: log(c) / alpha = "
+        f"{scale[i]:.4g} at alpha = {alpha}"))
+    logmag[out] = 0.0
+    return (np.ones(logmag.shape, dtype=np.int8), logmag), errors
 
 
 PROJECTION = Steps(_projection_draw, _projection_shape)
 
 
-# -- the bucket baselines: multinomial bucket loads
+# -- the bucket baselines: multinomial bucket loads, whose count numpy
+# takes as a signed 64-bit integer
 
 def _bucket_counts(c, m: int, rng) -> np.ndarray:
     return rng.multinomial(c, np.full(m, 1.0 / m))
@@ -172,24 +198,19 @@ def _mincount_shape(c, m: int, third) -> tuple:
     return (state,), _fine(len(third))
 
 
-RANKS = Steps(_ranks_draw, _ranks_shape)
-MINCOUNT = Steps(_mincount_draw, _mincount_shape)
+RANKS = Steps(_ranks_draw, _ranks_shape, 2**63 - 1)
+MINCOUNT = Steps(_mincount_draw, _mincount_shape, 2**63 - 1)
 
 
 # -- one-row samplers ----------------------------------------------------
 
 def _one_row(steps: Steps, cls, c, m: int, rng, fixed=None, **params):
     """The sketch of one replicate: a one-row draw and shape, once the
-    constructor has accepted m and the parameters, and c is a finite
-    number > 0."""
+    constructor has accepted m and the parameters, and the steps have
+    accepted c."""
     args = {**(fixed or {}), **params}
     cls(m, **args)
-    try:
-        valid = math.isfinite(c) and c > 0
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError(f"c must be a finite number > 0, got {c!r}")
+    steps.check(c)
     draws = steps.draw(c, m, rng, **params)
     arrays, errors = steps.shape(c, m, *(d[None] for d in draws), **params)
     return cls.from_arrays(m, 0, [block_row(a, errors) for a in arrays], args, copy=False)

@@ -1,6 +1,7 @@
 """Seeded-hashing determinism, distributional correctness and transforms."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -257,6 +258,49 @@ def _reflected_stable_log(u: float, w: float, alpha: float) -> float:
         return math.sin(math.pi * min(x, 1.0 - x))
     return (math.log(sin_pi(alpha * u)) - math.log(sin_pi(u)) / alpha
             + (1.0 - alpha) / alpha * (math.log(sin_pi((1.0 - alpha) * u)) - math.log(w)))
+
+
+_PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510")
+
+
+def _sin_pi_decimal(x: float) -> Decimal:
+    """sin(pi*x) of the float x in [0, 1] to 40 digits: the exact
+    reflection r = min(x, 1-x), then the Taylor series of sin(pi*r)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        r = min(Decimal(x), 1 - Decimal(x))
+        t = _PI_50 * r
+        term, total, k = t, t, 1
+        while abs(term) > Decimal(10) ** -45:
+            term = -term * t * t / ((2 * k) * (2 * k + 1))
+            total += term
+            k += 1
+        return +total
+
+
+class TestKanterSines:
+    @pytest.mark.parametrize("alpha", [0.001, 0.05, 0.5, 0.95])
+    def test_each_plane_within_2_5_ulps_of_a_40_digit_reference(self, alpha):
+        # each plane is the sine of its rounded argument u, alpha*u or
+        # (1-alpha)*u; the error is relative, in units of 2**-52
+        rng = np.random.default_rng(29)
+        # u at which each plane's argument comes to 1/2, where the error peaks
+        half = 0.5 / np.array([1.0, alpha, 1.0 - alpha])
+        near_half = np.concatenate([
+            half, np.nextafter(half, 0.0), np.nextafter(half, 1.0),
+            0.5 - rng.random(20) * 1e-3, 0.5 + rng.random(20) * 1e-3])
+        u = np.concatenate([
+            2.0 ** -np.arange(1.0, 61.0),
+            near_half[near_half < 1.0],
+            1.0 - 2.0 ** -np.array([53.0, 45.0, 40.0]),
+            rng.random(300)])
+        got = hashing.kanter_sines(u, alpha)
+        args = np.multiply.outer((1.0, alpha, 1.0 - alpha), u)
+        for plane in range(3):
+            for x, g in zip(args[plane].tolist(), got[plane].tolist()):
+                want = _sin_pi_decimal(x)
+                err = abs(Decimal(g) - want) / (want * Decimal(2) ** -52)
+                assert err <= 2.5, (plane, x, float(err))
 
 
 class TestStable:

@@ -17,7 +17,7 @@ import pytest
 
 from cardsketch import hashing, sampling, serialize
 from cardsketch.cli import main
-from cardsketch.errors import SerializationError
+from cardsketch.errors import SaturatedSketchError, SerializationError
 from cardsketch.experiment import (ALGOS, ExperimentConfig, _algo_salt, _params, _rep_rng,
                                    run_experiment)
 from cardsketch.inference import psi_infinity
@@ -226,3 +226,51 @@ def test_in_range_parameters_round_trip_and_estimate(tmp_path, capsys, name, par
         if name == "projection":
             code, text, _ = _gate_cli(capsys, "estimate", "--median", str(out))
             assert code == 0 and json.loads(text)["c_hat"] == sk.median_estimate()
+
+
+# -- counts past what a sampler's arithmetic takes ------------------------
+
+def test_sampled_projection_past_double_range_is_saturated(tmp_path, capsys):
+    # at the smallest alpha log(c) / alpha overflows once c passes about
+    # 6.6e17: each such row is a typed error, with no RuntimeWarning, that
+    # fails the replicate, not a ValueError from the state check that
+    # stops the run
+    alpha = RANGE_BOUNDS[1][3][0]
+    fields = {"c": 10**20, "m": 16, "algos": ["max-uniform", "projection", "median"],
+              "replicates": 4, "alpha": alpha, "method": "sampled"}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SaturatedSketchError, match="double range"):
+            sampling.sample_projection(1e20, 16, alpha, np.random.default_rng(5))
+        summary = run_experiment(ExperimentConfig(**fields)).summary
+    assert (summary["max-uniform"]["replicates"], summary["max-uniform"]["failed"]) == (4, 0)
+    for algo in ("projection", "median"):
+        assert (summary[algo]["replicates"], summary[algo]["failed"]) == (0, 4), algo
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    code, out, _ = _gate_cli(capsys, "simulate", "--config", str(config))
+    assert code == 0
+    for algo, entry in json.loads(out)["summary"].items():
+        assert entry["failed"] == summary[algo]["failed"], algo
+
+
+@pytest.mark.parametrize("algo", ["loglog", "hll", "mincount"])
+def test_bucket_samplers_refuse_a_c_past_the_multinomial_count(tmp_path, capsys, algo):
+    # numpy's multinomial takes a signed 64-bit count
+    sample = SAMPLERS[algo]
+    message = f"c must be at most {2**63 - 1} for this sampler, got {10**20}"
+    rng = np.random.default_rng(13)
+    before = rng.bit_generator.state
+    for c in (2**63, 10**20):
+        with pytest.raises(ValueError, match="c must be at most"):
+            sample(c, rng)
+    assert _refusal(lambda: sample(10**20, rng)) == message
+    assert rng.bit_generator.state == before
+    sample(2**63 - 1, rng)
+    fields = {"c": 10**20, "m": 16, "algos": ["max-uniform", algo], "replicates": 2,
+              "method": "sampled"}
+    assert _refusal(lambda: run_experiment(ExperimentConfig(**fields))) == message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(fields))
+    code, out, err = _gate_cli(capsys, "simulate", "--config", str(config))
+    assert (code, out, err) == (3, "", f"error: {message}\n")

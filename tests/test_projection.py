@@ -169,6 +169,29 @@ class TestUpdateLinearity:
         np.testing.assert_array_equal(sk.signs, signs)
         np.testing.assert_array_equal(sk.logmag, logmag)
 
+    def test_mixed_batch_equals_its_insertions_then_its_deletions(self, monkeypatch):
+        # each side is hashed in tiles of its own rows, so a mixed batch
+        # leaves, bit for bit, what its insertion rows and then its deletion
+        # rows leave as two batches; its d = 0 rows change nothing
+        monkeypatch.setattr(hashing, "_TILE_WORDS", 256)
+        rng = np.random.default_rng(31)
+        for trial in range(30):
+            alpha = (0.05, 0.5, 0.9)[trial % 3]
+            keys = distinct_keys(int(rng.integers(20, 120)), seed=100 + trial)
+            d = rng.integers(-4, 5, size=len(keys)).astype(np.float64)
+            one, two = (ProjectionSketch(16, alpha=alpha, seed=trial) for _ in range(2))
+            for sk in (one, two):
+                sk.add_batch(["x", "y"], [3, 1])
+            one.add_batch(keys, d)
+            two.add_batch(keys[d > 0], d[d > 0])
+            two.add_batch(keys[d < 0], d[d < 0])
+            np.testing.assert_array_equal(one.signs, two.signs, err_msg=str(trial))
+            np.testing.assert_array_equal(one.logmag, two.logmag, err_msg=str(trial))
+            zero = keys[d == 0]
+            one.add_batch(zero, np.zeros(len(zero)))
+            np.testing.assert_array_equal(one.signs, two.signs, err_msg=str(trial))
+            np.testing.assert_array_equal(one.logmag, two.logmag, err_msg=str(trial))
+
     @pytest.mark.parametrize("alpha", [0.9, 0.05])
     def test_batch_sum_matches_fsum(self, alpha, monkeypatch):
         # 300 rows of mixed signs over 38 tiles of 8 rows; each stream's
