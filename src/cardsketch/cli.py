@@ -9,7 +9,9 @@ the locale: LF, CRLF and a lone CR each end a line, and an id keys as its
 bytes.  Input that is not UTF-8 is a data error.  The ids are keyed as
 byte spans of the input buffer, with no Python object per line, and a
 quantity is parsed, as a Python int, only on a line that has a tab.
-UTF-8 is checked slice by slice, so no str of the whole input is built.
+UTF-8 is checked slice by slice with the stdlib's incremental decoder, so
+no str of the whole input is built.  Every input (element file, sketch,
+simulate config, analyze grid) is read by one reader, from stdin for -.
 
 A command loads only the sketch family it touches: the type table names
 each type's class, and its module is imported when a sketch of that type
@@ -26,7 +28,9 @@ Exit codes: 0 ok, 2 usage, 3 data or format error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import sys
 
@@ -58,43 +62,43 @@ def _make_sketch(args) -> object:
 
 def _check_utf8(data: bytes) -> None:
     """Raise the UnicodeDecodeError that ``data.decode("utf-8")`` raises,
-    decoding _UTF8_SLICE bytes at a time and dropping each str.
+    decoding max(_UTF8_SLICE, 4) bytes at a time and dropping each str.
 
-    A slice ends before the first byte of a character that starts in its
-    last three bytes, so no valid character spans two slices, and each
-    slice starts where the whole decode would be between characters.  A
-    slice's first error is then the whole input's; its end and reason are
-    read again from the four bytes there, which a slice may have cut short.
+    The stdlib's incremental decoder leaves a character cut by a slice's
+    end unconsumed, and the next slice starts at it.
     """
     view = memoryview(data)
     start = 0
     while start < len(data):
-        end = min(start + _UTF8_SLICE, len(data))
-        for cut in range(end, max(end - 4, start), -1):
-            if cut == len(data) or data[cut] & 0xC0 != 0x80:
-                end = cut
-                break
+        end = start + max(_UTF8_SLICE, 4)
         try:
-            str(view[start:end], "utf-8")
+            start += codecs.utf_8_decode(view[start:end], "strict", end >= len(data))[1]
         except UnicodeDecodeError as exc:
-            at = start + exc.start
-            try:
-                data[at:at + 4].decode("utf-8")
-            except UnicodeDecodeError as bad:
-                raise UnicodeDecodeError("utf-8", data, at + bad.start, at + bad.end,
-                                         bad.reason) from None
-        start = end
+            raise UnicodeDecodeError("utf-8", data, start + exc.start, start + exc.end,
+                                     exc.reason) from None
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole of the file at path, or of stdin for ``-``."""
+    if path == "-":
+        return sys.stdin.buffer.read()
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _read_json(path: str, what: str):
+    """The JSON document at path, read as UTF-8 text with universal newlines."""
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(_read_bytes(path)), encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise SerializationError(f"{what} is not valid JSON: {exc}")
 
 
 def _read_elements(path: str):
     """One element per line: <item_id>[<TAB><d>], missing d = 1.  Returns
     the ids' uint64 keys, folded as byte spans of the input, and the int64
     quantities; the first bad line in file order is reported."""
-    if path == "-":
-        data = sys.stdin.buffer.read()
-    else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+    data = _read_bytes(path)
     _check_utf8(data)  # UnicodeDecodeError, a ValueError, on a bad byte
     if b"\r" in data:  # the two-byte search is slow: skip it when there is no CR
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -149,13 +153,6 @@ def _write_sketch(sk, path: str, binary: bool) -> None:
                 fh.write(text)
 
 
-def _read_sketch(path: str):
-    if path == "-":
-        return serialize.load_any(sys.stdin.buffer.read())
-    with open(path, "rb") as fh:
-        return serialize.load_any(fh.read())
-
-
 def _cmd_sketch(args) -> int:
     sk = _make_sketch(args)
     keys, ds = _read_elements(args.input)
@@ -165,14 +162,14 @@ def _cmd_sketch(args) -> int:
 
 
 def _cmd_merge(args) -> int:
-    sketches = [_read_sketch(p) for p in args.sketches]
+    sketches = [serialize.load_any(_read_bytes(p)) for p in args.sketches]
     merged = state.merge(*sketches)
     _write_sketch(merged, args.out, args.binary)
     return EXIT_OK
 
 
 def _cmd_estimate(args) -> int:
-    sk = _read_sketch(args.sketch)
+    sk = serialize.load_any(_read_bytes(args.sketch))
     if args.median:
         if type_of(sk).name != "projection":
             raise SerializationError("--median applies to projection sketches only")
@@ -186,11 +183,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     from .experiment import ExperimentConfig, run_experiment
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"config is not valid JSON: {exc}")
+    raw = _read_json(args.config, "config")
     try:
         cfg = ExperimentConfig.from_dict(raw)
     except (TypeError, ValueError) as exc:
@@ -211,11 +204,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_analyze(args) -> int:
     from .inference import (are_bernoulli, chernoff_bounds, optimal_lambda, psi_infinity,
                             required_m, sketch_storage_bits)
-    with open(args.grid, "r", encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SerializationError(f"grid is not valid JSON: {exc}")
+    grid = _read_json(args.grid, "grid")
     if not isinstance(grid, dict):
         raise SerializationError("grid must be a JSON object")
     out = {"optimal_lambda": optimal_lambda()}
@@ -226,6 +215,8 @@ def _cmd_analyze(args) -> int:
             out["psi_infinity"] = {repr(q): psi_infinity(q) for q in grid["q"]}
         if "epsilon" in grid:
             m = grid.get("m", [256])
+            if not m:
+                raise ValueError("m must list at least one value")
             bounds = {repr(e): chernoff_bounds(e, m[0]) for e in grid["epsilon"]}
             out["chernoff"] = {e: {"c1": b.c1, "c2": b.c2, "upper": b.upper, "lower": b.lower}
                                for e, b in bounds.items()}
@@ -240,7 +231,7 @@ def _cmd_analyze(args) -> int:
                         for e in grid["epsilon"] for d in grid["delta"]
                         for c in grid["c"] for q in grid["q"]
                     }
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # psi_infinity's bound
         raise SerializationError(f"bad grid values: {exc}")
     sys.stdout.write(json_dumps(out, indent=2, sort_keys=True) + "\n")
     return EXIT_OK

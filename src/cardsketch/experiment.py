@@ -39,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -64,8 +65,22 @@ ALGOS = tuple(TYPES) + ("median",)
 _HASH_BUDGET = 1 << 25
 
 
+# the fields that must be integers and those that must be numbers (p may
+# also be None); a bool is neither
+_INTEGER_FIELDS = ("m", "replicates", "seed", "k", "repeats", "deleted_extra")
+_NUMBER_FIELDS = ("c", "level", "q", "p", "alpha")
+
+
 @dataclass
 class ExperimentConfig:
+    """One experiment.  A field of the wrong type raises a ValueError that
+    names it: c, m, replicates, seed, k, repeats and deleted_extra must be
+    integers, except c in sampled mode, where it may be any number (the
+    sampler checks its value), level, q, p (or None) and alpha numbers, and
+    heavy_tail true or false.
+    The ranges of m and the sketch parameters are the constructors' to
+    check, and that of c in sampled mode the sampler's."""
+
     c: int
     m: int
     algos: tuple = ("max-uniform",)
@@ -83,6 +98,16 @@ class ExperimentConfig:
     method: str = "auto"        # hash | sampled | auto
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS + _NUMBER_FIELDS:
+            value, integer = getattr(self, name), name in _INTEGER_FIELDS
+            if name == "p" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral if integer else numbers.Real):
+                kind = "an integer" if integer else "a number"
+                raise ValueError(f"{name} must be {kind}, got {value!r}")
+        if not isinstance(self.heavy_tail, bool):
+            raise ValueError(f"heavy_tail must be true or false, got {self.heavy_tail!r}")
         if self.c < 1 or self.m < 1 or self.replicates < 1:
             raise ValueError("c, m and replicates must all be >= 1")
         self.algos = tuple(self.algos)
@@ -91,6 +116,8 @@ class ExperimentConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
         if self.method not in ("hash", "sampled", "auto"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.resolved_method() == "hash" and not isinstance(self.c, numbers.Integral):
+            raise ValueError(f"c must be an integer in hash mode, got {self.c!r}")
 
     def resolved_method(self) -> str:
         if self.method != "auto":

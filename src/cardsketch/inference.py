@@ -1,10 +1,16 @@
 """Closed-form statistical analysis: Fisher information, relative
 efficiencies, optimal Bernoulli rate, Chernoff tail bounds and sketch
-sizing.  Pure functions, safe for unrestricted concurrent use."""
+sizing.  Pure functions, safe for unrestricted concurrent use.
+
+Each function refuses, before its arithmetic, an argument at which that
+arithmetic would leave double range or lose the result, naming the bound
+in its message; where the value is defined in double (are_bernoulli of a
+large lambda), it is returned."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -12,6 +18,8 @@ from functools import lru_cache
 # running total; all the summands decay at least geometrically, so the
 # discarded tail is of the same order as the last kept term.
 _REL_TOL = 1e-15
+
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 def _log_exp_diff(a: float, b: float) -> float:
@@ -31,11 +39,14 @@ def psi_infinity(q: float) -> float:
 
     Equals the asymptotic relative efficiency of the geometric maximal-term
     estimator against continuous hashing; 0.9304 at q=1/2, 0.9985 at q=10/11,
-    and -> 1 as q -> 1.
+    and -> 1 as q -> 1.  A q below about 7.46e-155, where the k = -1
+    term's q**-2 overflows, raises OverflowError.
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0,1)")
     logq = math.log(q)
+    if logq < -0.5 * _LOG_MAX:
+        raise OverflowError(f"q must lie at or above about 7.46e-155, got {q}")
     log_coeff = 2.0 * math.log(1.0 / q - 1.0)
 
     def term(k: int) -> float:
@@ -89,9 +100,13 @@ def fisher_info_geometric(c: int, q: float) -> float:
 
 def are_bernoulli(lam: float) -> float:
     """Asymptotic relative efficiency lambda**2/(e**lambda - 1) of Bernoulli
-    hashing at rate p = lambda/c, against continuous hashing."""
-    if lam <= 0.0:
+    hashing at rate p = lambda/c, against continuous hashing.  Past
+    log(DBL_MAX), where e**lambda overflows, it is lambda**2 e**-lambda in
+    double, 0.0 from about 760 on."""
+    if not lam > 0.0:
         raise ValueError("lambda must be positive")
+    if lam > _LOG_MAX:
+        return math.exp(2.0 * math.log(lam) - lam) if lam < math.inf else 0.0
     return lam * lam / math.expm1(lam)
 
 
@@ -131,10 +146,19 @@ class TailBound:
 
 def chernoff_bounds(epsilon: float, m: int) -> TailBound:
     """Exponential tail bounds derived from the Gamma(m,1) pivot's moment
-    generating function."""
+    generating function.
+
+    The denominators of c1 and c2 are about eps**2/2, the difference of
+    terms of size eps, so they keep about log2(eps) + 52 bits: an epsilon
+    below 2**-26, where fewer than half the digits are left (and below
+    about 5.5e-16 none, or a division by zero), raises ValueError.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly inside (0,1)")
-    if m < 1:
+    if epsilon < 2.0**-26:
+        raise ValueError(f"epsilon must lie at or above 2**-26 (about 1.49e-08), "
+                         f"got {epsilon}")
+    if not m >= 1:
         raise ValueError("m must be >= 1")
     e2 = epsilon * epsilon
     c1 = e2 * (1.0 + epsilon) / (-epsilon + (1.0 + epsilon) * math.log1p(epsilon))
@@ -151,11 +175,18 @@ def chernoff_bounds(epsilon: float, m: int) -> TailBound:
 
 def required_m(epsilon: float, delta: float) -> int:
     """Smallest m whose Chernoff bounds put both tails at or below delta,
-    giving an (epsilon, delta)-approximation with m = O(eps**-2)."""
+    giving an (epsilon, delta)-approximation with m = O(eps**-2).
+
+    A subnormal delta, below 2**-1022, raises ValueError: the tails' exp
+    keeps too few bits there for the search over m to end, and 1/delta
+    can overflow.  So does an epsilon that ``chernoff_bounds`` refuses.
+    """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly inside (0,1)")
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0,1]")
+    if delta < sys.float_info.min:
+        raise ValueError(f"delta must lie at or above 2**-1022 (about 2.23e-308), got {delta}")
     b = chernoff_bounds(epsilon, 1)
     worst = max(b.c1, b.c2)
     m = max(1, math.ceil(worst * math.log(1.0 / delta) / (epsilon * epsilon)))
@@ -175,10 +206,13 @@ def geometric_register_bits(c: float, q: float) -> int:
     """Bits per register for geometric hashing at cardinality about c.
 
     The expected slot maximum is log(c)/log(1/q) + O(1); two extra bits of
-    headroom cover the fluctuation of the maximum.
+    headroom cover the fluctuation of the maximum.  An infinite c, whose
+    log leaves double range, raises ValueError.
     """
-    if c < 1:
+    if not c >= 1:
         raise ValueError("c must be >= 1")
+    if c == math.inf:
+        raise ValueError(f"c must be finite, got {c}")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0,1)")
     expected_max = max(1.0, math.log(max(c, 2.0)) / -math.log(q))

@@ -164,13 +164,7 @@ class GeometricMaxSketch(state.Sketch):
     version = 2
 
     def __init__(self, m: int, q: float, seed: int = 0):
-        if not 0.0 < q <= _Q_MAX:
-            raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
-        # the max-geom standard error's psi_infinity(q) takes exp(-2 log q),
-        # which overflows unless log q >= -log(DBL_MAX)/2, q about 7.46e-155
-        if math.log(q) < -0.5 * math.log(sys.float_info.max):
-            raise ValueError(f"q must lie at or above about 7.46e-155, got {q}")
-        self.q = float(q)
+        self.q = _checked_q(q)
         super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
@@ -181,7 +175,9 @@ class GeometricMaxSketch(state.Sketch):
             reach = -np.log1p(-qy) * (1.0 + _PAD)
         earliest = _first_arrival_minima(self, keys, reach)
         hit = earliest < reach
-        self.slots[hit] = np.maximum(self.slots[hit], geometric_slots(-earliest[hit], self.q))
+        # a hashed slot cannot pass the u32 maximum (see _Q_MAX)
+        slots = geometric_slot_rows(-earliest[hit][None], self.q, [None])[0]
+        self.slots[hit] = np.maximum(self.slots[hit], slots)
 
     @classmethod
     def estimates(cls, slots, level: float, q: float) -> Estimates:
@@ -214,15 +210,28 @@ class GeometricMaxSketch(state.Sketch):
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
 
 
+def _checked_q(q) -> float:
+    """q as a float, or the ValueError GeometricMaxSketch refuses it with."""
+    if not 0.0 < q <= _Q_MAX:
+        raise ValueError(f"q must lie in (0, 1 - 2**-26], got {q}")
+    # the max-geom standard error's psi_infinity(q) takes exp(-2 log q),
+    # which overflows unless log q >= -log(DBL_MAX)/2, q about 7.46e-155
+    if math.log(q) < -0.5 * math.log(sys.float_info.max):
+        raise ValueError(f"q must lie at or above about 7.46e-155, got {q}")
+    return float(q)
+
+
 def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
     """The geometric slots ceil(log(1 - u) / log q), at least 1, of the
     uniforms u given by their logs: a monotone rounding of the continuous
     slot, so max and rounding commute exactly.
 
+    Refuses a q that GeometricMaxSketch refuses, with its ValueError.
     Raises SaturatedSketchError if a slot passes the u32 maximum.  A
     hashed slot cannot (see _Q_MAX), but a sampled continuous one can:
     log u = log(U) / c comes as close to 0 as c is large.
     """
+    q = _checked_q(q)
     errors = [None]
     return block_row(geometric_slot_rows(np.asarray(log_u)[None], q, errors), errors)
 
@@ -259,7 +268,9 @@ _KTH_TOL, _KTH_MAX_ITER = 1e-12, 100
 
 def solve_geometric_mle(slots: np.ndarray, q: float) -> tuple[float, float]:
     """Newton-Raphson on the geometric score equation: a one-row
-    ``geometric_mles``.  Returns (root, initializer)."""
+    ``geometric_mles``.  Returns (root, initializer).  Refuses a q that
+    GeometricMaxSketch refuses, with its ValueError."""
+    q = _checked_q(q)
     errors = [None]
     with np.errstate(all="ignore"):
         roots, initials = geometric_mles(np.asarray(slots)[None], q, errors)
@@ -421,9 +432,7 @@ class KthOrderSketch(state.Sketch):
     version = 2
 
     def __init__(self, m: int, k: int, seed: int = 0):
-        if not 1 <= k <= state.U16_MAX:
-            raise ValueError(f"k must lie in [1, 2**16), got {k}")
-        self.k = int(k)
+        self.k = _checked_k(k)
         super().__init__(m, seed)
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
@@ -446,6 +455,13 @@ class KthOrderSketch(state.Sketch):
         with np.errstate(all="ignore"):
             c_hat = kth_roots(_kth_rows(topk, k, errors), k, errors)
             return normal_estimates(c_hat, c_hat / math.sqrt(k * m), level, "max-kth", m, errors)
+
+
+def _checked_k(k) -> int:
+    """k as an int, or the ValueError KthOrderSketch refuses it with."""
+    if not 1 <= k <= state.U16_MAX:
+        raise ValueError(f"k must lie in [1, 2**16), got {k}")
+    return int(k)
 
 
 def _kth_rows(topk: np.ndarray, k: int, errors: list) -> np.ndarray:
@@ -476,7 +492,9 @@ def _register_rows(regs: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
 
 def kth_closed_form(y: np.ndarray, k: int) -> float:
     """Large-c starting point k / (1 - prod(y_j)**(1/m)).  Every y_j at 1,
-    the uniforms' supremum, raises DegenerateSketchError."""
+    the uniforms' supremum, raises DegenerateSketchError; a k that
+    KthOrderSketch refuses, its ValueError."""
+    k = _checked_k(k)
     y = np.asarray(y, dtype=np.float64)[None]
     errors = [None]
     with np.errstate(divide="ignore"):  # log(0) = -inf
@@ -493,7 +511,9 @@ def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarra
 
 def kth_root_estimate(y: np.ndarray, k: int) -> float:
     """Unique root c > k-1 of  sum_j log y_j + m * sum_{i=1..k} 1/(c-i+1) = 0:
-    a one-row ``kth_roots``."""
+    a one-row ``kth_roots``.  Refuses a k that KthOrderSketch refuses, with
+    its ValueError."""
+    k = _checked_k(k)
     errors = [None]
     with np.errstate(all="ignore"):
         roots = kth_roots(np.asarray(y, dtype=np.float64)[None], k, errors)

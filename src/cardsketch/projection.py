@@ -293,7 +293,10 @@ def coupled_residuals(items, m: int, alpha: float, seed: int = 0, d=None) -> Cou
     pivots agree as alpha -> 0: residuals V**(-alpha) - 1/M shrink toward
     zero, while the ratio V**alpha / M always sits between 1 and
     (sum of quantities)**alpha; both facts are checked element by element.
+    An m, alpha or seed that ProjectionSketch refuses raises its ValueError
+    before anything is hashed.
     """
+    ProjectionSketch(m, alpha, seed)
     keys, dvals = state.keys_and_quantities(items, d)
     if np.any(dvals <= 0):
         raise UnsupportedDeletionError("coupled run requires a cash-register stream")

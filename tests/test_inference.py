@@ -189,3 +189,52 @@ class TestOracleCrossChecks:
         sums = [sum(term(k + o) for k in range(-60, 60)) for o in offsets]
         assert min(sums) <= psi_infinity(q) <= max(sums)
         assert psi_infinity(q) == pytest.approx(np.mean(sums), rel=2e-3)
+
+
+class TestDoubleRangeBounds:
+    """Each function refuses an argument its arithmetic cannot carry, at
+    the bound its message names, and takes the next double inside."""
+
+    def test_psi_infinity_names_its_overflow_bound(self):
+        q_out = 7.4583407312000825e-155
+        for q in (q_out, 1e-320):
+            with pytest.raises(OverflowError, match="q must lie at or above about 7.46e-155"):
+                psi_infinity(q)
+        assert math.isfinite(psi_infinity(math.nextafter(q_out, 1.0)))
+
+    def test_are_bernoulli_past_the_overflow_of_e_to_the_lambda(self):
+        top = math.log(1.7976931348623157e308)
+        below, above = are_bernoulli(top), are_bernoulli(math.nextafter(top, math.inf))
+        assert below > 0.0 and above == pytest.approx(below, rel=1e-12)
+        assert are_bernoulli(710.0) == pytest.approx(710.0**2 * math.exp(-710.0), rel=1e-12)
+        for lam in (1e6, 1e308, math.inf):
+            assert are_bernoulli(lam) == 0.0
+        with pytest.raises(ValueError, match="lambda must be positive"):
+            are_bernoulli(math.nan)
+
+    def test_chernoff_bounds_keep_half_the_digits(self):
+        b = chernoff_bounds(2.0**-26, 1)
+        assert b.c1 == pytest.approx(2.0, rel=1e-7) and b.c2 == pytest.approx(2.0, rel=1e-7)
+        for eps in (math.nextafter(2.0**-26, 0.0), 5e-16, 1e-300):
+            with pytest.raises(ValueError, match=r"epsilon must lie at or above 2\*\*-26"):
+                chernoff_bounds(eps, 1)
+            with pytest.raises(ValueError, match=r"epsilon must lie at or above 2\*\*-26"):
+                required_m(eps, 0.5)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            chernoff_bounds(0.1, math.nan)
+
+    def test_required_m_takes_every_normal_delta(self):
+        smallest = 2.0**-1022
+        m = required_m(0.1, smallest)
+        assert max(chernoff_bounds(0.1, m).upper, chernoff_bounds(0.1, m).lower) <= smallest
+        assert required_m(2.0**-26, smallest) > 2**62
+        for delta in (math.nextafter(smallest, 0.0), 1e-320, 5e-324):
+            with pytest.raises(ValueError, match=r"delta must lie at or above 2\*\*-1022"):
+                required_m(0.1, delta)
+
+    def test_register_bits_need_a_finite_c(self):
+        assert geometric_register_bits(1.7976931348623157e308, 0.5) == 12
+        with pytest.raises(ValueError, match="c must be finite, got inf"):
+            geometric_register_bits(math.inf, 0.5)
+        with pytest.raises(ValueError, match="c must be >= 1"):
+            geometric_register_bits(math.nan, 0.5)

@@ -15,12 +15,14 @@ import warnings
 import numpy as np
 import pytest
 
-from cardsketch import hashing, sampling, serialize
+from cardsketch import hashing, order_sketch, sampling, serialize
 from cardsketch.cli import main
 from cardsketch.errors import SaturatedSketchError, SerializationError
 from cardsketch.experiment import (ALGOS, ExperimentConfig, _algo_salt, _params, _rep_rng,
                                    run_experiment)
 from cardsketch.inference import psi_infinity
+from cardsketch.order_sketch import GeometricMaxSketch, KthOrderSketch
+from cardsketch.projection import ProjectionSketch, coupled_residuals
 from cardsketch.sketch_types import TYPES
 from cardsketch.streams import generate_stream
 
@@ -274,3 +276,148 @@ def test_bucket_samplers_refuse_a_c_past_the_multinomial_count(tmp_path, capsys,
     config.write_text(json.dumps(fields))
     code, out, err = _gate_cli(capsys, "simulate", "--config", str(config))
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+# -- entries that compute without building a sketch ----------------------
+
+_Y = np.linspace(0.2, 0.8, 8)  # k-th values, or uniforms by their logs
+_SLOTS = np.array([1, 2, 2, 3, 4, 2, 3, 5])
+
+# (function, its call at a parameter value, the constructor that gates
+# that parameter, refused values)
+ONE_ROW = [
+    ("kth_root_estimate", lambda k: order_sketch.kth_root_estimate(_Y, k),
+     lambda k: KthOrderSketch(8, k), [0, -1, 2**16]),
+    ("kth_closed_form", lambda k: order_sketch.kth_closed_form(_Y, k),
+     lambda k: KthOrderSketch(8, k), [0, -1, 2**16]),
+    ("geometric_slots", lambda q: order_sketch.geometric_slots(np.log(_Y), q),
+     lambda q: GeometricMaxSketch(8, q), [1.5, 1.0, 0.0, -1.0, math.nan, 1e-160]),
+    ("solve_geometric_mle", lambda q: order_sketch.solve_geometric_mle(_SLOTS, q),
+     lambda q: GeometricMaxSketch(8, q), [1.0, 0.0, -1.0, 1.5, math.nan, 1e-160]),
+]
+
+
+@pytest.mark.parametrize("name, call, build, refused", ONE_ROW, ids=[r[0] for r in ONE_ROW])
+def test_one_row_functions_refuse_with_the_constructors_message(name, call, build, refused):
+    for value in refused:
+        message = _refusal(lambda: build(value))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _refusal(lambda: call(value)) == message, value
+
+
+def test_one_row_functions_take_the_constructors_extreme_values():
+    assert order_sketch.kth_closed_form(_Y, 2**16 - 1) > 2**16 - 1
+    assert order_sketch.kth_root_estimate(_Y, 2**16 - 1) > 2**16 - 2
+    for q in (RANGE_BOUNDS[0][3][0], 1.0 - 2.0**-26):
+        assert (order_sketch.geometric_slots(np.log(_Y), q) >= 1).all()
+
+
+# (m, alpha, seed) that ProjectionSketch refuses
+COUPLED_REFUSED = [(0, 0.05, 0), (-1, 0.05, 0), (2**32, 0.05, 0), (8, 0.0, 0), (8, 1.0, 0),
+                   (8, 1.5, 0), (8, -0.5, 0), (8, math.nan, 0), (8, 1e-310, 0),
+                   (8, 0.05, -1), (8, 0.05, 2**64)]
+
+
+@pytest.mark.parametrize("m, alpha, seed", COUPLED_REFUSED)
+def test_coupled_residuals_refuses_what_the_projection_constructor_refuses(m, alpha, seed):
+    message = _refusal(lambda: ProjectionSketch(m, alpha, seed))
+    # the quantities are refused only after the gate: a deletion here would
+    # otherwise raise UnsupportedDeletionError, which is no ValueError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _refusal(lambda: coupled_residuals(["a", "b"], m, alpha, seed, d=[1, -1])) \
+            == message
+
+
+@pytest.mark.parametrize("args", [["--alphas", "0"], ["--alphas", "1"], ["--alphas", "1.5"],
+                                  ["--alphas", "-0.5"], ["--alphas", "nan"],
+                                  ["--alphas", "1e-310"], ["--alphas", "0.05,0"],
+                                  ["--m", "0"], ["--seed", "-1"]])
+def test_cli_equivalence_refuses_a_bad_parameter_with_exit_3(capsys, args):
+    options = {"--c": "50", "--m": "8", "--alphas": "0.05", "--seed": "0"}
+    options.update(zip(args[::2], args[1::2]))
+    alpha = float(options["--alphas"].split(",")[-1])
+    message = _refusal(lambda: ProjectionSketch(int(options["--m"]), alpha,
+                                                int(options["--seed"])))
+    code, out, err = _gate_cli(capsys, "equivalence", *(w for kv in options.items() for w in kv))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+# -- simulate configs with a field of the wrong type ---------------------
+
+BAD_FIELDS = [
+    ({"c": 10.5, "method": "hash"}, "c must be an integer in hash mode, got 10.5"),
+    ({"c": 10.5}, "c must be an integer in hash mode, got 10.5"),  # auto picks hash
+    ({"c": 100.0, "method": "hash"}, "c must be an integer in hash mode, got 100.0"),
+    ({"c": True}, "c must be a number, got True"),
+    ({"c": "100"}, "c must be a number, got '100'"),
+    ({"m": 4.5}, "m must be an integer, got 4.5"),
+    ({"m": True}, "m must be an integer, got True"),
+    ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"deleted_extra": 1.5}, "deleted_extra must be an integer, got 1.5"),
+    ({"repeats": 1.5}, "repeats must be an integer, got 1.5"),
+    ({"k": 2.5}, "k must be an integer, got 2.5"),
+    ({"k": False}, "k must be an integer, got False"),
+    ({"level": "0.9"}, "level must be a number, got '0.9'"),
+    ({"q": "0.5"}, "q must be a number, got '0.5'"),
+    ({"p": "0.1"}, "p must be a number, got '0.1'"),
+    ({"alpha": "0.05"}, "alpha must be a number, got '0.05'"),
+    ({"alpha": [0.05]}, "alpha must be a number, got [0.05]"),
+    ({"heavy_tail": "no"}, "heavy_tail must be true or false, got 'no'"),
+    ({"heavy_tail": 1}, "heavy_tail must be true or false, got 1"),
+]
+
+
+@pytest.mark.parametrize("fields, message", BAD_FIELDS, ids=[str(f) for f, _ in BAD_FIELDS])
+def test_configs_with_a_field_of_the_wrong_type_are_refused(tmp_path, capsys, fields, message):
+    doc = {"c": 100, "m": 8, "algos": list(ALGOS), "replicates": 2, **fields}
+    assert _refusal(lambda: ExperimentConfig.from_dict(doc)) == message
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    code, out, err = _gate_cli(capsys, "simulate", "--config", str(config))
+    assert (code, out, err) == (3, "", f"error: bad experiment config: {message}\n")
+
+
+def test_configs_keep_a_real_c_in_sampled_mode_and_numpy_integers():
+    for c in (10.5, 1e20):
+        cfg = ExperimentConfig.from_dict({"c": c, "m": 8, "method": "sampled", "p": None})
+        assert run_experiment(cfg).summary["max-uniform"]["replicates"] == 1
+    cfg = ExperimentConfig(c=np.int64(100), m=np.int64(8), seed=np.uint64(3), q=np.float64(0.5))
+    assert cfg.resolved_method() == "hash"
+
+
+# -- analyze grids whose closed forms leave double range -----------------
+
+# (grid text, exit code, the error message or the printed values it adds)
+ANALYZE_GRIDS = [
+    ('{"epsilon": [0.1], "m": []}', 3, "m must list at least one value"),
+    ('{"q": [1e-320]}', 3, "q must lie at or above about 7.46e-155, got 1e-320"),
+    ('{"q": [7.4583407312000825e-155]}', 3,
+     "q must lie at or above about 7.46e-155, got 7.4583407312000825e-155"),
+    ('{"lambda": [1e6]}', 0, {"are_bernoulli": {"1000000.0": 0.0}}),
+    ('{"lambda": [710.0, 1e400]}', 0,
+     {"are_bernoulli": {"710.0": 2.256495886362754e-303, "inf": 0.0}}),
+    ('{"lambda": [NaN]}', 3, "lambda must be positive"),
+    ('{"epsilon": [0.1], "delta": [1e-320]}', 3,
+     "delta must lie at or above 2**-1022 (about 2.23e-308), got 1e-320"),
+    ('{"epsilon": [0.1], "delta": [0.1], "c": [1e400], "q": [0.5]}', 3, "c must be finite, got inf"),
+    ('{"epsilon": [0.1], "delta": [0.1], "c": [NaN], "q": [0.5]}', 3, "c must be >= 1"),
+    ('{"epsilon": [1e-300], "delta": [0.5]}', 3,
+     "epsilon must lie at or above 2**-26 (about 1.49e-08), got 1e-300"),
+    ('{"epsilon": [0.1], "m": [NaN]}', 3, "m must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("text, code, want", ANALYZE_GRIDS, ids=[g[0] for g in ANALYZE_GRIDS])
+def test_cli_analyze_grids_print_finite_values_or_exit_3(tmp_path, capsys, text, code, want):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    got, out, err = _gate_cli(capsys, "analyze", "--grid", str(grid))
+    if code:
+        assert (got, out, err) == (3, "", f"error: bad grid values: {want}\n")
+    else:
+        assert (got, err) == (0, "")
+        doc = json.loads(out)
+        assert {k: doc[k] for k in want} == want
