@@ -217,6 +217,8 @@ def _cmd_analyze(args) -> int:
             m = grid.get("m", [256])
             if not m:
                 raise ValueError("m must list at least one value")
+            if len(m) > 1:
+                raise ValueError(f"m must list one value, got {m!r}")
             bounds = {repr(e): chernoff_bounds(e, m[0]) for e in grid["epsilon"]}
             out["chernoff"] = {e: {"c1": b.c1, "c2": b.c2, "upper": b.upper, "lower": b.lower}
                                for e, b in bounds.items()}

@@ -49,7 +49,7 @@ from .errors import SketchError
 from .estimate import incomplete_gamma
 from .hashing import item_key, mix64
 from .inference import optimal_lambda
-from .serialize import json_dumps
+from .serialize import json_dumps, json_dumps_indented
 from .sketch_types import TYPES
 from .streams import exact_count, generate_stream, item_quantities
 
@@ -76,8 +76,9 @@ class ExperimentConfig:
     """One experiment.  A field of the wrong type raises a ValueError that
     names it: c, m, replicates, seed, k, repeats and deleted_extra must be
     integers, except c in sampled mode, where it may be any number (the
-    sampler checks its value), level, q, p (or None) and alpha numbers, and
-    heavy_tail true or false.
+    sampler checks its value), level, q, p (or None) and alpha numbers,
+    heavy_tail true or false, and algos a list of algorithm names, not a
+    str or bytes.
     The ranges of m and the sketch parameters are the constructors' to
     check, and that of c in sampled mode the sampler's."""
 
@@ -110,6 +111,8 @@ class ExperimentConfig:
             raise ValueError(f"heavy_tail must be true or false, got {self.heavy_tail!r}")
         if self.c < 1 or self.m < 1 or self.replicates < 1:
             raise ValueError("c, m and replicates must all be >= 1")
+        if isinstance(self.algos, (str, bytes)):
+            raise ValueError(f"algos must be a list of algorithm names, got {self.algos!r}")
         self.algos = tuple(self.algos)
         for a in self.algos:
             if a not in ALGOS:
@@ -147,6 +150,11 @@ class ExperimentReport:
     variance_ratios: dict = field(default_factory=dict)
 
     def to_json(self, canonical: bool = False, indent: int | None = 2) -> str:
+        """The report as ``json_dumps(doc, indent=indent, sort_keys=True)``
+        writes it, byte for byte; an indent is written through
+        ``json_dumps_indented``, which encodes each replicate column and
+        summary with one C-encoder call.  canonical drops the wall-clock
+        fields, so that a (config, seed) pair fixes the bytes."""
         doc = {
             "format": "cardsketch-report",
             "version": 1,
@@ -162,7 +170,9 @@ class ExperimentReport:
                 a: {k: v for k, v in s.items() if k != "wall_s"}
                 for a, s in self.summary.items()
             }
-        return json_dumps(doc, indent=indent, sort_keys=True)
+        if indent is None:
+            return json_dumps(doc, sort_keys=True)
+        return json_dumps_indented(doc, indent)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

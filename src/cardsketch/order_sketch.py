@@ -311,7 +311,8 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     n = math.floor(_LOG_HALF / math.log(q))
     log_1mq = math.log1p(-q)
     one = y == 1.0
-    log_s = _row_sums(_log1m_qpow(y, q) * counts, distinct)
+    groups = _length_groups(distinct)
+    log_s = _row_sums(_log1m_qpow(y, q) * counts, groups)
     # y = 1 (and the padding) reads as slot 2 in the terms below, which
     # take it with weight 0; it adds the constant log(1-q) instead
     safe = y + one
@@ -340,7 +341,7 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
         c.append(-1.0 / log_1mq if top[i] == 1.0 else start)
     live = [i for i in range(len(c)) if errors[i] is None and top[i] > 1.0]
     rows = len(c)
-    lengths = np.concatenate([distinct, distinct])
+    groups = _length_groups(np.concatenate([distinct, distinct]))
     terms = np.empty((2 * rows, y.shape[1]))
     score, slope = terms[:rows], terms[rows:]
     for _ in range(_GEOM_MAX_ITER):
@@ -360,7 +361,7 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
         slope *= slope
         slope *= ed
         slope *= weight
-        sums = _row_sums(terms, lengths)
+        sums = _row_sums(terms, groups)
         still = []
         for i in live:
             ci, si, dsi = c[i], sums[i], -sums[rows + i]
@@ -411,10 +412,26 @@ def _distinct_rows(slots: np.ndarray):
     return y, counts, distinct
 
 
-def _row_sums(v: np.ndarray, n: np.ndarray) -> list:
-    """sum(v[i, :n[i]]) for each row i, as floats: numpy's own sum of each
-    row's values, as the one-row path takes it."""
-    return [float(v[i, :k].sum()) for i, k in enumerate(n.tolist())]
+def _length_groups(n: np.ndarray) -> list:
+    """(rows, k) for each distinct value k of n, ascending, rows the indices
+    i, ascending, with n[i] == k; a slice of every row when n holds one
+    value."""
+    lengths = n.tolist()
+    ks = sorted(set(lengths))
+    if len(ks) == 1:
+        return [(slice(None), ks[0])]
+    return [(np.flatnonzero(n == k), k) for k in ks]
+
+
+def _row_sums(v: np.ndarray, groups: list) -> list:
+    """sum(v[i, :k]) for each row i of the (rows, k) ``_length_groups``, as
+    floats: one numpy sum per length, over the rows of that length, which
+    sums each row as a one-row sum does (its first value plus the pairwise
+    sum of the rest), so the values are bit for bit those of per-row sums."""
+    out = np.empty(len(v))
+    for rows, k in groups:
+        out[rows] = v[rows, :k].sum(axis=1)
+    return out.tolist()
 
 
 class KthOrderSketch(state.Sketch):

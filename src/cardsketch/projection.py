@@ -8,8 +8,14 @@ quantities are supported and deletions work: an item inserted then removed
 cancels exactly when the two contributions meet with equal magnitude.
 
 ``state.Sketch.add_batch`` checks a batch's quantities, which here may be
-negative or zero (zero adds nothing).  The batch's insertion rows and its
-deletion rows are hashed as two passes of the row tiles of
+negative or zero (zero adds nothing).  The batch is then netted by key:
+each key is kept once, in the order of its first row, at the sum of its
+quantities, and a key whose sum is 0 is dropped, so an item inserted and
+deleted within one batch is never hashed and leaves no trace.  A sum
+beyond double range raises StreamIntegrityError with the state unchanged.
+A batch of distinct keys is hashed as it stands.  The netted batch's
+insertion rows and its deletion rows are hashed as two passes of the row
+tiles of
 ``hashing.stable_log_tiles``, so every tile has one sign and is summed as
 it comes, with no copy of its terms per sign.  Each side is summed per
 stream, the running sum carried from tile to tile: a tile's terms and the
@@ -17,14 +23,17 @@ running sum are shifted by their largest value, so each term costs one
 exp and the new sum is that maximum plus the log of the shifted sum.
 ``state.signed_add``, the combine rule of the sketch's layout, adds the
 insertion sum to the state, then the deletion sum (or another sketch),
-element-wise.  A mixed batch thus leaves, bit for bit, the state of its
-insertion rows and then its deletion rows added as two batches.
+element-wise.  A mixed batch of distinct keys thus leaves, bit for bit,
+the state of its insertion rows and then its deletion rows added as two
+batches.
 
 Caveat of fixed-precision log arithmetic: a term more than ~36 log-units
 above the rest of the sum absorbs it, so deleting an item whose variate
-dwarfs the surviving mass can destroy that stream's residual.  At alpha
-below ~0.1 heavy insert-delete traffic on tiny live sets is where this
-bites; larger alpha shrinks the dynamic range.
+dwarfs the surviving mass can destroy that stream's residual.  Netting
+cancels an insertion and its deletion exactly only when both fall in one
+batch; across batches, or merged sketches, they still meet in log space.
+At alpha below ~0.1 heavy insert-delete traffic on tiny live sets is
+where this bites; larger alpha shrinks the dynamic range.
 
 Single-writer; shard the stream and merge for parallel ingestion.
 """
@@ -40,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hashing, state
-from .errors import DegenerateSketchError, EstimationNumericError, UnsupportedDeletionError
+from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
+                     UnsupportedDeletionError)
 from .estimate import Estimates, block_row, fail, gamma_estimates
 from .state import signed_add
 
@@ -87,9 +97,10 @@ class ProjectionSketch(state.Sketch):
     # -- ingestion --------------------------------------------------------
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
-        # the insertion rows, then the deletion rows, each hashed in tiles
-        # of one sign and folded onto their side's running sum; d = 0 adds
-        # nothing
+        # each key once at its net quantity, then the insertion rows and the
+        # deletion rows, each hashed in tiles of one sign and folded onto
+        # their side's running sum; d = 0 adds nothing
+        keys, d = _net_by_key(keys, d)
         for sign, side in ((1, d > 0), (-1, d < 0)):
             if not side.any():
                 continue
@@ -148,6 +159,22 @@ class ProjectionSketch(state.Sketch):
         double range raises EstimationNumericError.
         """
         return self.median_estimates(self.signs[None], self.logmag[None], self.alpha).value()
+
+
+def _net_by_key(keys: np.ndarray, d: np.ndarray) -> tuple:
+    """The batch with each key once, at the sum of its quantities, in the
+    order of first appearance, and the keys whose sum is 0 dropped; a batch
+    with no repeated key is returned as it is.  A sum beyond double range
+    raises StreamIntegrityError."""
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    if len(unique) == len(keys):
+        return keys, d
+    total = np.bincount(inverse, weights=d, minlength=len(unique))
+    if not np.isfinite(total).all():
+        raise StreamIntegrityError("a key's net quantity in the batch passes double range")
+    order = np.argsort(first)
+    order = order[total[order] != 0.0]
+    return unique[order], total[order]
 
 
 def _positive_rows(signs, errors: list) -> None:

@@ -34,6 +34,7 @@ Generator, so a seeded run is reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, NamedTuple
 
@@ -160,8 +161,17 @@ PROJECTION = Steps(_projection_draw, _projection_shape)
 # -- the bucket baselines: multinomial bucket loads, whose count numpy
 # takes as a signed 64-bit integer
 
+@functools.lru_cache(maxsize=16)
+def _uniform_p(m: int) -> np.ndarray:
+    """The multinomial's m bucket probabilities 1/m, built once per m and
+    read-only, as every draw shares it."""
+    p = np.full(m, 1.0 / m)
+    p.flags.writeable = False
+    return p
+
+
 def _bucket_counts(c, m: int, rng) -> np.ndarray:
-    return rng.multinomial(c, np.full(m, 1.0 / m))
+    return rng.multinomial(c, _uniform_p(m))
 
 
 def _ranks_draw(c, m: int, rng) -> tuple:

@@ -155,3 +155,38 @@ def _json_default(o):
 def json_dumps(obj, **kw) -> str:
     """json.dumps that tolerates numpy scalars."""
     return json.dumps(obj, default=_json_default, **kw)
+
+
+def json_dumps_indented(obj, indent: int | str = 2) -> str:
+    """``json_dumps(obj, indent=indent, sort_keys=True)``, byte for byte.
+
+    CPython's json runs its pure-Python encoder whenever indent is set.
+    Here each list or dict that holds no list or dict is one call of the C
+    encoder, given the item separator "," plus the newline and indentation
+    of its level; only the containers above those leaves are written in
+    Python.  A dict that holds containers under a key that is not a str
+    is left to json_dumps, re-indented to its level.
+    """
+    step = indent if isinstance(indent, str) else " " * indent
+    return _indented(obj, step, "\n")
+
+
+def _indented(o, step: str, newline: str) -> str:
+    """o encoded as json_dumps_indented encodes it, at the level whose
+    line break and indentation are newline."""
+    if not isinstance(o, (dict, list, tuple)) or not o:
+        return json_dumps(o)
+    inner = newline + step
+    # the children's types, gathered in C: a column has one or two
+    children = set(map(type, o.values() if isinstance(o, dict) else o))
+    if not any(issubclass(t, (dict, list, tuple)) for t in children):
+        flat = json_dumps(o, separators=("," + inner, ": "), sort_keys=True)
+        return flat[0] + inner + flat[1:-1] + newline + flat[-1]
+    if not isinstance(o, dict):
+        parts = [_indented(v, step, inner) for v in o]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if not all(isinstance(k, str) for k in o):
+        # JSON has no newline outside its structure, so this re-indents it
+        return json_dumps(o, indent=step, sort_keys=True).replace("\n", newline)
+    parts = [json_dumps(k) + ": " + _indented(o[k], step, inner) for k in sorted(o)]
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"

@@ -367,6 +367,7 @@ BAD_FIELDS = [
     ({"alpha": [0.05]}, "alpha must be a number, got [0.05]"),
     ({"heavy_tail": "no"}, "heavy_tail must be true or false, got 'no'"),
     ({"heavy_tail": 1}, "heavy_tail must be true or false, got 1"),
+    ({"algos": "max-uniform"}, "algos must be a list of algorithm names, got 'max-uniform'"),
 ]
 
 
@@ -407,6 +408,7 @@ ANALYZE_GRIDS = [
     ('{"epsilon": [1e-300], "delta": [0.5]}', 3,
      "epsilon must lie at or above 2**-26 (about 1.49e-08), got 1e-300"),
     ('{"epsilon": [0.1], "m": [NaN]}', 3, "m must be >= 1"),
+    ('{"epsilon": [0.1], "m": [256, 512]}', 3, "m must list one value, got [256, 512]"),
 ]
 
 
@@ -421,3 +423,9 @@ def test_cli_analyze_grids_print_finite_values_or_exit_3(tmp_path, capsys, text,
         assert (got, err) == (0, "")
         doc = json.loads(out)
         assert {k: doc[k] for k in want} == want
+
+
+def test_configs_refuse_algos_as_bytes():
+    # a str or bytes would be split into letters, each an unknown algorithm
+    assert _refusal(lambda: ExperimentConfig(c=100, m=8, algos=b"hll")) == (
+        "algos must be a list of algorithm names, got b'hll'")

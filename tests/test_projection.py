@@ -508,3 +508,48 @@ class TestDeletionDefect:
             live = ProjectionSketch(16, alpha=0.05, seed=salt)
             live.add_batch(keys[:5])
             assert sk.estimate().c_hat == pytest.approx(live.estimate().c_hat, rel=1e-9), salt
+
+
+class TestBatchNetting:
+    """A batch is summed per key before hashing: each key once, in the order
+    of its first row, at its net quantity."""
+
+    KEYS = np.array([11, 7, 19, 7, 23], dtype=np.uint64)
+
+    @staticmethod
+    def _state(keys, d, salt=4):
+        sk = ProjectionSketch(16, alpha=0.05, seed=salt)
+        sk.add_batch(np.array([1, 2, 3], dtype=np.uint64))
+        sk.add_batch(np.asarray(keys, dtype=np.uint64), d)
+        return sk.signs.copy(), sk.logmag.copy()
+
+    def _same(self, a, b):
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_a_key_inserted_and_deleted_in_one_batch_leaves_no_trace(self):
+        for salt in range(5):
+            mixed = self._state(self.KEYS, [2.0, 3.0, 1.0, -3.0, 5.0], salt)
+            without = self._state(self.KEYS[[0, 2, 4]], [2.0, 1.0, 5.0], salt)
+            self._same(mixed, without)
+
+    def test_a_repeated_key_is_one_row_at_its_summed_quantity(self):
+        repeated = self._state(self.KEYS, [2.0, 3.0, 1.0, 4.5, 5.0])
+        once = self._state(self.KEYS[[0, 1, 2, 4]], [2.0, 7.5, 1.0, 5.0])
+        self._same(repeated, once)
+        # a net deletion is a deletion row at its net quantity
+        net_out = self._state(self.KEYS, [2.0, 1.0, 1.0, -3.0, 5.0])
+        self._same(net_out, self._state(self.KEYS[[0, 1, 2, 4]], [2.0, -2.0, 1.0, 5.0]))
+
+    def test_a_batch_of_distinct_keys_keeps_its_order_and_zero_rows_add_nothing(self):
+        keys = np.array([5, 3, 9, 4], dtype=np.uint64)
+        self._same(self._state(keys, [1.0, 0.0, -2.0, 3.0]),
+                   self._state(keys[[0, 2, 3]], [1.0, -2.0, 3.0]))
+
+    def test_a_net_quantity_past_double_range_is_refused_and_changes_nothing(self):
+        sk = ProjectionSketch(16, alpha=0.05, seed=1)
+        sk.add_batch(np.array([1, 2, 3], dtype=np.uint64))
+        before = sk.signs.copy(), sk.logmag.copy()
+        big = np.finfo(np.float64).max
+        with pytest.raises(StreamIntegrityError, match="double range"):
+            sk.add_batch(np.array([8, 9, 8], dtype=np.uint64), [big, 1.0, big])
+        self._same((sk.signs, sk.logmag), before)
