@@ -131,7 +131,9 @@ class HyperLogLogSketch(_RankSketch):
 class MinCountSketch(_BucketSketch):
     """Keeps the three smallest distinct post-bucket uniforms per bucket
     (ascending, inf-padded); estimates each bucket's load by the unbiased
-    (k-1)/M rule on the third minimum and sums the buckets."""
+    (k-1)/M rule on the third minimum and sums the buckets.  A tile's
+    words are sorted, repeats dropped, and the first three of each bucket
+    joined into the rows by the layout's ``absorbed``."""
 
     layout = state.Rows("smallest", np.inf, MINCOUNT_K, "mincount rows")
 
@@ -143,11 +145,8 @@ class MinCountSketch(_BucketSketch):
         values = hashing.unit_array(words << np.uint64(self.p))
         new = np.r_[True, (buckets[1:] != buckets[:-1]) | (values[1:] != values[:-1])]
         buckets, values = buckets[new], values[new]
-        rank = np.arange(len(buckets)) - np.searchsorted(buckets, buckets)
-        first = rank < MINCOUNT_K
-        cand = np.full((self.m, MINCOUNT_K), np.inf)
-        cand[buckets[first], rank[first]] = values[first]
-        self.smallest = self.layout.joined(self.smallest, cand)[0]
+        first = np.arange(len(buckets)) - np.searchsorted(buckets, buckets) < MINCOUNT_K
+        self.layout.absorbed(self.smallest, buckets[first], values[first])
 
     @classmethod
     def estimates(cls, smallest, level: float) -> Estimates:

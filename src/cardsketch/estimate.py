@@ -8,7 +8,7 @@ one-row call raises, or None.  ``gamma_estimates`` and
 each quantile computed once per (m, level); a single ``Estimate`` is row
 ``i`` of such a block.  ``block_row`` reads a row, or raises its error;
 per-row steps record errors with ``fail`` in a list their caller passes,
-under the one ``np.errstate(all="ignore")`` their entry point opens.
+under the errstate their entry point opens (``one_row`` opens none).
 
 The exact interval of the maximal-term sketches needs quantiles of the
 Gamma(m) law, the inverse in x of the regularized incomplete gamma
@@ -147,6 +147,12 @@ def block_row(block, errors: list, i: int = 0):
     if errors[i] is not None:
         raise errors[i]
     return block[i]
+
+
+def one_row(step, *rows, **params):
+    """The one-row call of a per-row step: its row, or that row's error raised."""
+    errors = [None]
+    return block_row(step(*(np.asarray(r)[None] for r in rows), errors=errors, **params), errors)
 
 
 def _check_level(level: float) -> None:

@@ -77,8 +77,8 @@ class ExperimentConfig:
     names it: c, m, replicates, seed, k, repeats and deleted_extra must be
     integers, except c in sampled mode, where it may be any number (the
     sampler checks its value), level, q, p (or None) and alpha numbers,
-    heavy_tail true or false, and algos a list of algorithm names, not a
-    str or bytes.
+    heavy_tail true or false, and algos a list or tuple of algorithm names,
+    whose order fixes the report's bytes.
     The ranges of m and the sketch parameters are the constructors' to
     check, and that of c in sampled mode the sampler's."""
 
@@ -111,7 +111,7 @@ class ExperimentConfig:
             raise ValueError(f"heavy_tail must be true or false, got {self.heavy_tail!r}")
         if self.c < 1 or self.m < 1 or self.replicates < 1:
             raise ValueError("c, m and replicates must all be >= 1")
-        if isinstance(self.algos, (str, bytes)):
+        if not isinstance(self.algos, (list, tuple)):  # a set's order follows PYTHONHASHSEED
             raise ValueError(f"algos must be a list of algorithm names, got {self.algos!r}")
         self.algos = tuple(self.algos)
         for a in self.algos:

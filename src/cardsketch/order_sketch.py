@@ -17,7 +17,8 @@ the items, E_j:
   largest of c uniforms;
 - geometric: the rounding ceil(log(1 - e**-E_j) / log q);
 - Bernoulli: the bit E_j < -log(1 - p);
-- top-k: the k smallest first arrivals, stored as e**-E, descending.
+- top-k: the k smallest first arrivals, stored as e**-E, descending; each
+  chunk of arrivals joins only the rows it reaches (``state.Rows.absorbed``).
 
 Each sketch tells the arrivals, per register, the time from which an
 arrival can no longer change its slot, so an item stops after an arrival
@@ -60,7 +61,7 @@ from .errors import (
     SketchError,
 )
 from .estimate import (Estimate, Estimates, block_row, fail, gamma_estimates,
-                       normal_estimates, normal_interval)
+                       normal_estimates, normal_interval, one_row, _level_failed)
 from .state import merge  # noqa: F401  (defined with the sketch base, importable here)
 
 _LOG_HALF = math.log(0.5)
@@ -124,9 +125,8 @@ class ContinuousMaxSketch(state.Sketch):
 
     def pivot_sum(self) -> float:
         """S = -sum_j log F(M_j); c*S is a Gamma(m,1) pivot."""
-        errors = [None]
         with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
-            return float(block_row(_pivot_sums(self.slots[None], errors), errors))
+            return float(one_row(_pivot_sums, self.slots))
 
     @classmethod
     def estimates(cls, slots, level: float, kind: str) -> Estimates:
@@ -203,8 +203,7 @@ class GeometricMaxSketch(state.Sketch):
         evaluates the statistic at Y_j - 1/2, which cancels that bias while
         remaining a function of the merged state.
         """
-        errors = [None]
-        y = block_row(_filled(self.slots[None], 0, errors), errors).astype(np.float64)
+        y = one_row(_filled, self.slots, empty=0).astype(np.float64)
         if continuity_correction:
             y = y - 0.5
         return _exponential_approximation(self.m, float(_log1m_qpow(y, self.q).sum()))
@@ -231,9 +230,7 @@ def geometric_slots(log_u: np.ndarray, q: float) -> np.ndarray:
     hashed slot cannot (see _Q_MAX), but a sampled continuous one can:
     log u = log(U) / c comes as close to 0 as c is large.
     """
-    q = _checked_q(q)
-    errors = [None]
-    return block_row(geometric_slot_rows(np.asarray(log_u)[None], q, errors), errors)
+    return one_row(geometric_slot_rows, log_u, q=_checked_q(q))
 
 
 def geometric_slot_rows(log_u: np.ndarray, q: float, errors: list) -> np.ndarray:
@@ -455,13 +452,12 @@ class KthOrderSketch(state.Sketch):
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
         bound = _kth_reach(self.topk[:, -1])
         for _, regs, t in hashing.first_arrivals(keys, self.salt, self.m, bound):
-            self.topk = self.layout.joined(self.topk, _register_rows(regs, np.exp(-t), self.m))[0]
+            self.layout.absorbed(self.topk, regs, np.exp(-t))
             bound[:] = _kth_reach(self.topk[:, -1])
 
     def kth_values(self) -> np.ndarray:
         """The k-th largest value per stream; errors if any stream has fewer."""
-        errors = [None]
-        return block_row(_kth_rows(self.topk[None], self.k, errors), errors)
+        return one_row(_kth_rows, self.topk, k=self.k)
 
     @classmethod
     def estimates(cls, topk, level: float, k: int) -> Estimates:
@@ -497,26 +493,14 @@ def _kth_reach(kth: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(reach), np.inf, reach)
 
 
-def _register_rows(regs: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """The values grouped into one NaN-padded row per register, unsorted."""
-    order = np.argsort(regs, kind="stable")
-    regs, values = regs[order], values[order]
-    rank = np.arange(len(regs)) - np.searchsorted(regs, regs)
-    rows = np.full((m, int(rank.max(initial=0)) + 1), np.nan)
-    rows[regs, rank] = values
-    return rows
-
-
 def kth_closed_form(y: np.ndarray, k: int) -> float:
     """Large-c starting point k / (1 - prod(y_j)**(1/m)).  Every y_j at 1,
     the uniforms' supremum, raises DegenerateSketchError; a k that
     KthOrderSketch refuses, its ValueError."""
     k = _checked_k(k)
-    y = np.asarray(y, dtype=np.float64)[None]
-    errors = [None]
+    y = np.asarray(y, dtype=np.float64)
     with np.errstate(divide="ignore"):  # log(0) = -inf
-        starts = _kth_starts(np.log(y).sum(axis=1), y.shape[1], k, errors)
-    return float(block_row(starts, errors))
+        return float(one_row(_kth_starts, np.log(y).sum(), m=len(y), k=k))
 
 
 def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarray:
@@ -531,10 +515,8 @@ def kth_root_estimate(y: np.ndarray, k: int) -> float:
     a one-row ``kth_roots``.  Refuses a k that KthOrderSketch refuses, with
     its ValueError."""
     k = _checked_k(k)
-    errors = [None]
     with np.errstate(all="ignore"):
-        roots = kth_roots(np.asarray(y, dtype=np.float64)[None], k, errors)
-    return float(block_row(roots, errors))
+        return float(one_row(kth_roots, np.asarray(y, dtype=np.float64), k=k))
 
 
 def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
@@ -664,6 +646,9 @@ def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimate
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0,1)")
     counts = ones.tolist()
+    errors = [None] * len(counts)
+    if _level_failed(errors, level):  # before any count, saturated or empty
+        return Estimates(np.full(len(counts), math.nan), errors, "bernoulli", m, level)
     found = {}  # count -> (c_hat, se, lo, hi) and None, or NaNs and its error
     for v in set(counts):
         try:

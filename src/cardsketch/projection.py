@@ -51,7 +51,7 @@ import numpy as np
 from . import hashing, state
 from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
                      UnsupportedDeletionError)
-from .estimate import Estimates, block_row, fail, gamma_estimates
+from .estimate import Estimates, fail, gamma_estimates, one_row
 from .state import signed_add
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -117,10 +117,8 @@ class ProjectionSketch(state.Sketch):
     def pivot_sum(self) -> float:
         """S = sum_j V_j**(-alpha); c*S is an approximate Gamma(m,1) pivot
         for small alpha."""
-        errors = [None]
         with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
-            s = _pivot_sums(self.signs[None], self.logmag[None], self.alpha, errors)
-        return float(block_row(s, errors))
+            return float(one_row(_pivot_sums, self.signs, self.logmag, alpha=self.alpha))
 
     @classmethod
     def estimates(cls, signs, logmag, level: float, alpha: float) -> Estimates:

@@ -77,16 +77,12 @@ def _fine(rows: int) -> list:
 
 # -- continuous and geometric: log of the maximum of c uniforms, log(U)/c
 
-def _uniforms(c, m: int, rng) -> tuple:
+def _uniforms(c, m: int, rng, **params) -> tuple:
     return (rng.random(m),)
 
 
 def _continuous_shape(c, m: int, u) -> tuple:
     return (np.log(u) / c,), _fine(len(u))
-
-
-def _geometric_draw(c, m: int, rng, q: float) -> tuple:
-    return _uniforms(c, m, rng)
 
 
 def _geometric_shape(c, m: int, u, q: float) -> tuple:
@@ -95,7 +91,7 @@ def _geometric_shape(c, m: int, u, q: float) -> tuple:
 
 
 CONTINUOUS = Steps(_uniforms, _continuous_shape)
-GEOMETRIC = Steps(_geometric_draw, _geometric_shape)
+GEOMETRIC = Steps(_uniforms, _geometric_shape)
 
 
 # -- top-k: the descending beta recursion U_(c-i) = U_(c-i+1) * B**(1/(c-i))

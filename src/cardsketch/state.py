@@ -12,10 +12,11 @@ A class's layout is the one description of its arrays: ``names`` in
 ``from_state`` order, ``empty(m, **params)`` (the state of no items),
 ``checked(m, *arrays, **params)`` (the arrays checked against m and the
 parameters), ``joined(*mine, *theirs)`` (the combine rule, as new arrays)
-and the JSON and binary encodings.  ``checked`` also takes a stack of
-states, each array with a leading axis of ``reps`` rows, and copies only
-when asked: ``from_state`` copies the arrays its caller still holds, the
-decoders and the experiment runner hand over arrays they made.
+and the JSON and binary encodings; ``Rows.absorbed`` joins a batch's
+candidates into only the rows they name, in place.  ``checked`` also takes
+a stack of states, each array with a leading axis of ``reps`` rows, and
+copies only when asked: ``from_state`` copies the arrays its caller still
+holds, the decoders and the experiment runner hand over arrays they made.
 
 A class estimates a stack of states at once, one row per sketch, with
 its classmethod ``estimates(*arrays, level, **params)`` (an
@@ -498,6 +499,17 @@ class Rows:
 
     def joined(self, a, b) -> tuple:
         return (merge_rows(a, b, self.descending),)
+
+    def absorbed(self, a, rows, values) -> None:
+        """Join candidate values, each in its row of a (any order, repeats
+        allowed), into a in place: only the rows they name are merged."""
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        touched = rows[rank == 0]
+        cand = np.full((len(touched), int(rank.max(initial=0)) + 1), self.pad)
+        cand[np.cumsum(rank == 0) - 1, rank] = values[order]
+        a[touched] = merge_rows(a[touched], cand, self.descending)
 
     @staticmethod
     def _dense_enough(m: int, k: int, stored: int) -> None:

@@ -421,3 +421,16 @@ def test_utf8_check_holds_one_slice_of_text():
     finally:
         tracemalloc.stop()
     assert peak < 8 * cli._UTF8_SLICE
+
+
+def test_estimate_refuses_a_bad_level_on_a_saturated_bernoulli_sketch(tmp_path, capsys):
+    ids, f = tmp_path / "ids.txt", tmp_path / "saturated.json"
+    ids.write_text(_stream_text(500))
+    assert main(["sketch", "--type", "bernoulli", "--m", "16", "--p", "0.9", "--in", str(ids),
+                 "--out", str(f)]) == 0
+    capsys.readouterr()
+    assert main(["estimate", str(f), "--level", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: confidence level must lie in (0,1), got 1.0\n")
+    p = _run(["estimate", str(f), "--level", "1"])
+    assert p.returncode == 3 and b"Traceback" not in p.stderr, p.stderr

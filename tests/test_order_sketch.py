@@ -443,3 +443,19 @@ class TestPivotLaw:
             sk = sampling.sample_continuous(c, m, rng)
             hits += sk.estimate(0.95).covers(c)
         assert 0.92 <= hits / 500 <= 0.98
+
+
+# -- a Bernoulli estimate refuses a bad level before it reads any count ----
+
+BAD_LEVELS = [1.0, 1.5, -0.5, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=str)
+@pytest.mark.parametrize("ones", [0, 5, 16], ids=["empty", "interior", "saturated"])
+def test_bernoulli_refuses_a_bad_level_at_every_count(ones, level):
+    sk = BernoulliSketch.from_state(16, 0, (np.arange(16) < ones).astype(np.uint8), 0.01)
+    want = f"confidence level must lie in (0,1), got {level}"
+    for call in (lambda: sk.estimate(level), lambda: bernoulli_estimate(ones, 16, 0.01, level)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == want

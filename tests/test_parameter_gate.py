@@ -429,3 +429,14 @@ def test_configs_refuse_algos_as_bytes():
     # a str or bytes would be split into letters, each an unknown algorithm
     assert _refusal(lambda: ExperimentConfig(c=100, m=8, algos=b"hll")) == (
         "algos must be a list of algorithm names, got b'hll'")
+
+
+@pytest.mark.parametrize("algos", [
+    {"max-uniform", "hll"}, frozenset({"max-uniform", "hll"}), {"max-uniform": 1, "hll": 2},
+    (a for a in ("max-uniform", "hll")),
+], ids=["set", "frozenset", "dict", "generator"])
+def test_configs_refuse_algos_that_are_not_a_list_or_tuple(algos):
+    # the runner draws replicates type by type in the order of algos, so a
+    # set would make the report's bytes depend on PYTHONHASHSEED
+    message = _refusal(lambda: ExperimentConfig(c=100, m=8, algos=algos))
+    assert message.startswith("algos must be a list of algorithm names, got ")
