@@ -77,7 +77,7 @@ def _fine(rows: int) -> list:
 
 # -- continuous and geometric: log of the maximum of c uniforms, log(U)/c
 
-def _uniforms(c, m: int, rng, **params) -> tuple:
+def _uniforms(c, m: int, rng) -> tuple:
     return (rng.random(m),)
 
 
@@ -91,7 +91,7 @@ def _geometric_shape(c, m: int, u, q: float) -> tuple:
 
 
 CONTINUOUS = Steps(_uniforms, _continuous_shape)
-GEOMETRIC = Steps(_uniforms, _geometric_shape)
+GEOMETRIC = Steps(lambda c, m, rng, q: _uniforms(c, m, rng), _geometric_shape)
 
 
 # -- top-k: the descending beta recursion U_(c-i) = U_(c-i+1) * B**(1/(c-i))

@@ -11,11 +11,9 @@ documented UserWarning of a projection estimate at alpha > 0.1 is let
 through.
 
 This module imports no pytest, so a longer sweep runs without it:
-
-    python tests/cli_mutants.py [CASES [SEED]]
-
-runs CASES mutants (by default ten times the tier-1 count, on seed 1),
-prints the number of calls, and exits 1 after printing the first fault.
+``python tests/cli_mutants.py`` runs ten times the tier-1 count of
+mutants on seed 1, prints the number of calls, and exits 1 after printing
+the first fault.  Another count or seed is a call of ``sweep()``.
 """
 
 import contextlib
@@ -127,9 +125,8 @@ def sweep(count: int, seed: int) -> tuple:
 
 
 if __name__ == "__main__":
-    cases = int(sys.argv[1]) if len(sys.argv) > 1 else 10 * TIER1_CASES
-    calls, found = sweep(cases, int(sys.argv[2]) if len(sys.argv) > 2 else 1)
-    print(f"{calls} calls on {cases} mutants, {len(found)} faults")
+    calls, found = sweep(10 * TIER1_CASES, 1)
+    print(f"{calls} calls on {10 * TIER1_CASES} mutants, {len(found)} faults")
     if found:
         print("first fault:", found[0])
         sys.exit(1)
