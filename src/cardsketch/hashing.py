@@ -28,7 +28,10 @@ An item's counters are read in one of two layouts.
   across registers, so a maximal-term state is a function of the earliest
   first arrival per register, and a key stops as soon as its next arrival
   can no longer change the state: after warm-up an item costs about two
-  words, not one per register.
+  words, not one per register.  A repeated key has its first copy's
+  arrivals, so the max family folds a batch's repeated keys before it
+  asks for arrivals (``order_sketch``): ingest cost follows the distinct
+  keys of a batch, not its rows.
 
 A single item is a one-row call: the digest and word functions have no
 scalar branch, and only ``keys_array`` folds one item by itself.  Words
@@ -49,6 +52,7 @@ Do NOT use Python's built-in hash(): it is salted per process.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -203,6 +207,15 @@ def fold_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndar
     return keys
 
 
+def run_starts(srt: np.ndarray) -> np.ndarray:
+    """The mask of the entries of a sorted 1-d array that start a run of
+    equal values: the first, and each that differs from the one before."""
+    new = np.empty(len(srt), dtype=bool)
+    new[:1] = True
+    np.not_equal(srt[1:], srt[:-1], out=new[1:])
+    return new
+
+
 def salt_base(salt: int) -> int:
     return mix64(salt ^ _SALT_TAG)
 
@@ -286,6 +299,11 @@ def first_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
     have fallen the later ones are dropped without hashing their
     registers.  Keys are followed _KEYS_PER_PASS at a time, so the
     temporaries stay a few times that size however long the batch.
+
+    Every row is followed, a repeated key too, though its arrivals are its
+    first copy's and cannot change a state; the consumers in
+    ``order_sketch`` fold a batch's repeated keys first, so that ingest
+    cost follows the distinct keys.
     """
     for lo in range(0, len(keys), _KEYS_PER_PASS):
         for rows, regs, t in _pass_arrivals(keys[lo:lo + _KEYS_PER_PASS], salt, m, bound):
@@ -348,7 +366,7 @@ def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
             if block > 1:  # a key's first visit to each register in the chunk
                 order = np.argsort(code)
                 code = code[order]
-                starts = np.flatnonzero(np.r_[True, code[1:] != code[:-1]])
+                starts = np.flatnonzero(run_starts(code))
                 code, first = code[starts], np.minimum.reduceat(order, starts)
             else:
                 first = np.arange(len(code))
@@ -461,6 +479,23 @@ def _stable_log(u: np.ndarray, w: np.ndarray, alpha: float,
     return out
 
 
+# the smallest alpha, about 2.28e-307: a hashed variate's log is (1 - alpha)
+# / alpha times a log spanning -log(53 log 2) to 54 log 2 (at the largest and
+# smallest Exponential(1) draw of stable_log_tiles), plus about log alpha; a
+# tile's log-space sum subtracts such logs, DBL_MAX apart at most
+_ALPHA_MIN = (54 * math.log(2.0) + math.log(53 * math.log(2.0))) / sys.float_info.max
+
+
+def checked_alpha(alpha) -> float:
+    """alpha as a float, or the ValueError the projection sketch refuses it
+    with: it must lie in [_ALPHA_MIN, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (0,1)")
+    if alpha < _ALPHA_MIN:
+        raise ValueError(f"alpha must lie at or above {_ALPHA_MIN!r}, got {alpha}")
+    return float(alpha)
+
+
 def stable_log_variate(u, w, alpha):
     """log of a positive strictly stable variate with Laplace transform
     exp(-lambda**alpha), from one uniform u and one Exponential(1) w.
@@ -479,8 +514,7 @@ def stable_log_variate(u, w, alpha):
     u = np.asarray(u, dtype=np.float64)
     if not np.all((u > 0.0) & (u < 1.0)):
         raise ValueError("u must lie strictly inside (0,1)")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0,1)")
+    alpha = checked_alpha(alpha)
     w = np.asarray(w, dtype=np.float64)
     if u.shape != w.shape:
         u, w = np.broadcast_arrays(u, w)

@@ -20,11 +20,14 @@ the items, E_j:
 - top-k: the k smallest first arrivals, stored as e**-E, descending; each
   chunk of arrivals joins only the rows it reaches (``state.Rows.absorbed``).
 
-Each sketch tells the arrivals, per register, the time from which an
-arrival can no longer change its slot, so an item stops after an arrival
-or two once the slots have filled.  Thresholds read back from stored
-values (the top-k sketch's -log u, the geometric -log(1 - q**y)) are
-padded upward, so an item may be followed too long, never dropped early.
+A batch's repeated keys are folded first, with one sort (``_distinct``):
+a repeat has its key's arrivals, so it adds nothing to any slot, and
+ingest cost follows the distinct keys, not the rows.  Each sketch tells
+the arrivals, per register, the time from which an arrival can no longer
+change its slot, so an item stops after an arrival or two once the slots
+have filled.  Thresholds read back from stored values (the top-k sketch's
+-log u, the geometric -log(1 - q**y)) are padded upward, so an item may be
+followed too long, never dropped early.
 
 The hash scheme is recorded as the sketch's ``version``: 2 for these
 arrivals.  A state decoded from a version-1 document (one hash column per
@@ -78,13 +81,24 @@ _PAD = 2.0**-40
 _Q_MAX = 1.0 - 2.0**-26
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys of a batch, ascending.  A repeated key has its
+    first copy's arrivals, so it cannot change a state, and folding the
+    repeats before ``hashing.first_arrivals`` makes ingest cost follow the
+    distinct keys: a heavy hitter's copies no longer crowd every chunk."""
+    keys = np.sort(keys)
+    # np.compress, as a boolean index takes about four times as long on a
+    # mask of mostly distinct keys
+    return np.compress(hashing.run_starts(keys), keys)
+
+
 def _first_arrival_minima(sk, keys: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    """The earliest first arrival of the keys in each of the sketch's
-    registers, inf where none came before reach, the time from which an
-    arrival in that register no longer changes the state."""
+    """The earliest first arrival of the distinct keys in each of the
+    sketch's registers, inf where none came before reach, the time from
+    which an arrival in that register no longer changes the state."""
     bound = np.array(reach, dtype=np.float64)
     lowest = np.full(sk.m, np.inf)
-    for _, regs, t in hashing.first_arrivals(keys, sk.salt, sk.m, bound):
+    for _, regs, t in hashing.first_arrivals(_distinct(keys), sk.salt, sk.m, bound):
         np.minimum.at(lowest, regs, t)
         np.minimum(bound, lowest, out=bound)
     return lowest
@@ -370,11 +384,11 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
             if dsi == 0.0:
                 errors[i] = _geometric_unconverged(c0[i])
                 continue
-            step = si / dsi
-            nxt = ci - step
-            while nxt <= 0.0:
-                step *= 0.5
-                nxt = ci - step
+            nxt = _damped(ci, si / dsi, 0.0)
+            if nxt is None:
+                errors[i] = EstimationNumericError(
+                    f"geometric Newton step is not finite at c={ci}", initial=c0[i])
+                continue
             c[i] = nxt
             if not abs(nxt - ci) < _GEOM_TOL * max(ci, 1.0):
                 still.append(i)
@@ -382,6 +396,18 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     for i in live:
         errors[i] = _geometric_unconverged(c0[i])
     return np.array(c), np.array(c0)
+
+
+def _damped(c: float, step: float, floor: float):
+    """Newton's c - step, the step halved until the result lies above
+    floor (c does), or None if the step is not finite."""
+    if not math.isfinite(step):
+        return None
+    nxt = c - step
+    while nxt <= floor:
+        step *= 0.5
+        nxt = c - step
+    return nxt
 
 
 def _geometric_unconverged(c0: float) -> EstimationNumericError:
@@ -451,7 +477,7 @@ class KthOrderSketch(state.Sketch):
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
         bound = _kth_reach(self.topk[:, -1])
-        for _, regs, t in hashing.first_arrivals(keys, self.salt, self.m, bound):
+        for _, regs, t in hashing.first_arrivals(_distinct(keys), self.salt, self.m, bound):
             self.layout.absorbed(self.topk, regs, np.exp(-t))
             bound[:] = _kth_reach(self.topk[:, -1])
 
@@ -535,6 +561,10 @@ def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
     log_prod = np.log(y).sum(axis=1)
     c0 = _kth_starts(log_prod, m, k, errors).tolist()
     c = list(c0)
+    # a k-th value of 0 or above 1 puts the start at or below the pole
+    fail(errors, ~(np.array(c0) > k - 1), lambda i: EstimationNumericError(
+        f"k-th root start {c0[i]} is not above k - 1 = {k - 1}: every k-th value "
+        "must lie in (0, 1)", initial=c0[i]))
     live = [i for i, e in enumerate(errors) if e is None]
     for _ in range(_KTH_MAX_ITER):
         if not live:
@@ -545,11 +575,11 @@ def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
         still = []
         for i in live:
             ci = c[i]
-            step = f[i] / df[i]
-            nxt = ci - step
-            while nxt <= k - 1:
-                step *= 0.5
-                nxt = ci - step
+            nxt = _damped(ci, f[i] / df[i], k - 1)
+            if nxt is None:
+                errors[i] = EstimationNumericError(
+                    f"k-th root Newton step is not finite at c={ci}", initial=c0[i])
+                continue
             c[i] = nxt
             if not abs(nxt - ci) < _KTH_TOL * max(ci, 1.0):
                 still.append(i)
@@ -640,9 +670,10 @@ def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimate
     """``bernoulli_estimate`` of each count of set bits in ones.  A state is
     its count alone, so each distinct count is estimated once."""
     ones = np.asarray(ones)
-    out_of_range = (ones < 0) | (ones > m)
-    if out_of_range.any():
-        raise ValueError(f"ones must lie in [0, m], got {ones[out_of_range][0]}")
+    x = ones.astype(np.float64)  # a count past int64 is an object array
+    bad = ~((x >= 0) & (x <= m) & (x == np.floor(x)))
+    if bad.any():
+        raise ValueError(f"ones must be a whole number in [0, m], got {ones[bad][0]}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0,1)")
     counts = ones.tolist()

@@ -52,15 +52,11 @@ from . import hashing, state
 from .errors import (DegenerateSketchError, EstimationNumericError, StreamIntegrityError,
                      UnsupportedDeletionError)
 from .estimate import Estimates, fail, gamma_estimates, one_row
+from .hashing import _ALPHA_MIN  # noqa: F401  (the constructor's bound, importable here)
 from .state import signed_add
 
 _LOG_MAX = math.log(sys.float_info.max)
 
-# the smallest alpha, about 2.28e-307: a hashed variate's log is (1 - alpha)
-# / alpha times a log spanning -log(53 log 2) to 54 log 2 (at the largest and
-# smallest Exponential(1) draw of hashing.stable_log_tiles), plus about log
-# alpha; a tile's log-space sum subtracts such logs, DBL_MAX apart at most
-_ALPHA_MIN = (54 * math.log(2.0) + math.log(53 * math.log(2.0))) / sys.float_info.max
 
 def _log_sum_rows(total, terms):
     """log(exp(total) + sum of exp(terms) down each column), per stream, for
@@ -87,11 +83,7 @@ class ProjectionSketch(state.Sketch):
     deletes = True
 
     def __init__(self, m: int, alpha: float = 0.05, seed: int = 0):
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie strictly inside (0,1)")
-        if alpha < _ALPHA_MIN:
-            raise ValueError(f"alpha must lie at or above {_ALPHA_MIN!r}, got {alpha}")
-        self.alpha = float(alpha)
+        self.alpha = hashing.checked_alpha(alpha)
         super().__init__(m, seed)
 
     # -- ingestion --------------------------------------------------------
@@ -164,15 +156,22 @@ def _net_by_key(keys: np.ndarray, d: np.ndarray) -> tuple:
     order of first appearance, and the keys whose sum is 0 dropped; a batch
     with no repeated key is returned as it is.  A sum beyond double range
     raises StreamIntegrityError."""
-    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    if len(unique) == len(keys):
+    by_key = np.argsort(keys)
+    srt = keys[by_key]
+    new = hashing.run_starts(srt)
+    starts = np.flatnonzero(new)
+    if len(starts) == len(keys):
         return keys, d
-    total = np.bincount(inverse, weights=d, minlength=len(unique))
+    # each row's key group, in row order: bincount sums a key's quantities
+    # in the order of the batch
+    inverse = np.empty(len(keys), dtype=np.intp)
+    inverse[by_key] = np.cumsum(new) - 1
+    total = np.bincount(inverse, weights=d, minlength=len(starts))
     if not np.isfinite(total).all():
         raise StreamIntegrityError("a key's net quantity in the batch passes double range")
-    order = np.argsort(first)
+    order = np.argsort(np.minimum.reduceat(by_key, starts))
     order = order[total[order] != 0.0]
-    return unique[order], total[order]
+    return srt[starts][order], total[order]
 
 
 def _positive_rows(signs, errors: list) -> None:
@@ -261,8 +260,7 @@ def stable_median_log(alpha: float) -> float:
     the normal 75th percentile, to 2e-15.
     As alpha -> 0, alpha * log(median) -> -log(log 2).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0,1)")
+    hashing.checked_alpha(alpha)
     nodes, weights = _gauss_legendre(_MEDIAN_NODES)
     # log sin(u), log sin(alpha u) and log sin((1-alpha) u) at u = pi x
     log_s, log_sa, log_sb = np.log(hashing.kanter_sines(0.5 * (nodes + 1.0), alpha))

@@ -362,3 +362,48 @@ def test_merge_rows_writes_positive_nan_padding():
     got = state.merge_rows(a, b, descending=True)
     _assert_same(got, np.array([[0.5, 0.25, np.nan], [np.nan] * 3]))
     assert not np.signbit(got[np.isnan(got)]).any()
+
+
+FOLDED = ("max-uniform", "max-geom", "kth", "bernoulli")
+
+
+def _hashed_words(monkeypatch, sk, keys):
+    """How many mix64 words sk hashes to ingest keys."""
+    counted = []
+    mix = hashing.mix64_array
+    with monkeypatch.context() as patch:
+        patch.setattr(hashing, "mix64_array",
+                      lambda z, *a, **kw: counted.append(z.size) or mix(z, *a, **kw))
+        sk.add_batch(keys)
+    return sum(counted)
+
+
+@pytest.mark.parametrize("kind", FOLDED)
+@pytest.mark.parametrize("warm", [False, True])
+def test_repeated_keys_hash_as_many_words_as_their_distinct_keys_alone(kind, warm, monkeypatch):
+    rng = np.random.default_rng(20)
+    pool = distinct_keys(300, seed=21)
+    keys = pool[rng.integers(0, len(pool), 5000)]
+    _, first = np.unique(keys, return_index=True)
+    alone = keys[np.sort(first)]  # each key once, in the batch's order
+    rows, once = _make(kind, 64), _make(kind, 64)
+    if warm:
+        for sk in (rows, once):
+            sk.add_batch(distinct_keys(2000, seed=22))
+    assert _hashed_words(monkeypatch, rows, keys) == _hashed_words(monkeypatch, once, alone)
+    _assert_same(_state(rows), _state(once))
+
+
+@pytest.mark.parametrize("kind", FOLDED)
+def test_a_heavy_hitter_hashes_no_more_words_than_its_distinct_keys(kind, monkeypatch):
+    # one key on 2,400 of 16,384 rows, the rest a Zipf tail over 20,000 keys
+    rng = np.random.default_rng(23)
+    pool = distinct_keys(20001, seed=24)
+    tail = pool[1 + (rng.zipf(1.2, 16384 - 2400) - 1) % 20000]
+    keys = np.concatenate([np.full(2400, pool[0]), tail])[rng.permutation(16384)]
+    distinct = np.unique(keys)
+    assert len(distinct) < len(keys) // 2
+    heavy, once = _make(kind, 128), _make(kind, 128)
+    assert _hashed_words(monkeypatch, heavy, keys) <= _hashed_words(monkeypatch, once, distinct)
+    _assert_same(_state(heavy), _state(once))
+    _assert_same(_state(heavy), _oracle(kind, 128, [keys]))
