@@ -155,6 +155,11 @@ def one_row(step, *rows, **params):
     return block_row(step(*(np.asarray(r)[None] for r in rows), errors=errors, **params), errors)
 
 
+def _check_m(m) -> None:
+    if not (m >= 1 and m % 1 == 0):
+        raise ValueError(f"m must be a positive integer, got {m}")
+
+
 def _check_level(level: float) -> None:
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0,1), got {level}")
@@ -177,11 +182,22 @@ def gamma_pivot_interval(pivot_sum, m: int, level: float):
     that c*S follows the unit-scale Gamma(m) law; the interval is
     [g_lo/S, g_hi/S] with g_p the Gamma(m) quantiles at (1-level)/2 and
     (1+level)/2.
+
+    A level outside (0, 1), an m that is not a positive integer or a
+    pivot sum that is not positive and finite raises ValueError; a pivot
+    sum so small that a bound leaves double range, EstimationNumericError.
     """
     _check_level(level)
-    if np.min(pivot_sum) <= 0.0:
-        raise ValueError("pivot sum must be positive")
-    return _gamma_bounds(pivot_sum, m, level)
+    _check_m(m)
+    s = np.asarray(pivot_sum)
+    low = float(s.min())
+    if not (low > 0.0 and s.max() < math.inf):
+        raise ValueError("pivot sum must be positive and finite")
+    g_lo, g_hi = _gamma_bounds(1.0, m, level)  # the quantiles themselves
+    if g_hi / low == math.inf:  # the largest bound, at the smallest sum
+        raise EstimationNumericError(
+            f"the interval at pivot sum {low}, m = {m}, level = {level} leaves double range")
+    return g_lo / pivot_sum, g_hi / pivot_sum
 
 
 def _gamma_bounds(pivot_sum, m: int, level: float):
@@ -270,8 +286,7 @@ def incomplete_gamma(m: int, x) -> tuple[np.ndarray, np.ndarray]:
     e**-x sum_{j<m} x**j/j! read from its largest term down.  On either side
     the terms fall below 1e-21 of the first within 32 + 10 sqrt(m) of them.
     """
-    if m < 1 or m != int(m):
-        raise ValueError(f"m must be a positive integer, got {m}")
+    _check_m(m)
     x = np.asarray(x, dtype=np.float64)
     k = np.arange(1.0, 33 + 10 * math.isqrt(int(m)))
     rows = max(1, _SERIES_BLOCK // len(k))

@@ -72,13 +72,22 @@ def fisher_info_geometric(c: int, q: float) -> float:
 
     c**2 * I(c) approaches psi_infinity(q) as c grows (through powers of
     1/q exactly; in between the value oscillates by a few parts in 1e4,
-    which is reported, not suppressed).
+    which is reported, not suppressed).  At powers of 1/q, I is
+    psi_infinity(q) / c**2 with psi_infinity at least 0.58, so it leaves
+    double range past c = sqrt(DBL_MAX), about 1.34e154; the terms square
+    powers of q, which underflow below q = 1/sqrt(DBL_MAX), about
+    7.46e-155 (psi_infinity's bound).  Past either bound, ValueError.  In
+    between powers of a small q, I may still underflow to 0.
     """
-    if c < 1:
+    if not c >= 1:
         raise ValueError("c must be >= 1")
+    if math.log(c) > 0.5 * _LOG_MAX:
+        raise ValueError(f"c must lie at or below about 1.34e154, got {c}")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0,1)")
     logq = math.log(q)
+    if logq < -0.5 * _LOG_MAX:
+        raise ValueError(f"q must lie at or above about 7.46e-155, got {q}")
     total = 0.0
     y = 1
     while y < 1000000:
@@ -87,6 +96,8 @@ def fisher_info_geometric(c: int, q: float) -> float:
             term = a * a * math.exp(c * a)
         else:
             b = math.log1p(-math.exp((y - 1) * logq))
+            if b == 0.0:  # q**(y-1) underflows: this term and every later one is 0
+                break
             d = c * (b - a)  # <= 0
             ed = math.exp(d)
             num = a - b * ed

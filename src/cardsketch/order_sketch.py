@@ -37,10 +37,12 @@ version-1 states, and refuses new items.
 Each class estimates a stack of states, one row per sketch, with its
 classmethod ``estimates``; ``state.Sketch.estimate``, and each accessor or
 function here that reads one sketch, is a one-row call of it or its steps.  The
-geometric MLE and the k-th root are Newton iterations over all rows at
-once, each row stopping at its own convergence, with every term that does
-not depend on c computed before the loop; a row gets the estimate, or
-the error, that it gets alone.
+geometric MLE and the k-th root are solved by one damped Newton driver,
+``_newton``: each estimator gives its starts and a step f/f' for all rows
+at once, with every term that does not depend on c computed before the
+loop, and the driver moves every row still iterating with array
+operations, each row stopping at its own convergence; a row gets the
+estimate, or the error, that it gets alone.
 
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
@@ -280,11 +282,19 @@ _KTH_TOL, _KTH_MAX_ITER = 1e-12, 100
 def solve_geometric_mle(slots: np.ndarray, q: float) -> tuple[float, float]:
     """Newton-Raphson on the geometric score equation: a one-row
     ``geometric_mles``.  Returns (root, initializer).  Refuses a q that
-    GeometricMaxSketch refuses, with its ValueError."""
+    GeometricMaxSketch refuses, with its ValueError, and a slot that is
+    not a whole number with ValueError; a slot of 0 marks an empty stream
+    and raises EmptySketchError, as the sketch's estimate does."""
     q = _checked_q(q)
+    slots = np.asarray(slots)
+    y = slots.astype(np.float64)  # a slot past int64 is an object array
+    bad = ~((y >= 0.0) & (y < math.inf) & (y == np.floor(y)))
+    if bad.any():
+        raise ValueError(f"slots must be whole numbers >= 1 (0 for an empty stream), "
+                         f"got {slots[bad][0]}")
     errors = [None]
     with np.errstate(all="ignore"):
-        roots, initials = geometric_mles(np.asarray(slots)[None], q, errors)
+        roots, initials = geometric_mles(_filled(y[None], 0, errors), q, errors)
     return float(block_row(roots, errors)), float(initials[0])
 
 
@@ -307,15 +317,17 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     where A**c or B**c underflow stay finite; y = 1 contributes the
     constant log(1-q).  Its derivative in c is -((a-b) / expm1(d))**2 * e**d:
     the ratio is squared, not (a-b) and expm1(d) apart, which underflow
-    once q**y < ~1e-154.  A slot so large that its term leaves double range
-    gives a NaN score, and its row an EstimationNumericError.
+    once q**y < ~1e-154.  The ratio is at most about max(1/c, 1), so the
+    derivative is finite wherever the score is at every c the steps reach.  A slot so large that
+    its term leaves double range gives a NaN score, and its row an
+    EstimationNumericError.
 
-    The terms are evaluated for every row at once; each row still
-    iterating then takes its damped Newton step.  A row that fails gets
-    its EstimationNumericError (carrying the initializer once the
-    iteration ran) in errors, where a row that already holds an error
-    keeps it; the values of such rows mean nothing, and as they may hold
-    anything this runs under its caller's ``np.errstate(all="ignore")``.
+    The terms are evaluated for every row at once, and ``_newton`` steps
+    the rows still iterating.  A row that fails gets its
+    EstimationNumericError (carrying the initializer once the iteration
+    ran) in errors, where a row that already holds an error keeps it; the
+    values of such rows mean nothing, and as they may hold anything this
+    runs under its caller's ``np.errstate(all="ignore")``.
     """
     m = slots.shape[1]
     y, counts, distinct = _distinct_rows(slots)
@@ -323,7 +335,7 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     log_1mq = math.log1p(-q)
     one = y == 1.0
     groups = _length_groups(distinct)
-    log_s = _row_sums(_log1m_qpow(y, q) * counts, groups)
+    log_s = _row_sums(_log1m_qpow(y, q) * counts, groups).tolist()
     # y = 1 (and the padding) reads as slot 2 in the terms below, which
     # take it with weight 0; it adds the constant log(1-q) instead
     safe = y + one
@@ -335,6 +347,10 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     r = (slots <= n).sum(axis=1).tolist()
     top = y.max(axis=1).tolist()
 
+    # the starts stay on scalar math: numpy's log, log1p and expm1 may
+    # differ from libm's in the last bit (on AVX-512 builds, on about one
+    # value in 600 to 20,000 each), and a start an ulp away can end its
+    # row's iteration on a different root within the tolerance
     c0, c = [], []
     for i, (ri, li) in enumerate(zip(r, log_s)):
         try:
@@ -355,64 +371,60 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     groups = _length_groups(np.concatenate([distinct, distinct]))
     terms = np.empty((2 * rows, y.shape[1]))
     score, slope = terms[:rows], terms[rows:]
-    for _ in range(_GEOM_MAX_ITER):
-        if not live:
-            break
-        d = np.array(c)[:, None] * b_minus_a
+
+    def step(c):
+        d = c[:, None] * b_minus_a
         ed = np.exp(d)
         em1 = np.expm1(d)
         # (a - b e**d) / -expm1(d), negated twice exactly
         np.multiply(b, ed, out=score)
-        score -= a
-        score /= em1
-        score *= weight
-        score += constant
+        np.subtract(score, a, out=score)
+        np.divide(score, em1, out=score)
+        np.multiply(score, weight, out=score)
+        np.add(score, constant, out=score)
         # minus the derivative, negated back after its sum
         np.divide(a_minus_b, em1, out=slope)
-        slope *= slope
-        slope *= ed
-        slope *= weight
+        np.multiply(slope, slope, out=slope)
+        np.multiply(slope, ed, out=slope)
+        np.multiply(slope, weight, out=slope)
         sums = _row_sums(terms, groups)
-        still = []
-        for i in live:
-            ci, si, dsi = c[i], sums[i], -sums[rows + i]
-            if not (math.isfinite(si) and math.isfinite(dsi)):
+        return sums[:rows] / -sums[rows:]
+
+    c0 = np.array(c0)
+    return _newton(np.array(c), c0, step, 0.0, _GEOM_TOL, _GEOM_MAX_ITER,
+                   np.array(live, dtype=np.intp), errors, "geometric MLE"), c0
+
+
+def _newton(c, c0, step, floor: float, tol: float, max_iter: int, live, errors: list,
+            why: str) -> np.ndarray:
+    """Damped Newton, in place, on the rows live (indices) of c, started
+    from c0.  step(c) gives f/f' at every row; each live row moves to
+    c - step, the step halved until the result lies above floor, and
+    stops once it moves less than tol * max(c, 1).  A row whose step is
+    not finite, or that still moves after max_iter steps, gets an
+    EstimationNumericError naming why, with c0 as its initial."""
+    floor, tol, one = np.array(floor), np.array(tol), np.array(1.0)  # 0-d: no float to convert
+    for _ in range(max_iter):
+        if not len(live):
+            return c
+        at = c[live]
+        s = step(c)[live]
+        nxt = at - s
+        finite = np.isfinite(s)
+        if np.count_nonzero(finite & (nxt > floor)) < len(live):
+            for i in live[~finite].tolist():
                 errors[i] = EstimationNumericError(
-                    f"geometric score is not finite at c={ci}: the likelihood term "
-                    f"of slot {top[i]:.0f} leaves double range", initial=c0[i])
-                continue
-            if dsi == 0.0:
-                errors[i] = _geometric_unconverged(c0[i])
-                continue
-            nxt = _damped(ci, si / dsi, 0.0)
-            if nxt is None:
-                errors[i] = EstimationNumericError(
-                    f"geometric Newton step is not finite at c={ci}", initial=c0[i])
-                continue
-            c[i] = nxt
-            if not abs(nxt - ci) < _GEOM_TOL * max(ci, 1.0):
-                still.append(i)
-        live = still
-    for i in live:
-        errors[i] = _geometric_unconverged(c0[i])
-    return np.array(c), np.array(c0)
-
-
-def _damped(c: float, step: float, floor: float):
-    """Newton's c - step, the step halved until the result lies above
-    floor (c does), or None if the step is not finite."""
-    if not math.isfinite(step):
-        return None
-    nxt = c - step
-    while nxt <= floor:
-        step *= 0.5
-        nxt = c - step
-    return nxt
-
-
-def _geometric_unconverged(c0: float) -> EstimationNumericError:
-    return EstimationNumericError(
-        f"geometric MLE did not converge within {_GEOM_MAX_ITER} iterations", initial=c0)
+                    f"{why} Newton step is not finite at c={c[i]}", initial=float(c0[i]))
+            live, at, s, nxt = live[finite], at[finite], s[finite], nxt[finite]
+            while np.count_nonzero(low := nxt <= floor):
+                s[low] *= 0.5
+                nxt[low] = at[low] - s[low]
+        c[live] = nxt
+        live = live[np.abs(nxt - at) >= tol * np.maximum(at, one)]
+    for i in live.tolist():
+        errors[i] = EstimationNumericError(
+            f"{why} did not converge within {max_iter} iterations", initial=float(c0[i]))
+    return c
 
 
 def _distinct_rows(slots: np.ndarray):
@@ -431,7 +443,7 @@ def _distinct_rows(slots: np.ndarray):
     y = np.ones((rows, distinct.max()))
     y[row, col] = srt.ravel()[starts]
     counts = np.zeros(y.shape)
-    counts[row, col] = np.diff(starts, append=srt.size)
+    counts[row, col] = np.concatenate((starts[1:], [srt.size])) - starts  # np.diff(append=) is slower
     return y, counts, distinct
 
 
@@ -446,15 +458,15 @@ def _length_groups(n: np.ndarray) -> list:
     return [(np.flatnonzero(n == k), k) for k in ks]
 
 
-def _row_sums(v: np.ndarray, groups: list) -> list:
-    """sum(v[i, :k]) for each row i of the (rows, k) ``_length_groups``, as
-    floats: one numpy sum per length, over the rows of that length, which
+def _row_sums(v: np.ndarray, groups: list) -> np.ndarray:
+    """sum(v[i, :k]) for each row i of the (rows, k) ``_length_groups``:
+    one numpy sum per length, over the rows of that length, which
     sums each row as a one-row sum does (its first value plus the pairwise
     sum of the rest), so the values are bit for bit those of per-row sums."""
     out = np.empty(len(v))
     for rows, k in groups:
         out[rows] = v[rows, :k].sum(axis=1)
-    return out.tolist()
+    return out
 
 
 class KthOrderSketch(state.Sketch):
@@ -525,15 +537,21 @@ def kth_closed_form(y: np.ndarray, k: int) -> float:
     KthOrderSketch refuses, its ValueError."""
     k = _checked_k(k)
     y = np.asarray(y, dtype=np.float64)
-    with np.errstate(divide="ignore"):  # log(0) = -inf
+    with np.errstate(all="ignore"):  # log(0) = -inf; a negative y's NaN is refused
         return float(one_row(_kth_starts, np.log(y).sum(), m=len(y), k=k))
 
 
 def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarray:
-    """``kth_closed_form`` per row, from the rows' sums of log y_j."""
-    t = np.array([-math.expm1(v / m) for v in log_prod.tolist()])
+    """``kth_closed_form`` per row, from the rows' sums of log y_j; a start
+    not above the pole k - 1 gets an EstimationNumericError."""
+    t = np.array([-math.expm1(v / m) for v in log_prod.tolist()])  # on math: see geometric_mles
     fail(errors, t == 0.0, lambda i: DegenerateSketchError("every k-th value at the supremum 1"))
-    return k / t
+    c0 = k / t
+    # a k-th value above 1, or NaN, puts the start at or below the pole
+    fail(errors, ~(c0 > k - 1), lambda i: EstimationNumericError(
+        f"k-th root start {c0[i]} is not above k - 1 = {k - 1}: every k-th value "
+        "must lie in (0, 1)", initial=float(c0[i])))
+    return c0
 
 
 def kth_root_estimate(y: np.ndarray, k: int) -> float:
@@ -552,42 +570,24 @@ def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
     the negative value sum log y_j; Newton from the closed-form start (which
     always exceeds k) converges monotonically in practice and is damped
     against overshooting the pole.  The sums are taken for every row at
-    once; each row still iterating then takes its step.  A row that fails
-    gets its error in errors (a row that already holds one keeps it); this
-    runs under its caller's ``np.errstate(all="ignore")``.
+    once, and ``_newton`` steps the rows still iterating.  A row that
+    fails gets its error in errors (a row that already holds one keeps
+    it); this runs under its caller's ``np.errstate(all="ignore")``.
     """
     m = y.shape[1]
     offsets = np.arange(k, dtype=np.float64) - (k - 1)  # c-i+1 = c + offsets
     log_prod = np.log(y).sum(axis=1)
-    c0 = _kth_starts(log_prod, m, k, errors).tolist()
-    c = list(c0)
-    # a k-th value of 0 or above 1 puts the start at or below the pole
-    fail(errors, ~(np.array(c0) > k - 1), lambda i: EstimationNumericError(
-        f"k-th root start {c0[i]} is not above k - 1 = {k - 1}: every k-th value "
-        "must lie in (0, 1)", initial=c0[i]))
-    live = [i for i, e in enumerate(errors) if e is None]
-    for _ in range(_KTH_MAX_ITER):
-        if not live:
-            break
-        denom = np.array(c)[:, None] + offsets
-        f = (log_prod + m * (1.0 / denom).sum(axis=1)).tolist()
-        df = (-m * (1.0 / denom**2).sum(axis=1)).tolist()
-        still = []
-        for i in live:
-            ci = c[i]
-            nxt = _damped(ci, f[i] / df[i], k - 1)
-            if nxt is None:
-                errors[i] = EstimationNumericError(
-                    f"k-th root Newton step is not finite at c={ci}", initial=c0[i])
-                continue
-            c[i] = nxt
-            if not abs(nxt - ci) < _KTH_TOL * max(ci, 1.0):
-                still.append(i)
-        live = still
-    for i in live:
-        errors[i] = EstimationNumericError(
-            "k-th order-statistic root search did not converge", initial=c0[i])
-    return np.array(c)
+    c0 = _kth_starts(log_prod, m, k, errors)
+    live = np.array([i for i, e in enumerate(errors) if e is None], dtype=np.intp)
+
+    def step(c):
+        denom = c[:, None] + offsets
+        f = log_prod + m * (1.0 / denom).sum(axis=1)
+        df = -m * (1.0 / denom**2).sum(axis=1)
+        return f / df
+
+    return _newton(c0.copy(), c0, step, k - 1, _KTH_TOL, _KTH_MAX_ITER, live, errors,
+                   "k-th order-statistic root")
 
 
 def combine_kth(c1: float, m1: int, c2: float, m2: int, k: int) -> float:
@@ -597,17 +597,27 @@ def combine_kth(c1: float, m1: int, c2: float, m2: int, k: int) -> float:
     large-c approximation to re-solving the score equation on the combined
     sample of m1+m2 streams.  A sample with m_i = 0 is ignored, so pooling
     with an empty side returns the other estimate unchanged.
+
+    A k that KthOrderSketch refuses, sizes that are not finite m1, m2 >= 0
+    with m1 + m2 >= 1, or an estimate not above k or not finite raises
+    ValueError; a pooled estimate past double range raises
+    EstimationNumericError.
     """
-    if m1 < 0 or m2 < 0 or m1 + m2 < 1:
-        raise ValueError("need m1, m2 >= 0 with m1 + m2 >= 1")
+    k = _checked_k(k)
+    if not (0 <= m1 < math.inf and 0 <= m2 < math.inf and m1 + m2 >= 1):
+        raise ValueError("need finite m1, m2 >= 0 with m1 + m2 >= 1")
     log_terms = 0.0
     for c_i, m_i in ((c1, m1), (c2, m2)):
         if m_i == 0:
             continue
-        if c_i <= k:
-            raise ValueError(f"estimates must exceed k={k}, got {c_i}")
+        if not k < c_i < math.inf:
+            raise ValueError(f"estimates must be finite and exceed k={k}, got {c_i}")
         log_terms += m_i * math.log1p(-k / c_i)
-    return k / -math.expm1(log_terms / (m1 + m2))
+    t = -math.expm1(log_terms / (m1 + m2))
+    c = k / t if t else math.inf
+    if not c < math.inf:
+        raise EstimationNumericError(f"the pooled estimate of {c1} and {c2} exceeds double range")
+    return c
 
 
 class BernoulliSketch(state.Sketch):

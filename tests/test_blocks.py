@@ -65,6 +65,17 @@ def _failing(name):
     return [[third]]
 
 
+def _out_of_range_kth():
+    """k-th values that no state holds (its check refuses them) but the
+    value-taking kth functions accept: a k-th value of 0 gives an infinite
+    Newton step, one far above 1 (a product of k-th values above 1) a start
+    below the pole k - 1."""
+    zero, above = np.tile([0.9, 0.8, 0.7], (2, M, 1))
+    zero[4, 2] = 0.0
+    above[7, 2] = 1e300
+    return [[zero], [above]]
+
+
 def _outcome(call):
     """What a call returns, or its exception's class, message and attributes."""
     try:
@@ -141,10 +152,12 @@ def _kth_block(stacked, values=True):
 
 
 def _geometric_block(stacked):
-    """``geometric_mles`` of the stacked slots: roots and initializers."""
+    """``geometric_mles`` of the stacked slots, checked filled: roots and
+    initializers."""
     errors = [None] * len(stacked[0])
+    slots = order_sketch._filled(stacked[0], 0, errors)
     with np.errstate(all="ignore"):
-        roots, starts = order_sketch.geometric_mles(stacked[0], PARAMS["max-geom"]["q"], errors)
+        roots, starts = order_sketch.geometric_mles(slots, PARAMS["max-geom"]["q"], errors)
     return errors, list(zip(roots.tolist(), starts.tolist()))
 
 
@@ -212,6 +225,8 @@ def _check_wrapper(rows, call, block, alone):
                          ids=[f"{w[0]}-{w[1]}" for w in WRAPPERS])
 def test_single_row_wrappers_raise_what_their_block_records(name, wrapper, call, block, alone):
     rows = _rows(name)
+    if wrapper in ("kth_root_estimate", "kth_closed_form"):
+        rows[3:3] = _out_of_range_kth()  # between valid rows
     assert _check_wrapper(rows, call, block, alone) > 0  # a failing state reaches it
 
 

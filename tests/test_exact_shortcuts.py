@@ -27,7 +27,7 @@ def test_row_sums_by_length_match_per_row_sums_bit_for_bit(seed):
         rows, width = int(rng.integers(1, 300)), int(rng.integers(1, 200))
         v = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-8, 8, (rows, width))
         n = rng.integers(1, width + 1, size=rows)
-        got = _row_sums(v, _length_groups(n))
+        got = _row_sums(v, _length_groups(n)).tolist()
         assert [x.hex() for x in got] == [x.hex() for x in _per_row(v, n)]
 
 
@@ -35,10 +35,10 @@ def test_row_sums_of_one_row_and_of_one_length():
     v = np.array([[0.1, 0.2, 0.3, 1e16, -1e16, 0.7, 0.9, 1.1, 1.3, 1.7]])
     for k in range(1, v.shape[1] + 1):
         n = np.array([k])
-        assert _row_sums(v, _length_groups(n)) == _per_row(v, n)
+        assert _row_sums(v, _length_groups(n)).tolist() == _per_row(v, n)
     block = np.tile(v, (5, 1)) * np.arange(1, 6)[:, None]
     n = np.full(5, 9)
-    assert _row_sums(block, _length_groups(n)) == _per_row(block, n)
+    assert _row_sums(block, _length_groups(n)).tolist() == _per_row(block, n)
 
 
 def test_length_groups_cover_each_row_once_in_ascending_order():
