@@ -25,6 +25,8 @@ BASELINE_ARE = {"loglog": 0.592, "hll": 0.925, "mincount": 1.00}
 
 MINCOUNT_K = 3
 
+_POWERS = 2.0 ** -np.arange(256.0)  # 2**-r at every u1 register value r
+
 
 def _leading_zeros64(w: np.ndarray) -> np.ndarray:
     """Exact count of leading zero bits of uint64 values (64 for zero), from
@@ -76,9 +78,8 @@ def _loglog_alpha(m: int) -> float:
     return (math.gamma(-1.0 / m) * (1.0 - 2.0 ** (1.0 / m)) / math.log(2.0)) ** (-m)
 
 
-def _registers_set(empty, errors: list) -> None:
-    """Give each row flagged in empty (all registers 0) its error."""
-    fail(errors, empty, lambda i: DegenerateSketchError("all registers empty"))
+def _all_empty(i: int) -> DegenerateSketchError:
+    return DegenerateSketchError("all registers empty")
 
 
 class LogLogSketch(_RankSketch):
@@ -88,14 +89,13 @@ class LogLogSketch(_RankSketch):
     def estimates(cls, registers, level: float) -> Estimates:
         """Estimates of each row of the (sketches, m) registers."""
         errors = [None] * len(registers)
-        mean = registers.mean(axis=1)
-        _registers_set(mean == 0.0, errors)
         m = registers.shape[1]
-        powers = np.array([2.0 ** v for v in mean.tolist()])
-        c_hat = _loglog_alpha(m) * m * powers
-        se = c_hat / math.sqrt(BASELINE_ARE["loglog"] * m)
+        # registers.mean(axis=1), without its Python-level wrapper
+        mean = (np.add.reduce(registers, axis=1, dtype=np.float64) / m).tolist()
+        fail(errors, [v == 0.0 for v in mean], _all_empty)
+        c_hat = _loglog_alpha(m) * m * np.array([2.0 ** v for v in mean])
         with np.errstate(all="ignore"):
-            return normal_estimates(c_hat, se, level, "loglog", m, errors)
+            return normal_estimates(c_hat, BASELINE_ARE["loglog"] * m, level, "loglog", m, errors)
 
 
 def _hll_alpha(m: int) -> float:
@@ -117,15 +117,14 @@ class HyperLogLogSketch(_RankSketch):
         """Estimates of each row of the (sketches, m) registers."""
         errors = [None] * len(registers)
         m = registers.shape[1]
-        zeros = (registers == 0).sum(axis=1)
-        _registers_set(zeros == m, errors)
-        raw = _hll_alpha(m) * m * m / (2.0 ** -registers.astype(np.float64)).sum(axis=1)
-        linear = np.flatnonzero((raw <= 2.5 * m) & (zeros > 0))
-        c_hat = raw.copy()
-        c_hat[linear] = [m * math.log(m / z) for z in zeros[linear].tolist()]
-        se = c_hat / math.sqrt(BASELINE_ARE["hll"] * m)
+        zeros = np.add.reduce(registers == 0, axis=1).tolist()
+        fail(errors, [z == m for z in zeros], _all_empty)
+        raw = _hll_alpha(m) * m * m / np.add.reduce(_POWERS[registers], axis=1)
+        # linear counting in the small range
+        c_hat = np.array([m * math.log(m / z) if r <= 2.5 * m and z > 0 else r
+                          for r, z in zip(raw.tolist(), zeros)])
         with np.errstate(all="ignore"):
-            return normal_estimates(c_hat, se, level, "hll", m, errors)
+            return normal_estimates(c_hat, BASELINE_ARE["hll"] * m, level, "hll", m, errors)
 
 
 class MinCountSketch(_BucketSketch):
@@ -153,14 +152,15 @@ class MinCountSketch(_BucketSketch):
         """Estimates of each (m, 3) matrix of the (sketches, m, 3) stack."""
         third = smallest[:, :, MINCOUNT_K - 1]
         errors = [None] * len(third)
-        fail(errors, ~np.isfinite(third).all(axis=1), lambda i: InsufficientDataError(
-            f"every bucket needs at least {MINCOUNT_K} items for the "
-            f"{MINCOUNT_K}rd-order-statistic estimator"))
+        # values lie in (0, 1], and inf pads a bucket with fewer
+        fail(errors, [v == math.inf for v in np.maximum.reduce(third, axis=1).tolist()],
+             lambda i: InsufficientDataError(f"every bucket needs at least {MINCOUNT_K} items "
+                                             f"for the {MINCOUNT_K}rd-order-statistic estimator"))
         m = third.shape[1]
         with np.errstate(all="ignore"):  # Estimate refuses an infinite c_hat
-            c_hat = ((MINCOUNT_K - 1) / third).sum(axis=1)
-            se = c_hat / math.sqrt(BASELINE_ARE["mincount"] * m)
-            return normal_estimates(c_hat, se, level, "mincount", m, errors)
+            c_hat = np.add.reduce((MINCOUNT_K - 1) / third, axis=1)
+            return normal_estimates(c_hat, BASELINE_ARE["mincount"] * m, level, "mincount", m,
+                                    errors)
 
     def state_bytes(self) -> int:
         # the stored sketch is one float (the third minimum) per bucket

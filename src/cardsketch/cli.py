@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import dataclasses
 import functools
 import io
 import json
@@ -176,7 +177,7 @@ def _cmd_estimate(args) -> int:
         doc = {"c_hat": sk.median_estimate(), "estimator": "projection-median",
                "m": sk.m}
     else:
-        doc = sk.estimate(args.level).to_dict()
+        doc = dataclasses.asdict(sk.estimate(args.level))
     sys.stdout.write(json_dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

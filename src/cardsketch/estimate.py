@@ -3,12 +3,14 @@
 Every sketch type estimates a stack of states at once, one row per
 sketch, into an ``Estimates``: per-row arrays of the estimate, its
 standard error and interval bounds, and per row the exception that row's
-one-row call raises, or None.  ``gamma_estimates`` and
-``normal_estimates`` finish the two interval kinds for a stack, with
-each quantile computed once per (m, level); a single ``Estimate`` is row
-``i`` of such a block.  ``block_row`` reads a row, or raises its error;
-per-row steps record errors with ``fail`` in a list their caller passes,
-under the errstate their entry point opens (``one_row`` opens none).
+one-row call raises, or None.  A single estimate is the one-row call of
+that block path, with no scalar branch (``one_row`` calls any per-row
+step so; ``block_row`` reads a row or raises its error).  Each row's
+refusal is decided once, and cheaply on one row: a step flags the rows it
+refuses in a Python list, and ``fail`` gives each flagged row without an
+error its why(i); the level is checked once per block; the Estimate's
+checks run as a one-row call builds it, or for a block when its
+``errors`` are first read; and a call opens one errstate (``one_row`` none).
 
 The exact interval of the maximal-term sketches needs quantiles of the
 Gamma(m) law, the inverse in x of the regularized incomplete gamma
@@ -67,19 +69,6 @@ class Estimate:
             raise EstimationNumericError(
                 f"interval ({lo}, {hi}) does not bracket {self.c_hat}")
 
-    def covers(self, c: float) -> bool:
-        return self.ci[0] <= c <= self.ci[1]
-
-    def to_dict(self) -> dict:
-        return {
-            "c_hat": self.c_hat,
-            "std_error": self.std_error,
-            "ci": [self.ci[0], self.ci[1]],
-            "level": self.level,
-            "estimator": self.estimator,
-            "m": self.m,
-        }
-
 
 class Estimates:
     """Estimates of a stack of sketch states, one row per sketch.
@@ -87,8 +76,8 @@ class Estimates:
     c_hat holds the estimates; std_error, ci_lo and ci_hi the standard
     errors and interval bounds, or None for an estimator with no interval
     (the projection's median); pivot the pivot sums S of a gamma-pivot
-    estimator, else None.  errors holds, per row, None or the exception
-    that row's one-row call raises; the values of such a row mean nothing.
+    estimator, else None; errors, per row, None or the exception that
+    row's one-row call raises.
     """
 
     def __init__(self, c_hat, errors: list, estimator: str, m: int, level=None,
@@ -134,12 +123,12 @@ class Estimates:
                         self.level, self.estimator, self.m)
 
 
-def fail(errors: list, rows, error) -> None:
-    """Give each row flagged in rows that has no error yet the exception
-    error(i): a row keeps the first error its scalar path would meet."""
-    for i in rows.nonzero()[0].tolist():
-        if errors[i] is None:
-            errors[i] = error(i)
+def fail(errors: list, flags: list, why) -> None:
+    """Give each row flagged in the list flags that has no error yet the
+    error why(i), which may be None."""
+    for i, flagged in enumerate(flags):
+        if flagged and errors[i] is None:
+            errors[i] = why(i)
 
 
 def block_row(block, errors: list, i: int = 0):
@@ -170,7 +159,7 @@ def _level_failed(errors: list, level: float) -> bool:
     try:
         _check_level(level)
     except ValueError as exc:
-        fail(errors, np.ones(len(errors), dtype=bool), lambda i: ValueError(*exc.args))
+        fail(errors, [True] * len(errors), lambda i: ValueError(*exc.args))
         return True
     return False
 
@@ -193,17 +182,20 @@ def gamma_pivot_interval(pivot_sum, m: int, level: float):
     low = float(s.min())
     if not (low > 0.0 and s.max() < math.inf):
         raise ValueError("pivot sum must be positive and finite")
-    g_lo, g_hi = _gamma_bounds(1.0, m, level)  # the quantiles themselves
+    g_lo, g_hi = gamma_quantile(m, (1.0 - level) / 2.0), gamma_quantile(m, (1.0 + level) / 2.0)
     if g_hi / low == math.inf:  # the largest bound, at the smallest sum
         raise EstimationNumericError(
             f"the interval at pivot sum {low}, m = {m}, level = {level} leaves double range")
     return g_lo / pivot_sum, g_hi / pivot_sum
 
 
-def _gamma_bounds(pivot_sum, m: int, level: float):
-    """``gamma_pivot_interval`` unchecked."""
-    return (gamma_quantile(m, (1.0 - level) / 2.0) / pivot_sum,
-            gamma_quantile(m, (1.0 + level) / 2.0) / pivot_sum)
+@functools.lru_cache(maxsize=256)
+def _gamma_numerators(m: int, level: float) -> np.ndarray:
+    """(m, g_lo, g_hi) as a column: over pivot sums, MLEs and interval bounds."""
+    out = np.array([[m], [gamma_quantile(m, (1.0 - level) / 2.0)],
+                    [gamma_quantile(m, (1.0 + level) / 2.0)]], dtype=np.float64)
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=256)
@@ -223,30 +215,29 @@ def normal_interval(c_hat, std_error, level: float):
     return max(0.0, lo), c_hat + half
 
 
-def normal_estimates(c_hat, std_error, level: float, estimator: str, m: int,
+def normal_estimates(c_hat, info: float, level: float, estimator: str, m: int,
                      errors: list) -> Estimates:
-    """Rows c_hat with standard errors std_error and the clipped normal
-    interval, under the caller's np.errstate: failed rows hold inf or NaN."""
+    """Rows c_hat with standard errors c_hat / sqrt(info), info the
+    sketch's Fisher information times c**2, and the clipped normal interval."""
     if _level_failed(errors, level):
         return Estimates(c_hat, errors, estimator, m, level)
-    return Estimates(c_hat, errors, estimator, m, level, std_error,
-                     *normal_interval(c_hat, std_error, level))
+    se = c_hat / math.sqrt(info)
+    return Estimates(c_hat, errors, estimator, m, level, se, *normal_interval(c_hat, se, level))
 
 
-def gamma_estimates(pivot_sum, m: int, level: float, estimator: str,
-                    errors: list) -> Estimates:
+def gamma_estimates(pivot_sum, m: int, level: float, estimator: str, errors: list,
+                    why) -> Estimates:
     """Rows of MLEs m/S with the exact Gamma-pivot interval and std error
-    c_hat/sqrt(m), S the rows' pivot sums.  A pivot sum that underflowed
-    to 0 or overflowed to inf gives its row an EstimationNumericError; under
-    the caller's np.errstate, what else overflows the Estimate checks refuse."""
-    fail(errors, ~((pivot_sum > 0.0) & (pivot_sum < math.inf)),
-         lambda i: EstimationNumericError(
+    c_hat/sqrt(m), S the rows' pivot sums.  A sum not in (0, inf) gives its
+    row why(i), the caller's error (or None), else EstimationNumericError."""
+    fail(errors, [not 0.0 < s < math.inf for s in pivot_sum.tolist()],
+         lambda i: (why and why(i)) or EstimationNumericError(
              f"pivot sum {float(pivot_sum[i])} is outside double range"))
     if _level_failed(errors, level):
         return Estimates(pivot_sum, errors, estimator, m, level, pivot=pivot_sum)
-    c_hat = m / pivot_sum
-    return Estimates(c_hat, errors, estimator, m, level, c_hat / math.sqrt(m),
-                     *_gamma_bounds(pivot_sum, m, level), pivot=pivot_sum)
+    c_hat, lo, hi = _gamma_numerators(m, level) / pivot_sum
+    return Estimates(c_hat, errors, estimator, m, level, c_hat / math.sqrt(m), lo, hi,
+                     pivot=pivot_sum)
 
 
 # -- the incomplete gamma function and its inverse -------------------------

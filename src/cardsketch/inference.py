@@ -9,6 +9,7 @@ large lambda), it is returned."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from functools import lru_cache
 _REL_TOL = 1e-15
 
 _LOG_MAX = math.log(sys.float_info.max)
+_FISHER_TERMS = 10**6  # the most slot values fisher_info_geometric sums
 
 
 def _log_exp_diff(a: float, b: float) -> float:
@@ -41,12 +43,20 @@ def psi_infinity(q: float) -> float:
     estimator against continuous hashing; 0.9304 at q=1/2, 0.9985 at q=10/11,
     and -> 1 as q -> 1.  A q below about 7.46e-155, where the k = -1
     term's q**-2 overflows, raises OverflowError.
+
+    Up to q = 0.999 the terms, some 35 / (1 - q), are summed.  Above it the
+    sum is, to rounding, trigamma(1/(1-q)) / log(1/q) (by Poisson summation
+    they differ by about exp(-pi**2 / log(1/q))), from the trigamma's series
+    in e = 1 - q: 1 - (e**3/6 + e**4/4 + 7 e**5/30 + ...) / log(1/q).
     """
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie strictly inside (0,1)")
     logq = math.log(q)
     if logq < -0.5 * _LOG_MAX:
         raise OverflowError(f"q must lie at or above about 7.46e-155, got {q}")
+    if q > 0.999:
+        e = 1.0 - q  # exact
+        return 1.0 + e**3 * (1 / 6 + e * (1 / 4 + e * (7 / 30 + e / 6))) / logq
     log_coeff = 2.0 * math.log(1.0 / q - 1.0)
 
     def term(k: int) -> float:
@@ -56,13 +66,11 @@ def psi_infinity(q: float) -> float:
 
     total = term(0)
     for direction in (1, -1):
-        k = direction
-        while abs(k) < 100000:
+        for k in itertools.count(direction, direction):
             t = term(k)
             total += t
             if t < _REL_TOL * total:
                 break
-            k += direction
     return total
 
 
@@ -78,6 +86,10 @@ def fisher_info_geometric(c: int, q: float) -> float:
     powers of q, which underflow below q = 1/sqrt(DBL_MAX), about
     7.46e-155 (psi_infinity's bound).  Past either bound, ValueError.  In
     between powers of a small q, I may still underflow to 0.
+
+    The sum stops only in the tail, past the slot y with log(1 - q**y) =
+    -1/c where the score changes sign, some (log(c) + 35) / log(1/q) terms
+    in; a q so close to 1 that this passes 10**6 terms raises ValueError.
     """
     if not c >= 1:
         raise ValueError("c must be >= 1")
@@ -88,9 +100,13 @@ def fisher_info_geometric(c: int, q: float) -> float:
     logq = math.log(q)
     if logq < -0.5 * _LOG_MAX:
         raise ValueError(f"q must lie at or above about 7.46e-155, got {q}")
+    cross = math.log(-math.expm1(-1.0 / c)) / logq
+    if cross - 40.0 / logq > _FISHER_TERMS:
+        raise ValueError(f"q = {q} is too close to 1 at c = {c}: the sum would need more "
+                         f"than {_FISHER_TERMS} terms; psi_infinity(q) / c**2 is its limit")
     total = 0.0
     y = 1
-    while y < 1000000:
+    while y < _FISHER_TERMS:
         a = math.log1p(-math.exp(y * logq))
         if y == 1:
             term = a * a * math.exp(c * a)
@@ -103,7 +119,7 @@ def fisher_info_geometric(c: int, q: float) -> float:
             num = a - b * ed
             term = math.exp(c * a) * num * num / -math.expm1(d)
         total += term
-        if y > 2 and term < _REL_TOL * total:
+        if y > 2 and term < _REL_TOL * total and y > cross + 2:
             break
         y += 1
     return total

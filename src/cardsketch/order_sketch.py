@@ -35,14 +35,10 @@ stream) keeps version 1; it can be estimated and merged with other
 version-1 states, and refuses new items.
 
 Each class estimates a stack of states, one row per sketch, with its
-classmethod ``estimates``; ``state.Sketch.estimate``, and each accessor or
-function here that reads one sketch, is a one-row call of it or its steps.  The
-geometric MLE and the k-th root are solved by one damped Newton driver,
-``_newton``: each estimator gives its starts and a step f/f' for all rows
-at once, with every term that does not depend on c computed before the
-loop, and the driver moves every row still iterating with array
-operations, each row stopping at its own convergence; a row gets the
-estimate, or the error, that it gets alone.
+classmethod ``estimates`` (see ``estimate``); each accessor or function
+here that reads one sketch is a one-row call of it or its steps.  The
+geometric MLE and the k-th root are solved for all rows at once by one
+damped Newton driver, ``_newton``.
 
 Sketches are single-writer.  To ingest concurrently, shard the stream, build
 one sketch per shard and merge; estimation is read-only and safe to call
@@ -133,12 +129,6 @@ class ContinuousMaxSketch(state.Sketch):
         earliest = _first_arrival_minima(self, keys, -self.slots)
         np.maximum(self.slots, -earliest, out=self.slots)
 
-    def max_values(self) -> np.ndarray:
-        """Running maxima in the hash domain (uniform: M_j, exponential: -log(1-M_j))."""
-        if self.kind == "uniform":
-            return np.exp(self.slots)
-        return -np.log1p(-np.exp(self.slots))
-
     def pivot_sum(self) -> float:
         """S = -sum_j log F(M_j); c*S is a Gamma(m,1) pivot."""
         with np.errstate(over="ignore"):  # gamma_estimates refuses an infinite sum
@@ -151,21 +141,25 @@ class ContinuousMaxSketch(state.Sketch):
         errors = [None] * len(slots)
         with np.errstate(all="ignore"):
             s = _pivot_sums(slots, errors)
-            fail(errors, s <= 0.0,
-                 lambda i: DegenerateSketchError("all slots at the distribution supremum"))
-            return gamma_estimates(s, slots.shape[1], level, f"max-{kind}", errors)
+            return gamma_estimates(s, slots.shape[1], level, f"max-{kind}", errors, lambda i: (
+                DegenerateSketchError("all slots at the distribution supremum")
+                if s[i] <= 0.0 else None))
 
 
 def _filled(slots: np.ndarray, empty, errors: list) -> np.ndarray:
     """The rows of slots, each holding the empty value given its error."""
-    fail(errors, np.minimum.reduce(slots, axis=1) == empty,
+    fail(errors, [v == empty for v in np.minimum.reduce(slots, axis=1).tolist()],
          lambda i: EmptySketchError("some hash streams saw no items"))
     return slots
 
 
 def _pivot_sums(slots: np.ndarray, errors: list) -> np.ndarray:
-    """-sum(slots) of each row of continuous slots, checked filled."""
-    return -np.add.reduce(_filled(slots, -np.inf, errors), axis=1)
+    """-sum(slots) of each row of continuous slots, checked filled: only an
+    empty slot, -inf, or an overflow makes a row's sum +inf."""
+    s = -np.add.reduce(slots, axis=1)
+    fail(errors, [v == math.inf for v in s.tolist()], lambda i: EmptySketchError(
+        "some hash streams saw no items") if np.isneginf(slots[i]).any() else None)
+    return s
 
 
 class GeometricMaxSketch(state.Sketch):
@@ -205,8 +199,7 @@ class GeometricMaxSketch(state.Sketch):
         m = slots.shape[1]
         with np.errstate(all="ignore"):
             c_hat, _ = geometric_mles(_filled(slots, 0, errors), q, errors)
-            se = c_hat / math.sqrt(m * psi_infinity(q))
-            return normal_estimates(c_hat, se, level, "max-geometric", m, errors)
+            return normal_estimates(c_hat, m * psi_infinity(q), level, "max-geometric", m, errors)
 
     def recursive_estimate(self, continuity_correction: bool = False) -> float:
         """Exponential-approximation estimator -m / log prod(1 - q**Y_j).
@@ -254,9 +247,10 @@ def geometric_slot_rows(log_u: np.ndarray, q: float, errors: list) -> np.ndarray
     passes the u32 maximum and its SaturatedSketchError in errors."""
     y = np.ceil(np.log(-np.expm1(log_u)) / math.log(q))
     top = y.max(axis=tuple(range(1, y.ndim)), initial=0.0)
-    fail(errors, top > state.U32_MAX, lambda i: SaturatedSketchError(
+    over = [v > state.U32_MAX for v in top.tolist()]
+    fail(errors, over, lambda i: SaturatedSketchError(
         f"a geometric slot of {top[i]:.4g} passes the u32 maximum at q = {q}"))
-    y[top > state.U32_MAX] = 1.0
+    y[over] = 1.0
     return np.maximum(y, 1.0).astype(np.uint32)
 
 
@@ -318,16 +312,9 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     constant log(1-q).  Its derivative in c is -((a-b) / expm1(d))**2 * e**d:
     the ratio is squared, not (a-b) and expm1(d) apart, which underflow
     once q**y < ~1e-154.  The ratio is at most about max(1/c, 1), so the
-    derivative is finite wherever the score is at every c the steps reach.  A slot so large that
-    its term leaves double range gives a NaN score, and its row an
-    EstimationNumericError.
-
-    The terms are evaluated for every row at once, and ``_newton`` steps
-    the rows still iterating.  A row that fails gets its
-    EstimationNumericError (carrying the initializer once the iteration
-    ran) in errors, where a row that already holds an error keeps it; the
-    values of such rows mean nothing, and as they may hold anything this
-    runs under its caller's ``np.errstate(all="ignore")``.
+    derivative is finite wherever the score is at every c the steps reach.
+    A slot so large that its term leaves double range gives a NaN score,
+    and its row an EstimationNumericError.
     """
     m = slots.shape[1]
     y, counts, distinct = _distinct_rows(slots)
@@ -344,8 +331,8 @@ def geometric_mles(slots: np.ndarray, q: float, errors: list):
     b_minus_a, a_minus_b = b - a, a - b
     weight = counts * ~one
     constant = log_1mq * counts * one
-    r = (slots <= n).sum(axis=1).tolist()
-    top = y.max(axis=1).tolist()
+    r = np.add.reduce(slots <= n, axis=1).tolist()
+    top = np.maximum.reduce(y, axis=1).tolist()
 
     # the starts stay on scalar math: numpy's log, log1p and expm1 may
     # differ from libm's in the last bit (on AVX-512 builds, on about one
@@ -437,13 +424,13 @@ def _distinct_rows(slots: np.ndarray):
     new[:, 0] = True
     np.not_equal(srt[:, 1:], srt[:, :-1], out=new[:, 1:])
     starts = new.ravel().nonzero()[0]  # each row starts a run, so no run spans two
-    row = starts // m
-    distinct = np.bincount(row, minlength=rows)
-    col = np.arange(len(starts)) - (np.cumsum(distinct) - distinct)[row]
-    y = np.ones((rows, distinct.max()))
-    y[row, col] = srt.ravel()[starts]
-    counts = np.zeros(y.shape)
-    counts[row, col] = np.concatenate((starts[1:], [srt.size])) - starts  # np.diff(append=) is slower
+    distinct = np.bincount(starts // m, minlength=rows)
+    # each row's runs packed to the left, where a boolean index fills them in order
+    filled = np.arange(max(distinct.tolist())) < distinct[:, None]
+    y = np.ones(filled.shape)
+    y[filled] = srt.ravel()[starts]
+    counts = np.zeros(filled.shape)
+    counts[filled] = np.concatenate((starts[1:], [srt.size])) - starts  # np.diff(append=) is slower
     return y, counts, distinct
 
 
@@ -465,7 +452,7 @@ def _row_sums(v: np.ndarray, groups: list) -> np.ndarray:
     sum of the rest), so the values are bit for bit those of per-row sums."""
     out = np.empty(len(v))
     for rows, k in groups:
-        out[rows] = v[rows, :k].sum(axis=1)
+        out[rows] = np.add.reduce(v[rows, :k], axis=1)
     return out
 
 
@@ -505,7 +492,7 @@ class KthOrderSketch(state.Sketch):
         m = topk.shape[1]
         with np.errstate(all="ignore"):
             c_hat = kth_roots(_kth_rows(topk, k, errors), k, errors)
-            return normal_estimates(c_hat, c_hat / math.sqrt(k * m), level, "max-kth", m, errors)
+            return normal_estimates(c_hat, k * m, level, "max-kth", m, errors)
 
 
 def _checked_k(k) -> int:
@@ -518,8 +505,10 @@ def _checked_k(k) -> int:
 def _kth_rows(topk: np.ndarray, k: int, errors: list) -> np.ndarray:
     """The k-th values of each (m, k) matrix of a stack, checked present."""
     y = topk[:, :, k - 1]
-    fail(errors, np.isnan(y).any(axis=1), lambda i: InsufficientDataError(
-        f"some streams hold fewer than k={k} values (cardinality < k?)"))
+    # values lie in (0, 1], so a row sums to NaN exactly when it holds NaN padding
+    fail(errors, [math.isnan(v) for v in np.add.reduce(y, axis=1).tolist()],
+         lambda i: InsufficientDataError(
+             f"some streams hold fewer than k={k} values (cardinality < k?)"))
     return y
 
 
@@ -544,11 +533,12 @@ def kth_closed_form(y: np.ndarray, k: int) -> float:
 def _kth_starts(log_prod: np.ndarray, m: int, k: int, errors: list) -> np.ndarray:
     """``kth_closed_form`` per row, from the rows' sums of log y_j; a start
     not above the pole k - 1 gets an EstimationNumericError."""
-    t = np.array([-math.expm1(v / m) for v in log_prod.tolist()])  # on math: see geometric_mles
-    fail(errors, t == 0.0, lambda i: DegenerateSketchError("every k-th value at the supremum 1"))
-    c0 = k / t
+    t = [-math.expm1(v / m) for v in log_prod.tolist()]  # on math: see geometric_mles
+    fail(errors, [v == 0.0 for v in t],
+         lambda i: DegenerateSketchError("every k-th value at the supremum 1"))
+    c0 = k / np.array(t)
     # a k-th value above 1, or NaN, puts the start at or below the pole
-    fail(errors, ~(c0 > k - 1), lambda i: EstimationNumericError(
+    fail(errors, [not v > k - 1 for v in c0.tolist()], lambda i: EstimationNumericError(
         f"k-th root start {c0[i]} is not above k - 1 = {k - 1}: every k-th value "
         "must lie in (0, 1)", initial=float(c0[i])))
     return c0
@@ -569,21 +559,18 @@ def kth_roots(y: np.ndarray, k: int, errors: list) -> np.ndarray:
     The left side is strictly decreasing in c, from +inf at c -> (k-1)+ to
     the negative value sum log y_j; Newton from the closed-form start (which
     always exceeds k) converges monotonically in practice and is damped
-    against overshooting the pole.  The sums are taken for every row at
-    once, and ``_newton`` steps the rows still iterating.  A row that
-    fails gets its error in errors (a row that already holds one keeps
-    it); this runs under its caller's ``np.errstate(all="ignore")``.
+    against overshooting the pole.
     """
     m = y.shape[1]
     offsets = np.arange(k, dtype=np.float64) - (k - 1)  # c-i+1 = c + offsets
-    log_prod = np.log(y).sum(axis=1)
+    log_prod = np.add.reduce(np.log(y), axis=1)
     c0 = _kth_starts(log_prod, m, k, errors)
     live = np.array([i for i, e in enumerate(errors) if e is None], dtype=np.intp)
 
     def step(c):
         denom = c[:, None] + offsets
-        f = log_prod + m * (1.0 / denom).sum(axis=1)
-        df = -m * (1.0 / denom**2).sum(axis=1)
+        f = log_prod + m * np.add.reduce(1.0 / denom, axis=1)
+        df = -m * np.add.reduce(1.0 / denom**2, axis=1)
         return f / df
 
     return _newton(c0.copy(), c0, step, k - 1, _KTH_TOL, _KTH_MAX_ITER, live, errors,
@@ -652,7 +639,7 @@ class BernoulliSketch(state.Sketch):
     def estimates(cls, bits, level: float, p: float) -> Estimates:
         """``bernoulli_estimates`` of the set bits of each row of the
         (sketches, m) bits."""
-        return bernoulli_estimates(bits.sum(axis=1), bits.shape[1], p, level)
+        return bernoulli_estimates(np.add.reduce(bits, axis=1), bits.shape[1], p, level)
 
     def state_bytes(self) -> int:
         return (self.m + 7) // 8
@@ -682,7 +669,7 @@ def bernoulli_estimates(ones, m: int, p: float, level: float = 0.95) -> Estimate
     ones = np.asarray(ones)
     x = ones.astype(np.float64)  # a count past int64 is an object array
     bad = ~((x >= 0) & (x <= m) & (x == np.floor(x)))
-    if bad.any():
+    if np.count_nonzero(bad):  # a fraction of bad.any()'s cost on one count
         raise ValueError(f"ones must be a whole number in [0, m], got {ones[bad][0]}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0,1)")

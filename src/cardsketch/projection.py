@@ -125,21 +125,25 @@ class ProjectionSketch(state.Sketch):
         errors = [None] * len(signs)
         with np.errstate(all="ignore"):  # gamma_estimates refuses an infinite sum
             s = _pivot_sums(signs, logmag, alpha, errors)
-            return gamma_estimates(s, signs.shape[1], level, "projection", errors)
+            return gamma_estimates(s, signs.shape[1], level, "projection", errors, None)
 
     @classmethod
     def median_estimates(cls, signs, logmag, alpha: float) -> Estimates:
         """``median_estimate`` of each row of the (sketches, m) accumulators."""
         errors = [None] * len(signs)
         _positive_rows(signs, errors)
+        m = signs.shape[1]
+        # np.median's value, the middle one or the mean of the middle two, without its wrappers
+        srt = np.sort(logmag, axis=1)
         with np.errstate(invalid="ignore"):
-            log_c = alpha * (np.median(logmag, axis=1) - stable_median_log(alpha))
-        fail(errors, ~((-_LOG_MAX < log_c) & (log_c < _LOG_MAX)),
+            median = srt[:, m // 2] if m % 2 else (srt[:, m // 2 - 1] + srt[:, m // 2]) / 2.0
+            log_c = alpha * (median - stable_median_log(alpha))
+        logs = log_c.tolist()
+        fail(errors, [not -_LOG_MAX < v < _LOG_MAX for v in logs],
              lambda i: EstimationNumericError(
-                 f"median estimate exp({float(log_c[i])}) is outside double range"))
-        c_hat = np.array([math.exp(v) if e is None else math.nan
-                          for v, e in zip(log_c.tolist(), errors)])
-        return Estimates(c_hat, errors, "projection-median", signs.shape[1])
+                 f"median estimate exp({logs[i]}) is outside double range"))
+        c_hat = np.array([math.exp(v) if e is None else math.nan for v, e in zip(logs, errors)])
+        return Estimates(c_hat, errors, "projection-median", m)
 
     def median_estimate(self) -> float:
         """(sample median of V / median of the stable law)**alpha.
@@ -176,15 +180,15 @@ def _net_by_key(keys: np.ndarray, d: np.ndarray) -> tuple:
 
 def _positive_rows(signs, errors: list) -> None:
     """Give each row of stacked signs with an accumulator <= 0 its error."""
-    fail(errors, (signs <= 0).any(axis=1), lambda i: DegenerateSketchError(
-        "estimation needs every accumulator positive (nonnegative "
-        "cumulative quantities at query time)"))
+    fail(errors, [v < 1 for v in np.minimum.reduce(signs, axis=1).tolist()],
+         lambda i: DegenerateSketchError("estimation needs every accumulator positive "
+                                         "(nonnegative cumulative quantities at query time)"))
 
 
 def _pivot_sums(signs, logmag, alpha: float, errors: list) -> np.ndarray:
     """sum_j V_j**(-alpha) of each row of stacked accumulators, checked positive."""
     _positive_rows(signs, errors)
-    return np.exp(-alpha * logmag).sum(axis=1)
+    return np.add.reduce(np.exp(-alpha * logmag), axis=1)
 
 
 # -- the stable law's median --------------------------------------------

@@ -143,7 +143,7 @@ def _projection_shape(c, m: int, u, w, alpha: float) -> tuple:
     with np.errstate(over="ignore"):
         scale /= alpha
         logmag = scale[:, None] + hashing.stable_log_variate(u, w, alpha)
-    out = ~np.isfinite(logmag).all(axis=1)
+    out = (~np.isfinite(logmag).all(axis=1)).tolist()
     fail(errors, out, lambda i: SaturatedSketchError(
         f"a projection log-magnitude passes double range: log(c) / alpha = "
         f"{scale[i]:.4g} at alpha = {alpha}"))

@@ -1,14 +1,16 @@
-"""Seeded mutants of the committed codec fixtures through in-process
-``cardsketch merge``, ``estimate`` and ``estimate --median``.
+"""Mutants of the committed codec fixtures, defined once, and a seeded
+sweep of them through in-process ``cardsketch merge``, ``estimate`` and
+``estimate --median``.
 
-A mutant is one of those tests/test_decode_mutations.py enumerates, drawn
-at random: a binary frame with one byte set to 0, 1, 0x7f, 0x80 or 0xff,
-cut short, or given one more byte, or a JSON document with one leaf
-replaced by one of 17 edge values.  Each mutant is merged with its
-fixture and estimated, plainly and by the median: each call must exit 0,
-3 or 4 and let no exception escape, a RuntimeWarning included.  The
-documented UserWarning of a projection estimate at alpha > 0.1 is let
-through.
+A mutant is a binary frame with one byte set to 0, 1, 0x7f, 0x80 or 0xff,
+cut short, or given one more byte (``frame_mutant``), or a JSON document
+with one leaf replaced by one of 17 edge values (``text_mutant``).
+tests/test_decode_mutations.py decodes every one of them and checks the
+sketches with ``read_fault``; the sweep here draws them at random.  Each
+drawn mutant is merged with its fixture and estimated, plainly and by the
+median: each call must exit 0, 3 or 4 and let no exception escape, a
+RuntimeWarning included.  The documented UserWarning of a projection
+estimate at alpha > 0.1 is let through.
 
 This module imports no pytest, so a longer sweep runs without it:
 ``python tests/cli_mutants.py`` runs ten times the tier-1 count of
@@ -19,6 +21,7 @@ the first fault.  Another count or seed is a call of ``sweep()``.
 import contextlib
 import io
 import json
+import math
 import random
 import sys
 import tempfile
@@ -26,6 +29,7 @@ import warnings
 from pathlib import Path
 
 from cardsketch.cli import main
+from cardsketch.errors import SketchError
 
 DATA = Path(__file__).parent / "data"
 BYTE_VALUES = (0x00, 0x01, 0x7F, 0x80, 0xFF)
@@ -44,18 +48,18 @@ def fixtures() -> dict:
     return out
 
 
-def _leaf_paths(node, path=()):
+def leaf_paths(node, path=()):
     """The key path of every leaf: a scalar, or an empty list or object."""
     if isinstance(node, (dict, list)) and node:
         for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
-            yield from _leaf_paths(child, path + (key,))
+            yield from leaf_paths(child, path + (key,))
     else:
         yield path
 
 
-def _frame_mutant(frame: bytes, rng) -> bytes:
-    """One of the frame's byte settings, truncations or its one appended byte."""
-    j = rng.randrange(6 * len(frame) + 1)
+def frame_mutant(frame: bytes, j: int) -> bytes:
+    """Mutant j of the frame's 6 len(frame) + 1: each byte set to each of
+    BYTE_VALUES in turn, then each truncation, then one appended byte."""
     if j < 5 * len(frame):
         i = j // 5
         return frame[:i] + bytes([BYTE_VALUES[j % 5]]) + frame[i + 1:]
@@ -64,11 +68,9 @@ def _frame_mutant(frame: bytes, rng) -> bytes:
     return frame + b"\x00"
 
 
-def _text_mutant(text: str, rng) -> str:
-    """The document with one leaf replaced by one edge value."""
+def text_mutant(text: str, path: tuple, value) -> str:
+    """The document with the leaf at path replaced by value."""
     doc = json.loads(text)
-    path = rng.choice(list(_leaf_paths(doc)))
-    value = rng.choice(EDGE_VALUES)
     if not path:
         return json.dumps(value)
     parent = doc
@@ -76,6 +78,26 @@ def _text_mutant(text: str, rng) -> str:
         parent = parent[key]
     parent[path[-1]] = value
     return json.dumps(doc)
+
+
+def read_fault(sk):
+    """None if the sketch merges with itself and each of its estimates
+    (``estimate``, and ``median_estimate`` where it has one) returns a
+    finite value, or any of them raises a SketchError; else what went
+    wrong."""
+    reads = {"merge": lambda: sk.merge(sk), "estimate": lambda: sk.estimate().c_hat}
+    if hasattr(sk, "median_estimate"):
+        reads["median_estimate"] = sk.median_estimate
+    for name, read in reads.items():
+        try:
+            value = read()
+        except SketchError:
+            continue
+        except Exception as exc:  # noqa: BLE001 -- any other failure is the finding
+            return f"{name} raised {exc!r}"
+        if name != "merge" and not math.isfinite(value):
+            return f"{name} returned {value!r}"
+    return None
 
 
 def mutants(count: int, seed: int):
@@ -88,9 +110,10 @@ def mutants(count: int, seed: int):
         name = rng.choice(names)
         frame, text = docs[name]
         if rng.random() < 0.5:
-            yield name, frame, _frame_mutant(frame, rng)
+            yield name, frame, frame_mutant(frame, rng.randrange(6 * len(frame) + 1))
         else:
-            yield name, text, _text_mutant(text, rng)
+            path = rng.choice(list(leaf_paths(json.loads(text))))
+            yield name, text, text_mutant(text, path, rng.choice(EDGE_VALUES))
 
 
 def _call(args) -> object:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,3 +194,13 @@ def test_unknown_d_model_fails_in_both_modes():
         with pytest.raises(ValueError, match="unknown d model"):
             run_experiment(ExperimentConfig(c=100, m=8, algos=("projection",),
                                             method=method, d_model="nope"))
+
+
+def test_canonical_sampled_report_is_pinned_byte_for_byte():
+    # the sampled config of the CI smoke step (all ten algorithms, seed 3):
+    # its canonical report, written before the one-row estimate path was
+    # reworked, pins sampling and every block estimator to the last bit
+    cfg = ExperimentConfig(algos=list(ALGOS), seed=3, c=20000, m=64, replicates=20,
+                           method="sampled")
+    pinned = (Path(__file__).parent / "data" / "sampled_report_seed3.json").read_text()
+    assert run_experiment(cfg).to_json(canonical=True) + "\n" == pinned

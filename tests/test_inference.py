@@ -1,6 +1,8 @@
 """Closed-form constants, their independent summation oracles, and bounds."""
 
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -189,6 +191,70 @@ class TestOracleCrossChecks:
         sums = [sum(term(k + o) for k in range(-60, 60)) for o in offsets]
         assert min(sums) <= psi_infinity(q) <= max(sums)
         assert psi_infinity(q) == pytest.approx(np.mean(sums), rel=2e-3)
+
+
+@contextlib.contextmanager
+def _within(seconds: float):
+    """Raise TimeoutError in the body once it has run for seconds."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestNearOne:
+    """q up to the largest the geometric sketch admits, 1 - 2**-26: the
+    sums must not stop short, and each call must end promptly."""
+
+    Q_NEAR_ONE = [math.nextafter(0.999, 1.0), 0.9995, 0.9999, 1 - 1e-5, 1 - 1e-6, 1 - 2.0**-26]
+
+    def test_psi_infinity_is_its_continuum_limit_above_0999(self):
+        for q in self.Q_NEAR_ONE:
+            psi_infinity.cache_clear()
+            with _within(2.0):
+                psi = psi_infinity(q)
+            # the truncated k-sum gave 0.626 at 1 - 1e-5 and 0.0735 at 1 - 1e-6
+            assert abs(psi - (1.0 - math.log(q) ** 2 / 6.0)) < 1e-9, q
+            assert psi <= 1.0
+
+    def test_psi_infinity_rises_to_one_across_the_switch(self):
+        grid = [0.99, 0.995, 0.999] + self.Q_NEAR_ONE
+        values = [psi_infinity(q) for q in grid]
+        assert values == sorted(values)
+
+    def test_psi_infinity_keeps_its_sums_up_to_0999(self):
+        # the values of the term-by-term sum, bit for bit
+        assert psi_infinity(0.5) == 0.9304609832801632
+        assert psi_infinity(10.0 / 11.0) == 0.9984907790234475
+        assert psi_infinity(0.99) == 0.9999831657199447
+        assert psi_infinity(0.999) == 0.9999998331660831
+
+    def test_fisher_info_sums_past_the_score_sign_change(self):
+        # at c = 10, q = 0.9999 a term near the score's sign change used to
+        # stop the sum at c**2 I = 0.736
+        with _within(2.0):
+            info = fisher_info_geometric(10, 0.9999)
+        assert 100 * info == pytest.approx(psi_infinity(0.9999), abs=1e-6)
+
+    @pytest.mark.parametrize("c, q", [(10, 1 - 2.0**-26), (10, 1 - 1e-6), (1e150, 0.9999)])
+    def test_fisher_info_refuses_a_sum_of_more_than_a_million_terms(self, c, q):
+        with _within(2.0), pytest.raises(ValueError, match="too close to 1"):
+            fisher_info_geometric(c, q)
+
+    def test_geometric_sketch_standard_error_near_q_one(self):
+        from cardsketch import GeometricMaxSketch
+        sk = GeometricMaxSketch(128, 1 - 1e-6, seed=1)
+        sk.add_batch(np.arange(20000, dtype=np.uint64))
+        with _within(2.0):
+            est = sk.estimate()
+        # 0.326 with the truncated psi_infinity
+        assert est.std_error / est.c_hat == pytest.approx(1 / math.sqrt(128), rel=0.01)
 
 
 class TestDoubleRangeBounds:

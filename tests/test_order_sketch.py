@@ -169,9 +169,8 @@ class TestContinuousEstimator:
         uni.add_batch(keys)
         expo.add_batch(keys)
         assert uni.pivot_sum() == expo.pivot_sum()
-        # and the exponential-domain maxima are the transformed uniforms
-        np.testing.assert_allclose(
-            expo.max_values(), -np.log1p(-np.exp(uni.slots)), rtol=0, atol=0)
+        # they share their states too: only the maxima's hash domain differs
+        np.testing.assert_array_equal(expo.slots, uni.slots)
 
     def test_replicated_error_band(self):
         # c=1e4, m=2^9: |c_hat-c|/c below 13% in >= 95% of 200 replicates
@@ -441,7 +440,8 @@ class TestPivotLaw:
         hits = 0
         for _ in range(500):
             sk = sampling.sample_continuous(c, m, rng)
-            hits += sk.estimate(0.95).covers(c)
+            lo, hi = sk.estimate(0.95).ci
+            hits += lo <= c <= hi
         assert 0.92 <= hits / 500 <= 0.98
 
 
