@@ -7,11 +7,15 @@ equivalence (coupled maximal-term / projection diagnostics).
 sketch reads its elements, from a file or stdin, as UTF-8 bytes, whatever
 the locale: LF, CRLF and a lone CR each end a line, and an id keys as its
 bytes.  Input that is not UTF-8 is a data error.  The ids are keyed as
-byte spans of the input buffer, with no Python object per line, and a
-quantity is parsed, as a Python int, only on a line that has a tab.
-UTF-8 is checked slice by slice with the stdlib's incremental decoder, so
-no str of the whole input is built.  Every input (element file, sketch,
-simulate config, analyze grid) is read by one reader, from stdin for -.
+byte spans of the input buffer, with no Python object per line.  One scan
+for LF indexes the lines, and the index of a line is its number less one,
+blank lines counted.  The index is per tab, not per line: each tab finds
+its line by binary search over the line ends, a line's first tab cuts its
+id, and only those lines, in file order, have a quantity parsed, as a
+Python int.  UTF-8 is checked slice by slice with the stdlib's incremental
+decoder, so no str of the whole input is built.  Every input (element
+file, sketch, simulate config, analyze grid) is read by one reader, from
+stdin for -.
 
 A command loads only the sketch family it touches: the type table names
 each type's class, and its module is imported when a sketch of that type
@@ -104,37 +108,41 @@ def _read_elements(path: str):
     if b"\r" in data:  # the two-byte search is slow: skip it when there is no CR
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf = np.frombuffer(data, dtype=np.uint8)
-    # line i spans buf[starts[i]:ends[i]]; empty lines are dropped, and
-    # lineno keeps the number of each line left
-    ends = np.append(np.flatnonzero(buf == 10), len(buf))
+    # line i, number i + 1 with blank lines counted, spans
+    # buf[starts[i]:starts[i] + lens[i]]
+    ends = np.flatnonzero(buf == 10)
+    if data and not data.endswith(b"\n"):  # the last line has no LF
+        ends = np.append(ends, len(buf))
     starts = np.r_[0, ends[:-1] + 1]
-    lineno = np.flatnonzero(ends > starts)
-    starts, ends = starts[lineno], ends[lineno]
-    lineno += 1
-    # each line's id ends at its first tab, if it has one
-    tabs = np.append(np.flatnonzero(buf == 9), len(buf))
-    id_ends = np.minimum(tabs[np.searchsorted(tabs, starts)], ends)
-    # an empty id has a tab, so one pass over the lines with a tab, in
-    # order, finds the first bad line
-    tabbed = np.flatnonzero(id_ends < ends)
-    fields = (a[tabbed].tolist() for a in (lineno, starts, id_ends, ends))
+    lens = ends - starts
+    ds = np.ones(len(ends), dtype=np.int64)
+    # a line's id ends at its first tab, if it has one: the tabs' lines,
+    # in file order, and each line's first
+    tabs = np.flatnonzero(buf == 9)
+    lines = np.searchsorted(ends, tabs)
+    first = hashing.run_starts(lines)
+    lines, tabs = lines[first], tabs[first]
     quantities = []
-    for n, start, tab, end in zip(*fields):
+    fields = (a.tolist() for a in (lines, starts[lines], tabs, ends[lines]))
+    for i, start, tab, end in zip(*fields):
         if tab == start:
-            raise SerializationError(f"line {n}: empty item id")
+            raise SerializationError(f"line {i + 1}: empty item id")
         dtext = data[tab + 1:end].decode("utf-8")
         try:
             d = int(dtext) if dtext else 1
         except ValueError:
             raise SerializationError(
-                f"line {n}: quantity {dtext!r} is not an integer")
+                f"line {i + 1}: quantity {dtext!r} is not an integer")
         if not -2**63 <= d < 2**63:
             raise SerializationError(
-                f"line {n}: quantity {dtext!r} is outside int64")
+                f"line {i + 1}: quantity {dtext!r} is outside int64")
         quantities.append(d)
-    ds = np.ones(len(starts), dtype=np.int64)
-    ds[tabbed] = quantities
-    return hashing.fold_spans(buf, starts, id_ends - starts), ds
+    ds[lines] = quantities
+    lens[lines] = tabs - starts[lines]
+    if not lens.all():  # blank lines: an empty id with a tab was refused
+        keep = lens != 0
+        starts, lens, ds = starts[keep], lens[keep], ds[keep]
+    return hashing.fold_spans(buf, starts, lens), ds
 
 
 def _write_sketch(sk, path: str, binary: bool) -> None:

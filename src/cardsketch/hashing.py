@@ -184,24 +184,35 @@ def fold_spans(buf: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndar
     starts and lens are int64 arrays.  Spans may be empty, repeated or
     overlap; they must lie inside buf.  The spans are sorted by length,
     longest first, and byte column j is folded into the prefix of spans
-    longer than j with one gather, one xor and one multiply.  Once at most
-    _FEW_SPANS spans are left, each costs less folded alone, byte by byte,
-    than a round of numpy calls per column of the longest: one long id
-    among many short ones does not set the time of all.
+    longer than j: one gather of the bytes under a per-span cursor into a
+    reused buffer, one xor and one multiply, all in place, and the cursor
+    steps on.  numpy folds only the columns that more than _FEW_SPANS spans
+    reach, up to the (_FEW_SPANS + 1)-th longest length, and the prefix
+    sizes are counted for those columns alone, from the sorted lengths.
+    The at most _FEW_SPANS spans left each cost less folded alone, byte by
+    byte, than a round of numpy calls per column of the longest: one long
+    id among many short ones does not set the time of all, nor its memory.
     """
-    order = np.argsort(-lens, kind="stable")
-    starts = starts[order]
+    neg = -lens
+    order = np.argsort(neg, kind="stable")
+    neg = neg[order]  # ascending: minus the lengths, longest first
+    cols = -int(neg[_FEW_SPANS]) if len(neg) > _FEW_SPANS else 0
     # longer[j]: how many spans have a byte j, a prefix of the sorted order
-    longer = len(lens) - np.cumsum(np.bincount(lens))
+    longer = np.searchsorted(neg, -np.arange(cols + 1)).tolist()
+    cursor = starts[order]
     h = np.full(len(lens), _FNV_OFFSET, dtype=np.uint64)
-    for j, k in enumerate(longer[:-1].tolist()):
-        if k <= _FEW_SPANS:
-            ends = starts[:k] + lens[order[:k]]
-            h[:k] = [_fnv1a(v, buf[a + j:b].tobytes())
-                     for v, a, b in zip(h[:k].tolist(), starts[:k].tolist(), ends.tolist())]
-            break
-        h[:k] ^= buf[starts[:k] + j]
-        h[:k] *= _U_FNV_PRIME
+    column = np.empty(longer[0], dtype=np.uint8)
+    for k in longer[:-1]:
+        hk, bytes_k, cur = h[:k], column[:k], cursor[:k]
+        np.take(buf, cur, out=bytes_k)
+        hk ^= bytes_k
+        hk *= _U_FNV_PRIME
+        cur += 1
+    k = longer[-1]
+    if k:
+        ends = cursor[:k] - neg[:k] - cols
+        h[:k] = [_fnv1a(v, buf[a:b].tobytes())
+                 for v, a, b in zip(h[:k].tolist(), cursor[:k].tolist(), ends.tolist())]
     keys = np.empty_like(h)
     keys[order] = h
     return keys
@@ -331,6 +342,13 @@ def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
             need = 2 * m * (top - carry.min())
         else:
             need = m * (math.log(np.count_nonzero(bound == np.inf)) + 1) / len(rows)
+            if r:
+                # a bound still infinite after a round: the few keys left
+                # have few registers left to reach, so each round grows by
+                # at least twice the last, and the rounds number about log
+                # of the arrivals needed, not their count over the first
+                # round's; the times are the same however arrivals are grouped
+                need = max(need, 2 * block)
         block = max(1, math.ceil(min(need, max(_TILE_WORDS, m) // len(rows))))
         # counter c adds (c + 1) * GAMMA: spacings even, registers odd
         steps = np.arange(2 * r + 1, 2 * (r + block) + 1, dtype=np.uint64) * _U_GAMMA

@@ -15,6 +15,8 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 # Infinite sums are truncated when a term falls below this fraction of the
 # running total; all the summands decay at least geometrically, so the
 # discarded tail is of the same order as the last kept term.
@@ -22,6 +24,7 @@ _REL_TOL = 1e-15
 
 _LOG_MAX = math.log(sys.float_info.max)
 _FISHER_TERMS = 10**6  # the most slot values fisher_info_geometric sums
+_FISHER_BLOCK = 1 << 16  # and the most it sums in one block
 
 
 def _log_exp_diff(a: float, b: float) -> float:
@@ -104,24 +107,29 @@ def fisher_info_geometric(c: int, q: float) -> float:
     if cross - 40.0 / logq > _FISHER_TERMS:
         raise ValueError(f"q = {q} is too close to 1 at c = {c}: the sum would need more "
                          f"than {_FISHER_TERMS} terms; psi_infinity(q) / c**2 is its limit")
-    total = 0.0
-    y = 1
-    while y < _FISHER_TERMS:
-        a = math.log1p(-math.exp(y * logq))
-        if y == 1:
-            term = a * a * math.exp(c * a)
-        else:
-            b = math.log1p(-math.exp((y - 1) * logq))
-            if b == 0.0:  # q**(y-1) underflows: this term and every later one is 0
-                break
-            d = c * (b - a)  # <= 0
-            ed = math.exp(d)
-            num = a - b * ed
-            term = math.exp(c * a) * num * num / -math.expm1(d)
-        total += term
-        if y > 2 and term < _REL_TOL * total and y > cross + 2:
+    a = math.log1p(-math.exp(logq))
+    total = a * a * math.exp(c * a)  # the slot y = 1
+    # the terms of slots y = lo..hi-1 in one numpy block, summed in order
+    # by cumsum: the first block about as long as the sum (the bound
+    # above), each later one twice the last, up to _FISHER_BLOCK terms
+    lo, size = 2, min(max(16, math.ceil(cross - 40.0 / logq)), _FISHER_BLOCK)
+    while lo < _FISHER_TERMS:
+        hi = min(lo + size, _FISHER_TERMS)
+        logs = np.log1p(-np.exp(np.arange(lo - 1, hi) * logq))
+        # from the first slot where q**(y-1) underflows, every term is 0
+        n = np.count_nonzero(logs[:-1])
+        a, b = logs[1:n + 1], logs[:n]
+        d = c * (b - a)  # <= 0
+        num = a - b * np.exp(d)
+        term = np.exp(c * a) * num * num / -np.expm1(d)
+        sums = np.cumsum(np.r_[total, term])[1:]
+        stop = np.flatnonzero((term < _REL_TOL * sums) & (np.arange(lo, lo + n) > max(2, cross + 2)))
+        if len(stop):
+            return float(sums[stop[0]])
+        total = float(sums[-1]) if n else total
+        if lo + n < hi:
             break
-        y += 1
+        lo, size = hi, min(2 * size, _FISHER_BLOCK)
     return total
 
 

@@ -54,6 +54,10 @@ _READER_CASES = {
     "no final newline": b"a\nb\t2",
     "tab quantities": "a\t-3\nb\t+4\nc\t0\nd\t 7 \ne\t1_000\nf\t٣\n".encode(),
     "non-ascii ids": "café\t2\nsí\nnaïve\r€-1\t-1\r\n😀\n".encode(),
+    "empty": b"",
+    "only line ends": b"\n\r\n\r\n\n",
+    "tab in a last line without LF": b"a\t2\r\nb\t",
+    "two tabs on one line": b"a\t\t3\nb\t4\t\nc\n",
 }
 
 
@@ -84,6 +88,7 @@ _DATA_ERRORS = [
     (b"a\r\n\r\n\rb\r\t3\n", "hll", "line 5: empty item id"),
     (b"\r\r\nx\t1.5\n", "hll", "line 3: quantity '1.5' is not an integer"),
     (b"\n\r\n\ra\t2\rb\tnine\r\n\tx", "hll", "line 5: quantity 'nine' is not an integer"),
+    (b"\n\n\n\tx", "hll", "line 4: empty item id"),
     ("é\t٣x\r\n".encode(), "hll", "line 1: quantity '٣x' is not an integer"),
     (b"a\t1\nb\t-1\n", "max-uniform", "ContinuousMaxSketch cannot delete; got a quantity <= 0"),
     (b"\tx\n\xff\n", "hll",

@@ -1,6 +1,7 @@
 """Seeded-hashing determinism, distributional correctness and transforms."""
 
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -181,6 +182,24 @@ class TestDeterminism:
         buf = np.frombuffer(b"".join(ids), dtype=np.uint8)
         keys = hashing.fold_spans(buf, np.cumsum(lens) - lens, lens)
         assert keys.tolist() == [item_key(b) for b in ids]
+
+    def test_a_long_id_costs_its_own_bytes_once(self):
+        # the fold keeps counts only for the columns numpy folds, so the
+        # 4 MiB id folded byte by byte costs about one copy of its bytes
+        rng = np.random.default_rng(17)
+        ids = [rng.bytes(int(n)) for n in rng.integers(0, 12, size=2 * hashing._FEW_SPANS)]
+        ids[hashing._FEW_SPANS] = long_id = rng.bytes(4 << 20)
+        lens = np.array([len(b) for b in ids])
+        buf = np.frombuffer(b"".join(ids), dtype=np.uint8)
+        starts = np.cumsum(lens) - lens
+        tracemalloc.start()
+        try:
+            keys = hashing.fold_spans(buf, starts, lens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert keys.tolist() == [item_key(b) for b in ids]
+        assert peak < 3 * len(long_id)
 
 
 class TestUnitArray:

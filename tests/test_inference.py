@@ -3,6 +3,7 @@
 import contextlib
 import math
 import signal
+import time
 
 import numpy as np
 import pytest
@@ -208,6 +209,12 @@ def _within(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _seconds(f, *args) -> float:
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
 class TestNearOne:
     """q up to the largest the geometric sketch admits, 1 - 2**-26: the
     sums must not stop short, and each call must end promptly."""
@@ -246,6 +253,49 @@ class TestNearOne:
     def test_fisher_info_refuses_a_sum_of_more_than_a_million_terms(self, c, q):
         with _within(2.0), pytest.raises(ValueError, match="too close to 1"):
             fisher_info_geometric(c, q)
+
+    # (c, q): small sums, sums that end by underflow, and the longest ones
+    # the refusal bound lets through
+    FISHER_GRID = [(c, q) for c in (1, 3, 40, 1e6, 1e150) for q in (1e-150, 0.001, 0.5, 0.9, 0.99)]
+    FISHER_GRID += [(1, 1 - 4.1e-5), (1e150, 0.999), (10, 0.9999), (1e154, 0.5)]
+
+    @staticmethod
+    def _fisher_reference(c, q):
+        """The terms of fisher_info_geometric, added one at a time in a
+        plain loop, with its stop rule."""
+        logq = math.log(q)
+        cross = math.log(-math.expm1(-1.0 / c)) / logq
+        total, y = 0.0, 1
+        while y < 10**6:
+            a = math.log1p(-math.exp(y * logq))
+            if y == 1:
+                term = a * a * math.exp(c * a)
+            else:
+                b = math.log1p(-math.exp((y - 1) * logq))
+                if b == 0.0:
+                    break
+                d = c * (b - a)
+                num = a - b * math.exp(d)
+                term = math.exp(c * a) * num * num / -math.expm1(d)
+            total += term
+            if y > 2 and term < 1e-15 * total and y > cross + 2:
+                break
+            y += 1
+        return total
+
+    @pytest.mark.parametrize("c, q", FISHER_GRID)
+    def test_fisher_info_matches_a_plain_loop(self, c, q):
+        with _within(2.0):
+            info = fisher_info_geometric(c, q)
+        want = self._fisher_reference(c, q)
+        assert abs(info - want) <= 1e-12 * want, (info, want)
+
+    @pytest.mark.parametrize("c, q", [(1, 1 - 4.1e-5), (1e150, 0.999)])
+    def test_fisher_info_of_a_long_sum_is_prompt(self, c, q):
+        # some 6e5 terms: 0.3-0.6 s added one at a time in Python
+        fisher_info_geometric(c, q)
+        t = min(_seconds(fisher_info_geometric, c, q) for _ in range(3))
+        assert t < 0.05
 
     def test_geometric_sketch_standard_error_near_q_one(self):
         from cardsketch import GeometricMaxSketch

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from cardsketch import sampling
+from cardsketch import hashing, sampling
 from cardsketch.errors import (
     DegenerateSketchError,
     EmptySketchError,
@@ -233,6 +233,17 @@ class TestKthOrderSketch:
         merged = a.merge(b)
         np.testing.assert_array_equal(
             np.nan_to_num(merged.topk), np.nan_to_num(whole.topk))
+
+    def test_arrival_rounds_grow_while_a_bound_stays_infinite(self, monkeypatch):
+        # k above the items keeps every bound infinite: each key must visit
+        # every register; one unit_array call per arrival round
+        calls = []
+        unit_array = hashing.unit_array
+        monkeypatch.setattr(hashing, "unit_array", lambda w: calls.append(1) or unit_array(w))
+        sk = KthOrderSketch(256, k=1000, seed=1)
+        sk.add_batch(np.arange(600, dtype=np.uint64))
+        assert (np.count_nonzero(~np.isnan(sk.topk), axis=1) == 600).all()
+        assert len(calls) <= 64  # 518 when each round took what the first did
 
     def test_estimate_tracks_truth(self):
         rng = np.random.default_rng(6)
