@@ -29,12 +29,21 @@ _POWERS = 2.0 ** -np.arange(256.0)  # 2**-r at every u1 register value r
 
 
 def _leading_zeros64(w: np.ndarray) -> np.ndarray:
-    """Exact count of leading zero bits of uint64 values (64 for zero), from
-    the bit length of each 32-bit half: its frexp exponent."""
+    """Exact count of leading zero bits of a uint64 array's values (64 for
+    zero).
+
+    w >> 11 is below 2**53, so its double is exact and the double's
+    exponent field e gives the bit length of w as e - 1011; a word below
+    2**11 has e = 0 and its count comes from the frexp exponent of its own
+    exact double."""
     w = np.asarray(w, dtype=np.uint64)
-    hi = np.frexp((w >> np.uint64(32)).astype(np.float64))[1]
-    lo = np.frexp((w & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
-    return np.where(hi > 0, 32 - hi, 64 - lo).astype(np.int64)
+    lz = (w >> np.uint64(11)).view(np.int64).astype(np.float64).view(np.int64)
+    lz >>= 52
+    np.subtract(1075, lz, out=lz)
+    small = lz > 64
+    if small.any():
+        lz[small] = 64 - np.frexp(w[small].astype(np.float64))[1]
+    return lz
 
 
 class _BucketSketch(state.Sketch):

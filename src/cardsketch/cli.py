@@ -116,29 +116,30 @@ def _read_elements(path: str):
     starts = np.r_[0, ends[:-1] + 1]
     lens = ends - starts
     ds = np.ones(len(ends), dtype=np.int64)
-    # a line's id ends at its first tab, if it has one: the tabs' lines,
-    # in file order, and each line's first
-    tabs = np.flatnonzero(buf == 9)
-    lines = np.searchsorted(ends, tabs)
-    first = hashing.run_starts(lines)
-    lines, tabs = lines[first], tabs[first]
-    quantities = []
-    fields = (a.tolist() for a in (lines, starts[lines], tabs, ends[lines]))
-    for i, start, tab, end in zip(*fields):
-        if tab == start:
-            raise SerializationError(f"line {i + 1}: empty item id")
-        dtext = data[tab + 1:end].decode("utf-8")
-        try:
-            d = int(dtext) if dtext else 1
-        except ValueError:
-            raise SerializationError(
-                f"line {i + 1}: quantity {dtext!r} is not an integer")
-        if not -2**63 <= d < 2**63:
-            raise SerializationError(
-                f"line {i + 1}: quantity {dtext!r} is outside int64")
-        quantities.append(d)
-    ds[lines] = quantities
-    lens[lines] = tabs - starts[lines]
+    if b"\t" in data:  # as for CR, skip the scan when there is no tab
+        # a line's id ends at its first tab, if it has one: the tabs' lines,
+        # in file order, and each line's first
+        tabs = np.flatnonzero(buf == 9)
+        lines = np.searchsorted(ends, tabs)
+        first = hashing.run_starts(lines)
+        lines, tabs = lines[first], tabs[first]
+        quantities = []
+        fields = (a.tolist() for a in (lines, starts[lines], tabs, ends[lines]))
+        for i, start, tab, end in zip(*fields):
+            if tab == start:
+                raise SerializationError(f"line {i + 1}: empty item id")
+            dtext = data[tab + 1:end].decode("utf-8")
+            try:
+                d = int(dtext) if dtext else 1
+            except ValueError:
+                raise SerializationError(
+                    f"line {i + 1}: quantity {dtext!r} is not an integer")
+            if not -2**63 <= d < 2**63:
+                raise SerializationError(
+                    f"line {i + 1}: quantity {dtext!r} is outside int64")
+            quantities.append(d)
+        ds[lines] = quantities
+        lens[lines] = tabs - starts[lines]
     if not lens.all():  # blank lines: an empty id with a tab was refused
         keep = lens != 0
         starts, lens, ds = starts[keep], lens[keep], ds[keep]

@@ -28,10 +28,14 @@ An item's counters are read in one of two layouts.
   across registers, so a maximal-term state is a function of the earliest
   first arrival per register, and a key stops as soon as its next arrival
   can no longer change the state: after warm-up an item costs about two
-  words, not one per register.  A repeated key has its first copy's
-  arrivals, so the max family folds a batch's repeated keys before it
-  asks for arrivals (``order_sketch``): ingest cost follows the distinct
-  keys of a batch, not its rows.
+  words, not one per register.  Arrivals are taken in ascending time, in
+  chunks: the first of a round is sized by how many first arrivals per
+  register the consumer keeps (its depth: k for the top-k sketch, else 1)
+  to reach every register that many times, so one chunk usually settles
+  a round, and a chunk with nothing left to yield is skipped.  A repeated
+  key has its first copy's arrivals, so the max family folds a batch's
+  repeated keys before it asks for arrivals (``order_sketch``): ingest
+  cost follows the distinct keys of a batch, not its rows.
 
 A single item is a one-row call: the digest and word functions have no
 scalar branch, and only ``keys_array`` folds one item by itself.  Words
@@ -51,6 +55,7 @@ Do NOT use Python's built-in hash(): it is salted per process.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 
@@ -278,13 +283,14 @@ def word_tiles(keys: np.ndarray, salt: int, m: int):
 # first_arrivals follows at most this many keys at once
 _KEYS_PER_PASS = 1 << 16
 
-# the first chunk of a round holds m * (ln m + _FIRST_CHUNK) arrivals, which
-# reach every register 98% of the time, and each later chunk twice as many
-# as the one before
+# the first chunk of a round holds m * lam arrivals, lam the smallest rate at
+# which m * P(Poisson(lam) < depth) <= e**-_FIRST_CHUNK: its arrivals then
+# reach every register depth times 98% of the time (at depth 1, lam is
+# ln m + _FIRST_CHUNK); each later chunk holds twice as many as the one before
 _FIRST_CHUNK = 4
 
 
-def first_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
+def first_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray, depth: int = 1):
     """Yield (rows, registers, times) for the first arrivals, per key and
     register, of the keys' arrival processes that can still change a state.
 
@@ -301,28 +307,62 @@ def first_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
     An arrival is yielded only if it is its key's first in its register
     and comes before that register's bound, and a key stops once its next
     arrival comes after every finite bound and it has visited every
-    register whose bound is infinite.
+    register whose bound is infinite.  A chunk with no such arrival is not
+    yielded.
 
     The work runs in rounds.  A round gives every live key the same number
     of arrivals: about what the earliest needs to pass every bound, or what
     the keys need to reach every register whose bound is infinite.  It
     takes them in ascending time, in doubling chunks, so once the bounds
     have fallen the later ones are dropped without hashing their
-    registers.  Keys are followed _KEYS_PER_PASS at a time, so the
-    temporaries stay a few times that size however long the batch.
+    registers.  ``depth`` is how many first arrivals per register the
+    consumer keeps (k for a top-k state, 1 for the others); the first
+    chunk is sized so that it most likely reaches every register that many
+    times (``_first_chunk``), so that a round's bounds fall in one chunk.
+    Keys are followed _KEYS_PER_PASS at a time, so the temporaries stay a
+    few times that size however long the batch.
 
     Every row is followed, a repeated key too, though its arrivals are its
     first copy's and cannot change a state; the consumers in
     ``order_sketch`` fold a batch's repeated keys first, so that ingest
     cost follows the distinct keys.
     """
+    size = _first_chunk(m, depth, _FIRST_CHUNK)
     for lo in range(0, len(keys), _KEYS_PER_PASS):
-        for rows, regs, t in _pass_arrivals(keys[lo:lo + _KEYS_PER_PASS], salt, m, bound):
+        for rows, regs, t in _pass_arrivals(keys[lo:lo + _KEYS_PER_PASS], salt, m, bound, size):
             yield rows + lo, regs, t
 
 
-def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
-    """``first_arrivals`` of one pass of keys."""
+@functools.lru_cache(maxsize=64)
+def _first_chunk(m: int, depth: int, margin: float) -> int:
+    """int(m * lam), at least 1, for the smallest rate lam >= 0 at which
+    m * P(Poisson(lam) < depth) <= e**-margin: int(m * (ln m + margin)) at
+    depth 1, and otherwise lam found by bisection on the log of the
+    Poisson sum, to the last bit."""
+    lam = math.log(m) + margin
+    if depth > 1 and lam > 0:
+        i = np.arange(depth)
+        log_fact = np.concatenate(([0.0], np.cumsum(np.log(i[1:]))))
+
+        def met(rate):  # log m + margin + log P(Poisson(rate) < depth) <= 0
+            terms = i * math.log(rate) - log_fact
+            top = terms.max()
+            return math.log(m) + margin + top + math.log(np.exp(terms - top).sum()) - rate <= 0
+
+        lo, hi = 0.0, lam + depth
+        while not met(hi):
+            lo, hi = hi, 2 * hi
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
+            lo, hi = (lo, mid) if met(mid) else (mid, hi)
+            mid = (lo + hi) / 2
+        lam = hi
+    return max(1, int(m * lam))
+
+
+def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray, first_chunk: int):
+    """``first_arrivals`` of one pass of keys, the first chunk of each round
+    holding first_chunk arrivals."""
     dig = digest_array(keys, salt)
     rows = np.arange(len(dig))
     carry = np.zeros(len(dig))
@@ -363,20 +403,20 @@ def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
             np.add.accumulate(t, axis=1, out=t)
         flat = t.ravel()
         taken = -np.inf  # every arrival up to this time has been taken
-        size = int(m * (math.log(m) + _FIRST_CHUNK))
+        size = first_chunk
         while taken < np.inf:
             chunk = flat < top
             if taken > -np.inf:
                 chunk &= flat > taken
-            times = flat[chunk]
-            if not len(times):
+            pos = np.flatnonzero(chunk)
+            if not len(pos):
                 break
-            if len(times) > size:
+            if len(pos) > size:
+                times = flat[pos]
                 taken = np.partition(times, size)[size]
-                chunk &= flat <= taken
+                pos = pos[np.flatnonzero(times <= taken)]
             else:
                 taken = np.inf
-            pos = np.flatnonzero(chunk)
             i, b = np.divmod(pos, block)
             w = d[i] + steps[1::2][b]
             regs = (mix64_array(w, out=w) % np.uint64(m)).astype(np.intp)
@@ -389,24 +429,26 @@ def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
             else:
                 first = np.arange(len(code))
             if len(seen):
-                new = seen[np.minimum(np.searchsorted(seen, code), len(seen) - 1)] != code
+                new = np.flatnonzero(
+                    seen[np.minimum(np.searchsorted(seen, code), len(seen) - 1)] != code)
                 code, first = code[new], first[new]
             regs, when = regs[first], flat[pos[first]]
-            live = when < bound[regs]
-            code, regs, when = code[live], regs[live], when[live]
-            yield rows[i[first[live]]], regs, when
-            top = bound.max()
-            if len(seen):
-                keep = seen_t < bound[seen % m]
-                seen, seen_t = seen[keep], seen_t[keep]
-            stays = when < bound[regs]
-            seen, seen_t = _insert(seen, seen_t, code[stays], when[stays])
+            # index arrays, not masks: a boolean index of a mask that is
+            # true about half the time costs several times as much
+            live = np.flatnonzero(when < bound[regs])
+            if len(live):  # else the bounds, and so the seen visits, stand
+                code, regs, when = code[live], regs[live], when[live]
+                yield rows[i[first[live]]], regs, when
+                top = bound.max()
+                if len(seen):
+                    keep = np.flatnonzero(seen_t < bound[seen % m])
+                    seen, seen_t = seen[keep], seen_t[keep]
+                stays = when < bound[regs]
+                seen, seen_t = _insert(seen, seen_t, code[stays], when[stays])
             size *= 2
         last = t[:, -1]
         if top < np.inf:
             alive = last < top
-            if not alive.any():
-                return
         else:
             # a key still counts while it is before a finite bound or has not
             # visited every register whose bound is infinite
@@ -414,6 +456,7 @@ def _pass_arrivals(keys: np.ndarray, salt: int, m: int, bound: np.ndarray):
             visits = seen[infinite[seen % m]]
             visited = np.searchsorted(visits, rows * m + m) - np.searchsorted(visits, rows * m)
             alive = (last < bound[~infinite].max(initial=-np.inf)) | (visited < infinite.sum())
+        alive = np.flatnonzero(alive)
         rows, carry = rows[alive], last[alive]
         r += block
 

@@ -17,8 +17,10 @@ the items, E_j:
   largest of c uniforms;
 - geometric: the rounding ceil(log(1 - e**-E_j) / log q);
 - Bernoulli: the bit E_j < -log(1 - p);
-- top-k: the k smallest first arrivals, stored as e**-E, descending; each
-  chunk of arrivals joins only the rows it reaches (``state.Rows.absorbed``).
+- top-k: the k smallest first arrivals, stored as e**-E, descending; it
+  asks for arrivals k deep, so a round's first chunk is sized to reach
+  every register k times, and each chunk joins only the rows it reaches
+  (``state.Rows.absorbed``).
 
 A batch's repeated keys are folded first, with one sort (``_distinct``):
 a repeat has its key's arrivals, so it adds nothing to any slot, and
@@ -476,7 +478,7 @@ class KthOrderSketch(state.Sketch):
 
     def _absorb(self, keys: np.ndarray, d: np.ndarray) -> None:
         bound = _kth_reach(self.topk[:, -1])
-        for _, regs, t in hashing.first_arrivals(_distinct(keys), self.salt, self.m, bound):
+        for _, regs, t in hashing.first_arrivals(_distinct(keys), self.salt, self.m, bound, self.k):
             self.layout.absorbed(self.topk, regs, np.exp(-t))
             bound[:] = _kth_reach(self.topk[:, -1])
 

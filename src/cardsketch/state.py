@@ -13,10 +13,12 @@ A class's layout is the one description of its arrays: ``names`` in
 ``checked(m, *arrays, **params)`` (the arrays checked against m and the
 parameters), ``joined(*mine, *theirs)`` (the combine rule, as new arrays)
 and the JSON and binary encodings; ``Rows.absorbed`` joins a batch's
-candidates into only the rows they name, in place.  ``checked`` also takes
-a stack of states, each array with a leading axis of ``reps`` rows, and
-copies only when asked: ``from_state`` copies the arrays its caller still
-holds, the decoders and the experiment runner hand over arrays they made.
+candidates into only the rows they name, in place, and while those rows
+have room only in the columns their values and the candidates can fill.
+``checked`` also takes a stack of states, each array with a leading axis
+of ``reps`` rows, and copies only when asked: ``from_state`` copies the
+arrays its caller still holds, the decoders and the experiment runner hand
+over arrays they made.
 
 A class estimates a stack of states at once, one row per sketch, with
 its classmethod ``estimates(*arrays, level, **params)`` (an
@@ -481,7 +483,7 @@ class Rows:
 
     def checked(self, m: int, x, reps=None, copy=True, **params) -> tuple:
         a = _shaped(_floats(x, copy), (m, self._k(params)), self.what, reps)
-        pad = np.isnan(a) if self.descending else np.isposinf(a)
+        pad = self._padding(a)
         # boolean temporaries only, so a large state is not copied again
         ok = a <= 1.0
         ok &= a > 0.0
@@ -502,14 +504,29 @@ class Rows:
 
     def absorbed(self, a, rows, values) -> None:
         """Join candidate values, each in its row of a (any order, repeats
-        allowed), into a in place: only the rows they name are merged."""
-        order = np.argsort(rows, kind="stable")
+        allowed), into a in place: only the rows they name are merged, and
+        only in the columns that their values and candidates can fill."""
+        # row numbers in the narrowest integer type, which numpy's stable
+        # argsort radix-sorts when it has 16 bits or fewer
+        order = np.argsort(rows.astype(np.min_scalar_type(len(a) - 1)), kind="stable")
         rows = rows[order]
         rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
         touched = rows[rank == 0]
         cand = np.full((len(touched), int(rank.max(initial=0)) + 1), self.pad)
         cand[np.cumsum(rank == 0) - 1, rank] = values[order]
-        a[touched] = merge_rows(a[touched], cand, self.descending)
+        held = a[touched]
+        width = held.shape[1]
+        # padding comes last in a row, so while every touched row has room
+        # the join needs only the columns some row fills, and as many more
+        # as the candidates
+        if cand.shape[1] < width and self._padding(held[:, -1]).all():
+            filled = width - np.count_nonzero(self._padding(held).all(axis=0))
+            width = min(width, filled + cand.shape[1])
+        a[touched, :width] = merge_rows(held[:, :width], cand, self.descending)
+
+    def _padding(self, x: np.ndarray) -> np.ndarray:
+        """The mask of the padding entries of x."""
+        return np.isnan(x) if self.descending else np.isposinf(x)
 
     @staticmethod
     def _dense_enough(m: int, k: int, stored: int) -> None:

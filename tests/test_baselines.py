@@ -29,6 +29,22 @@ class TestPlumbing:
         expected = [64, 63, 62, 62, 0, 1, 50]
         assert _leading_zeros64(vals).tolist() == expected
 
+    def test_leading_zeros_match_bit_length_at_every_edge(self):
+        # the exponent-field count is exact down to 2**11, and below it
+        # every word takes the small-word path
+        edges = [0, 2**11 - 1, 2**11 + 1, 2**53 - 1, 2**53 + 1,
+                 2**64 - 2**11 - 1, 2**64 - 2**11 + 1, 2**64 - 1]
+        edges += [2**i for i in range(64)] + [2**i - 1 for i in range(65)]
+        rng = np.random.default_rng(25)
+        words = rng.integers(0, 2**64 - 1, size=10**5, dtype=np.uint64, endpoint=True)
+        # and as many again spread over every bit length
+        shifted = words >> rng.integers(0, 64, size=10**5).astype(np.uint64)
+        vals = np.concatenate([np.array(edges, dtype=np.uint64), words, shifted])
+        expected = [64 - v.bit_length() for v in vals.tolist()]
+        got = _leading_zeros64(vals)
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+
     def test_m_must_be_power_of_two(self):
         with pytest.raises(ValueError):
             LogLogSketch(100)

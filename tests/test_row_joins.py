@@ -102,3 +102,24 @@ def test_rows_no_candidate_names_keep_their_values_even_with_ties(order):
     layout.absorbed(a, np.array([1]), np.array([0.125 if layout.descending else 0.75]))
     assert a[0].tolist() == tied and a[2].tolist() == tied
     assert a[1].tolist() == ([0.5, 0.25, 0.125] if layout.descending else [0.25, 0.5, 0.75])
+
+
+@pytest.mark.parametrize("order", sorted(PADS))
+@pytest.mark.parametrize("seed", range(8))
+def test_rows_with_room_join_as_the_full_matrix_join(order, seed):
+    # k far above what the rows hold, so the join is cut to the filled
+    # columns and the candidates' width; one full row in some draws
+    rng = np.random.default_rng(100 + seed)
+    m, k = 30, 60
+    layout = _layout(PADS[order], k)
+    grid = int(rng.choice([5, 10**6]))
+    held = rng.integers(0, 12, m)
+    draws = np.where(np.arange(2 * k) < held[:, None],
+                     rng.integers(1, grid + 1, (m, 2 * k)) / grid, layout.pad)
+    if seed % 2:
+        draws[int(rng.integers(m))] = np.arange(1, 2 * k + 1) / (2 * k + 1)
+    a = state.merge_rows(layout.empty(m)[0], draws, layout.descending)
+    n = int(rng.choice([1, 7, 40, 300]))
+    rows = rng.integers(0, m, n)
+    values = rng.integers(1, grid + 1, n) / grid
+    _check(layout, a, rows, values)

@@ -407,3 +407,111 @@ def test_a_heavy_hitter_hashes_no_more_words_than_its_distinct_keys(kind, monkey
     assert _hashed_words(monkeypatch, heavy, keys) <= _hashed_words(monkeypatch, once, distinct)
     _assert_same(_state(heavy), _state(once))
     _assert_same(_state(heavy), _oracle(kind, 128, [keys]))
+
+
+def _heavy_batches(m):
+    """A warm-up batch, then one where a single key fills half the rows
+    and the rest partly repeat the first batch."""
+    rng = np.random.default_rng(m)
+    warm = distinct_keys(400, seed=26)
+    pool = np.concatenate([warm[:100], distinct_keys(200, seed=27)])
+    heavy = np.concatenate([np.full(600, pool[0]), pool[rng.integers(0, len(pool), 600)]])
+    return warm, heavy[rng.permutation(len(heavy))]
+
+
+def _depth_cases():
+    """(kind, k): kth at depths 1, 3 and 40, and the depth-1 types."""
+    return [("kth", k) for k in (1, 3, 40)] + [(kind, 3) for kind in KINDS if kind != "kth"]
+
+
+@pytest.mark.parametrize("kind,k", _depth_cases())
+def test_first_chunk_size_does_not_change_a_warm_state(kind, k, monkeypatch):
+    m = 33
+    batches = _heavy_batches(m)
+    states = []
+    for chunk in (-3, 0, 4, 64):
+        monkeypatch.setattr(hashing, "_FIRST_CHUNK", chunk)
+        sk = _make(kind, m, k)
+        for keys in batches:
+            sk.add_batch(keys)
+        states.append(_state(sk))
+    for s in states[1:]:
+        _assert_same(s, states[0])
+    _assert_same(states[0], _oracle(kind, m, batches, k))
+
+
+def _yielded_sizes(monkeypatch):
+    """Spy on first_arrivals: the list the sizes of its chunks go to."""
+    sizes = []
+    real = hashing.first_arrivals
+
+    def spy(*args, **kwargs):
+        for rows, regs, t in real(*args, **kwargs):
+            assert len(rows) == len(regs) == len(t)
+            sizes.append(len(t))
+            yield rows, regs, t
+
+    monkeypatch.setattr(hashing, "first_arrivals", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("kind,k", _depth_cases())
+@pytest.mark.parametrize("m", [1, 33, 128])
+def test_no_yielded_chunk_is_empty(kind, k, m, monkeypatch):
+    sizes = _yielded_sizes(monkeypatch)
+    sk = _make(kind, m, k)
+    for keys in _heavy_batches(m) + (distinct_keys(10000, seed=28),):
+        sk.add_batch(keys)
+    assert sizes and min(sizes) > 0
+
+
+@pytest.mark.parametrize("m", [2, 7, 33, 128, 4096, 1 << 16])
+@pytest.mark.parametrize("chunk", [0, 4, 64])
+def test_first_chunk_at_depth_one_is_m_log_m_plus_the_margin(m, chunk):
+    assert hashing._first_chunk(m, 1, chunk) == int(m * (math.log(m) + chunk))
+
+
+@pytest.mark.parametrize("m", [1, 7, 128, 4096])
+@pytest.mark.parametrize("depth", [2, 3, 40, 1000])
+@pytest.mark.parametrize("chunk", [0, 4, 64])
+def test_first_chunk_meets_the_poisson_bound_at_depth(m, depth, chunk):
+    from scipy.stats import poisson
+
+    size = hashing._first_chunk(m, depth, chunk)
+    limit = math.exp(-chunk)
+    # size is int(m * lam), at least 1, for the smallest rate lam that
+    # meets the bound (0 at m = 1 and margin 0)
+    assert m * poisson.cdf(depth - 1, (size + 1) / m) <= limit
+    if m > limit:
+        assert m * poisson.cdf(depth - 1, (size - 1) / m) > limit
+        assert size > hashing._first_chunk(m, 1, chunk)
+    else:
+        assert size == 1
+
+
+def test_first_chunk_below_one_arrival_is_one():
+    # m * (ln m + margin) < 1, and a margin that needs no arrival at all
+    assert hashing._first_chunk(7, 1, -3) == 1
+    assert hashing._first_chunk(7, 3, -3) == 1
+
+
+def test_a_patched_first_chunk_margin_changes_the_first_chunk(monkeypatch):
+    taken = []
+    real = hashing._pass_arrivals
+
+    def spy(keys, salt, m, bound, first_chunk):
+        taken.append(first_chunk)
+        return real(keys, salt, m, bound, first_chunk)
+
+    monkeypatch.setattr(hashing, "_pass_arrivals", spy)
+    keys = distinct_keys(50, seed=29)
+    for depth in (1, 3):
+        sizes = []
+        for chunk in (4, 0, 4):
+            monkeypatch.setattr(hashing, "_FIRST_CHUNK", chunk)
+            taken.clear()
+            for _ in hashing.first_arrivals(keys, SALT, 64, np.full(64, np.inf), depth):
+                pass
+            assert taken == [hashing._first_chunk(64, depth, chunk)]
+            sizes.append(taken[0])
+        assert sizes[0] == sizes[2] > sizes[1]
